@@ -180,6 +180,12 @@ def _override(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
+def _encoder_input(path, size: tuple[int, int], patch: PatchNormConfig) -> np.ndarray:
+    """Load one image file and run the encoder-input chain on it."""
+    # Module globals, not imaging.preprocess_for_encoding: bench/tracing.py wraps these names.
+    return rescale_unit(patch_normalize(load_and_resize(path, size), patch))
+
+
 def _load_traverses(dirs, role, cfg: RunConfig, place_range=None):
     """Scan and load traverse directories into an encoder-ready array.
 
@@ -199,8 +205,7 @@ def _load_traverses(dirs, role, cfg: RunConfig, place_range=None):
     files_read = []
     for t, manifest in enumerate(manifests):
         for k, path in enumerate(manifest.paths()[start:stop]):
-            raw = load_and_resize(path, cfg.image_size)
-            images[t, k] = rescale_unit(patch_normalize(raw, cfg.patch))
+            images[t, k] = _encoder_input(path, cfg.image_size, cfg.patch)
             files_read.append(path)
     return images, manifests, files_read
 
@@ -333,8 +338,7 @@ def cmd_evaluate(args) -> int:
 def cmd_match(args) -> int:
     cfg = _override(load_config(args.config), args)
     model = store.load_ensemble(args.model)
-    raw = load_and_resize(args.image, model.image_size)
-    query = rescale_unit(patch_normalize(raw, model.patch))
+    query = _encoder_input(args.image, model.image_size, model.patch)
     result = ens.match_query(model, query, query_id=args.query_id)
     top = min(args.top, model.place_count)
     for rank in range(top):

@@ -10,7 +10,11 @@ inference mode.  A neuron whose cumulative spike count reaches the
 threshold responds to places far outside its own region and is flagged
 hyperactive; flagged neurons are ignored when queries are matched.
 
-At query time one spike train is fanned out to all experts; each place's
+Replaying the reference set and answering queries are one computation:
+each image is encoded once and the train is fanned out to every expert,
+which starts from rest in a freshly built network
+(``collect_expert_responses``).  Batches run in parallel over contiguous
+image chunks, so results never depend on the worker count.  Each place's
 score is the summed response of the non-hyperactive neurons assigned to
 it, and the ranking is the descending score order (ties toward the lowest
 place id).
@@ -19,7 +23,7 @@ place id).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +39,7 @@ from .expert import (
     train_expert,
 )
 from .imaging import (
+    STREAM_QUERY,
     STREAM_REFERENCE,
     EncodingConfig,
     PatchNormConfig,
@@ -182,30 +187,6 @@ def train_ensemble(
     return model
 
 
-def reference_spike_trains(model: EnsembleModel, reference: np.ndarray):
-    """Yield the shared encoding of every reference image in presentation order.
-
-    The seed depends only on (global_seed, image id), so all experts are
-    probed with the same trains and re-runs reproduce them exactly.
-    """
-    n_trav, place_count = reference.shape[0], reference.shape[1]
-    for traverse in range(n_trav):
-        for place in range(place_count):
-            image_id = traverse * place_count + place
-            seed = derive_seed(model.global_seed, STREAM_REFERENCE, image_id)
-            yield poisson_encode(reference[traverse, place], model.encoding, seed)
-
-
-def _expert_totals(args) -> tuple[int, np.ndarray]:
-    index, expert, model_lite, reference = args
-    totals = np.zeros(expert.n_excitatory, dtype=np.int64)
-    net = expert.build_network(model_lite.sim, model_lite.encoding)
-    for train in reference_spike_trains(model_lite, reference):
-        net.reset_dynamics()
-        totals += net.present(train, learn=False, run_rest=False)
-    return index, totals
-
-
 def hyperactive_flags(totals: np.ndarray, theta: float) -> np.ndarray:
     """Literal threshold test: a neuron is hyperactive when total >= theta."""
     return np.asarray(totals) >= theta
@@ -226,19 +207,19 @@ def detect_hyperactive(
 ) -> EnsembleModel:
     """Present the whole reference set to every expert and flag hot neurons.
 
-    Fills each expert's cumulative reference totals (one inference pass per
-    reference image, all traverses weighted equally) and sets the
-    hyperactive flags for ``theta``.  Mutates and returns ``model``.
+    ``reference`` has shape (n_traverses, place_count, H, W).  Each image is
+    encoded once, with the seed of its id (traverse * place_count + place),
+    and every expert answers it from rest; all traverses weigh equally.
+    Workers sum the responses of contiguous image chunks.  Fills each
+    expert's cumulative reference totals and sets the hyperactive flags for
+    ``theta``.  Mutates and returns ``model``.
     """
-    lite = replace(model, experts=[], dataset_fingerprints={})
-    jobs = [(i, ex, lite, reference) for i, ex in enumerate(model.experts)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(pool.map(_expert_totals, jobs))
-    else:
-        outcomes = dict(_expert_totals(job) for job in jobs)
-    for i, expert in enumerate(model.experts):
-        expert.reference_totals = outcomes[i]
+    images = reference.reshape((-1,) + reference.shape[2:])
+    totals = np.zeros((len(model.experts), model.experts[0].n_excitatory), dtype=np.int64)
+    for part in _map_image_chunks(_chunk_totals, model, images, STREAM_REFERENCE, 0, workers):
+        totals += part
+    for expert, row in zip(model.experts, totals):
+        expert.reference_totals = row
     model.regularized = True
     return apply_threshold(model, theta)
 
@@ -283,35 +264,24 @@ def fuse_scores(
     )
 
 
-def collect_expert_responses(
-    model: EnsembleModel, train: SpikeTrain, workers: int = 1
-) -> np.ndarray:
-    """Present one query train to every expert; rows are per-expert counts.
+def collect_expert_responses(model: EnsembleModel, train: SpikeTrain) -> np.ndarray:
+    """Present one train to every expert; rows are per-expert counts.
 
-    With ``workers`` > 1 the fan-out runs on a thread pool; results are
-    joined by expert index, so the outcome never depends on scheduling.
+    The only place where frozen experts run: matching, query batches and
+    the reference replay all come through here.
     """
-    if workers > 1 and len(model.experts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda ex: expert_respond(ex, train, model.sim, model.encoding),
-                model.experts,
-            ))
-        return np.stack(rows)
     return np.stack(
         [expert_respond(ex, train, model.sim, model.encoding) for ex in model.experts]
     )
 
 
-def match_spike_train(model: EnsembleModel, train: SpikeTrain, workers: int = 1) -> MatchResult:
+def match_spike_train(model: EnsembleModel, train: SpikeTrain) -> MatchResult:
     if not model.regularized:
         raise StateError("model is not regularized: run detect_hyperactive first")
-    return fuse_scores(model, collect_expert_responses(model, train, workers))
+    return fuse_scores(model, collect_expert_responses(model, train))
 
 
-def match_query(
-    model: EnsembleModel, query_unit: np.ndarray, query_id: int = 0, workers: int = 1
-) -> MatchResult:
+def match_query(model: EnsembleModel, query_unit: np.ndarray, query_id: int = 0) -> MatchResult:
     """Match one encoder-ready query image against the reference map.
 
     The query is encoded once with a seed derived from (global_seed,
@@ -320,20 +290,39 @@ def match_query(
     train = poisson_encode(
         query_unit, model.encoding, query_seed(model.global_seed, query_id)
     )
-    return match_spike_train(model, train, workers)
+    return match_spike_train(model, train)
 
 
-def _query_batch(args) -> tuple[int, np.ndarray]:
-    start, images, model_lite, experts = args
-    out = np.zeros((images.shape[0], len(experts), experts[0].n_excitatory), dtype=np.int64)
-    for k in range(images.shape[0]):
-        train = poisson_encode(
-            images[k], model_lite.encoding,
-            query_seed(model_lite.global_seed, start + k),
-        )
-        for i, ex in enumerate(experts):
-            out[k, i] = expert_respond(ex, train, model_lite.sim, model_lite.encoding)
-    return start, out
+def _image_responses(model: EnsembleModel, images: np.ndarray, stream: int, first_id: int):
+    """Yield each image's (n_experts, K) responses, encoding it once.
+
+    Image k is encoded with derive_seed(global_seed, stream, first_id + k),
+    so a chunk reproduces exactly the trains of the whole batch.
+    """
+    for k, image in enumerate(images):
+        seed = derive_seed(model.global_seed, stream, first_id + k)
+        yield collect_expert_responses(model, poisson_encode(image, model.encoding, seed))
+
+
+def _chunk_rows(args) -> np.ndarray:
+    return np.stack(list(_image_responses(*args)))
+
+
+def _chunk_totals(args) -> np.ndarray:
+    return sum(_image_responses(*args))
+
+
+def _map_image_chunks(reduce_chunk, model, images, stream, first_id, workers) -> list:
+    """Apply ``reduce_chunk`` to ceil(n / workers) contiguous image chunks, in order."""
+    chunk = max(1, -(-images.shape[0] // max(workers, 1)))
+    jobs = [
+        (model, images[s:s + chunk], stream, first_id + s)
+        for s in range(0, images.shape[0], chunk)
+    ]
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(reduce_chunk, jobs))
+    return [reduce_chunk(job) for job in jobs]
 
 
 def collect_query_responses(
@@ -344,23 +333,16 @@ def collect_query_responses(
 ) -> np.ndarray:
     """Raw per-neuron responses for a query batch: (n_queries, n_experts, K_E).
 
-    This is the expensive half of evaluation; rankings for any threshold
-    can then be recomputed from the cache without re-simulating.
+    Query k is encoded once, with ``query_seed(global_seed, query_id_base +
+    k)``, and every expert answers it from rest, exactly as ``match_query``
+    does; workers take contiguous chunks of queries.  This is the expensive
+    half of evaluation; rankings for any threshold can then be recomputed
+    from the cache without re-simulating.
     """
-    n_q = queries.shape[0]
-    if n_q == 0:
+    if queries.shape[0] == 0:
         return np.zeros((0, len(model.experts), 0), dtype=np.int64)
-    lite = replace(model, experts=[], dataset_fingerprints={})
-    if workers > 1:
-        chunk = max(1, (n_q + workers - 1) // workers)
-        jobs = [
-            (query_id_base + s, queries[s:s + chunk], lite, model.experts)
-            for s in range(0, n_q, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = dict(pool.map(_query_batch, jobs))
-        return np.concatenate([parts[s] for s in sorted(parts)])
-    return _query_batch((query_id_base, queries, lite, model.experts))[1]
+    parts = _map_image_chunks(_chunk_rows, model, queries, STREAM_QUERY, query_id_base, workers)
+    return np.concatenate(parts)
 
 
 def query_time_benchmark(

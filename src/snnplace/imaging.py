@@ -242,22 +242,13 @@ def rescale_unit(image: np.ndarray) -> np.ndarray:
     return (image - lo) / (hi - lo)
 
 
-def preprocess_image(
-    image: np.ndarray,
-    target: tuple[int, int] = (28, 28),
-    patch: PatchNormConfig = PatchNormConfig(),
-) -> np.ndarray:
-    """Resize + patch-normalize (shared by the spike path and SAD baseline)."""
-    return patch_normalize(resize_bilinear(image, target[0], target[1]), patch)
-
-
 def preprocess_for_encoding(
     image: np.ndarray,
     target: tuple[int, int] = (28, 28),
     patch: PatchNormConfig = PatchNormConfig(),
 ) -> np.ndarray:
     """Full encoder-input pipeline: resize, patch-normalize, map to [0, 1]."""
-    return rescale_unit(preprocess_image(image, target, patch))
+    return rescale_unit(patch_normalize(resize_bilinear(image, target[0], target[1]), patch))
 
 
 def poisson_encode(

@@ -320,15 +320,6 @@ class ExpertNetwork:
         self.exc = LayerState.resting(self.n_excitatory, params.lif_exc, theta)
         self.inh = LayerState.resting(self.n_excitatory, params.lif_inh)
 
-    def reset_dynamics(self) -> None:
-        """Return voltages, conductances, and traces to rest; keep weights/theta."""
-        for state, lif in ((self.exc, self.params.lif_exc), (self.inh, self.params.lif_inh)):
-            state.v.fill(lif.e_rest_mv)
-            state.g_e.fill(0.0)
-            state.g_i.fill(0.0)
-            state.refractory.fill(0.0)
-        self.syn.pre_trace.fill(0.0)
-
     def present(self, train: SpikeTrain, learn: bool, run_rest: bool = True) -> np.ndarray:
         """Simulate one presentation; return per-neuron excitatory spike counts.
 

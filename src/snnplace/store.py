@@ -6,7 +6,8 @@ n_excitatory]).  Everything else — assignments, adaptive thresholds,
 reference totals, hyperactive flags, full config — lives in the manifest.
 Python's JSON writer emits shortest round-trip float representations, so
 save/load is bit-exact; saves go through a temporary name and a final
-atomic rename.
+atomic rename.  Loading rejects archives whose experts do not tile the
+place set or disagree on their shapes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import tempfile
 import numpy as np
 
 from .ensemble import EnsembleModel
-from .errors import ArchiveError, IngestError
+from .errors import ArchiveError, ConfigError, IngestError
 from .expert import ExpertConfig, ExpertModel
 from .imaging import EncodingConfig, PatchNormConfig
 from .network import (
@@ -223,7 +224,7 @@ def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
             hyperactive=np.array(meta["hyperactive"], dtype=bool),
         ))
 
-    return EnsembleModel(
+    model = EnsembleModel(
         experts=experts,
         place_count=manifest["place_count"],
         sim=_sim_from_block(cfg),
@@ -236,3 +237,29 @@ def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
         expert_config=ExpertConfig(**cfg["expert"]) if "expert" in cfg else None,
         dataset_fingerprints=manifest["dataset_fingerprints"],
     )
+    _check_consistent(model, path)
+    return model
+
+
+def _check_consistent(model: EnsembleModel, path: str) -> None:
+    """Reject archives whose experts cannot serve one query together."""
+    try:
+        model.validate_tiling()
+    except ConfigError as exc:
+        raise ArchiveError(f"archive {path!r}: {exc}") from exc
+    sizes = sorted({ex.n_excitatory for ex in model.experts})
+    if len(sizes) > 1:
+        raise ArchiveError(f"archive {path!r}: experts differ in n_excitatory {sizes}")
+    width, height = model.image_size
+    for i, ex in enumerate(model.experts):
+        if ex.n_inputs != width * height:
+            raise ArchiveError(
+                f"archive {path!r}: expert {i} has n_inputs={ex.n_inputs}, "
+                f"image size {width}x{height} needs {width * height}"
+            )
+        for name in ("theta", "assignments", "reference_totals", "hyperactive"):
+            if len(getattr(ex, name)) != ex.n_excitatory:
+                raise ArchiveError(
+                    f"archive {path!r}: expert {i} lists {len(getattr(ex, name))} "
+                    f"{name}, expected {ex.n_excitatory}"
+                )

@@ -18,9 +18,7 @@ from .imaging import (
     EncodingConfig,
     PatchNormConfig,
     derive_seed,
-    patch_normalize,
-    rescale_unit,
-    resize_bilinear,
+    preprocess_for_encoding,
 )
 from .network import SimulationParams
 
@@ -59,9 +57,7 @@ def preprocess_stack(
     """Resize + patch-normalize + unit-rescale a stack of raw images."""
     out = np.empty((images.shape[0], target[1], target[0]))
     for i, img in enumerate(images):
-        out[i] = rescale_unit(patch_normalize(
-            resize_bilinear(img, target[0], target[1]), patch
-        ))
+        out[i] = preprocess_for_encoding(img, target, patch)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -135,6 +136,18 @@ class TestEvaluate:
         for summary in outs:
             summary.pop("mean_query_seconds")
         assert outs[0] == outs[1]
+
+    def test_inconsistent_archive_exits_2(self, world, trained_archive, tmp_path, capsys):
+        _, cfg, _, query = world
+        broken = tmp_path / "broken"
+        shutil.copytree(trained_archive, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["image_size"] = [4, 4]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["evaluate", "--config", cfg, "--model", str(broken),
+                   "--query-dir", query, "--report-dir", str(tmp_path / "reports")])
+        assert rc == 2
+        assert "n_inputs" in capsys.readouterr().err
 
 
 class TestMatch:

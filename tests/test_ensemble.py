@@ -5,21 +5,27 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from snnplace.ensemble import (
     EnsembleModel,
     apply_threshold,
     collect_expert_responses,
+    collect_query_responses,
     detect_hyperactive,
     flags_for_theta,
     fuse_scores,
     hyperactive_flags,
+    match_query,
     match_spike_train,
     partition_reference,
     train_ensemble,
 )
 from snnplace.errors import ConfigError, StateError
-from snnplace.expert import UNASSIGNED
-from snnplace.imaging import PatchNormConfig, poisson_encode
+from snnplace.expert import UNASSIGNED, expert_respond, query_seed
+from snnplace.imaging import STREAM_REFERENCE, PatchNormConfig, derive_seed, poisson_encode
+from snnplace.synthetic import synthetic_ensemble
 from tests.conftest import (
     handmade_ensemble,
     tiny_encoding,
@@ -269,14 +275,73 @@ class TestTrainEnsemble:
             result.scores, fuse_scores(model, responses).scores
         )
 
-    def test_fan_out_worker_count_does_not_change_result(self):
-        textures = tiny_textures(4, seed=20)[None]
-        model = detect_hyperactive(self._train(1), textures, None, workers=1)
-        train = poisson_encode(textures[0, 2], tiny_encoding(), seed=34)
-        serial = match_spike_train(model, train, workers=1)
-        threaded = match_spike_train(model, train, workers=3)
-        np.testing.assert_array_equal(serial.place_ids, threaded.place_ids)
-        np.testing.assert_array_equal(serial.scores, threaded.scores)
+
+class TestSharedFanOut:
+    """Replay, query batches and matching against a per-expert oracle loop.
+
+    The oracle encodes every image afresh for every expert with the
+    documented seeds: reference image (t, p) with derive_seed(global_seed,
+    STREAM_REFERENCE, t * place_count + p), query k with
+    query_seed(global_seed, query_id_base + k).
+    """
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        n_experts=st.integers(1, 4),
+        n_traverses=st.integers(1, 2),
+        n_excitatory=st.integers(2, 8),
+        places_per_expert=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+        query_id_base=st.integers(0, 1000),
+        theta=st.one_of(st.none(), st.integers(1, 20)),
+    )
+    def test_fan_out_matches_per_expert_oracle(
+        self, n_experts, n_traverses, n_excitatory, places_per_expert, seed,
+        query_id_base, theta,
+    ):
+        encoding = tiny_encoding(presentation_ms=100.0)
+        model = synthetic_ensemble(
+            n_experts, n_excitatory=n_excitatory, image_size=(8, 8),
+            places_per_expert=places_per_expert, seed=seed,
+            sim=tiny_sim(), encoding=encoding,
+        )
+        places = model.place_count
+        reference = tiny_textures(n_traverses * places, seed=seed).reshape(
+            n_traverses, places, 8, 8
+        )
+        queries = tiny_textures(2, seed=seed + 1)
+
+        def respond(expert, image, encoder_seed):
+            train = poisson_encode(image, encoding, encoder_seed)
+            return expert_respond(expert, train, model.sim, encoding)
+
+        expected_totals = [
+            sum(
+                respond(ex, reference[t, p], derive_seed(seed, STREAM_REFERENCE, t * places + p))
+                for t in range(n_traverses)
+                for p in range(places)
+            )
+            for ex in model.experts
+        ]
+        expected_rows = np.array([
+            [respond(ex, query, query_seed(seed, query_id_base + k)) for ex in model.experts]
+            for k, query in enumerate(queries)
+        ])
+        for workers in (1, 2):
+            detect_hyperactive(model, reference, theta, workers=workers)
+            for expert, want in zip(model.experts, expected_totals):
+                np.testing.assert_array_equal(expert.reference_totals, want)
+            rows = collect_query_responses(
+                model, queries, workers=workers, query_id_base=query_id_base
+            )
+            np.testing.assert_array_equal(rows, expected_rows)
+
+        flags = [ex.hyperactive for ex in model.experts]
+        for k, query in enumerate(queries):
+            result = match_query(model, query, query_id=query_id_base + k)
+            want_ids, want_scores = brute_force_ranking(model, expected_rows[k], flags)
+            assert result.place_ids.tolist() == want_ids
+            assert result.scores.tolist() == want_scores
 
 
 class TestBenchmark:

@@ -83,15 +83,21 @@ class TestRoundTrip:
 
 
 class TestCorruption:
-    def test_version_mismatch_is_explicit(self, trained_model, tmp_path):
-        model, _ = trained_model
+    def _edit_manifest(self, model, tmp_path, edit):
         save_ensemble(model, tmp_path / "arch")
         manifest_path = tmp_path / "arch" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = FORMAT_VERSION + 1
+        edit(manifest)
         manifest_path.write_text(json.dumps(manifest))
+        return tmp_path / "arch"
+
+    def test_version_mismatch_is_explicit(self, trained_model, tmp_path):
+        model, _ = trained_model
+        path = self._edit_manifest(
+            model, tmp_path, lambda m: m.update(format_version=FORMAT_VERSION + 1)
+        )
         with pytest.raises(ArchiveError, match="version"):
-            load_ensemble(tmp_path / "arch")
+            load_ensemble(path)
 
     def test_truncated_payload_names_file(self, trained_model, tmp_path):
         model, _ = trained_model
@@ -100,6 +106,47 @@ class TestCorruption:
         payload.write_bytes(payload.read_bytes()[:-1])
         with pytest.raises(ArchiveError, match="expert_0000.bin"):
             load_ensemble(tmp_path / "arch")
+
+    def test_untiled_place_count_rejected(self, trained_model, tmp_path):
+        model, _ = trained_model
+        path = self._edit_manifest(
+            model, tmp_path, lambda m: m.update(place_count=m["place_count"] + 1)
+        )
+        with pytest.raises(ArchiveError, match="cover"):
+            load_ensemble(path)
+
+    def test_image_size_must_match_inputs(self, trained_model, tmp_path):
+        model, _ = trained_model
+        path = self._edit_manifest(model, tmp_path, lambda m: m.update(image_size=[4, 4]))
+        with pytest.raises(ArchiveError, match="n_inputs"):
+            load_ensemble(path)
+
+    def test_mixed_neuron_counts_rejected(self, trained_model, tmp_path):
+        model, _ = trained_model
+
+        def narrow_second_expert(manifest):
+            meta = manifest["experts"][1]
+            k = meta["n_excitatory"] - 2
+            blob = (tmp_path / "arch" / meta["file"]).read_bytes()
+            weights = np.frombuffer(blob, dtype="<f4").reshape(meta["n_inputs"], -1)
+            (tmp_path / "arch" / meta["file"]).write_bytes(weights[:, :k].tobytes())
+            meta["n_excitatory"] = k
+            for key in ("theta_adapt_mv", "assignments", "reference_totals", "hyperactive"):
+                meta[key] = meta[key][:k]
+
+        path = self._edit_manifest(model, tmp_path, narrow_second_expert)
+        with pytest.raises(ArchiveError, match="n_excitatory"):
+            load_ensemble(path)
+
+    def test_short_per_neuron_list_rejected(self, trained_model, tmp_path):
+        model, _ = trained_model
+
+        def drop_assignment(manifest):
+            manifest["experts"][0]["assignments"].pop()
+
+        path = self._edit_manifest(model, tmp_path, drop_assignment)
+        with pytest.raises(ArchiveError, match="assignments"):
+            load_ensemble(path)
 
     def test_missing_manifest(self, tmp_path):
         os.makedirs(tmp_path / "empty")
