@@ -23,6 +23,7 @@ from .ensemble import (
     EnsembleModel,
     collect_query_responses,
     detect_hyperactive,
+    flags_for_theta,
     partition_reference,
     train_ensemble,
 )
@@ -50,6 +51,10 @@ class CalibrationPlan:
             raise ConfigError("calibration grids must be non-empty")
         if any(t <= 0 for t in self.tau_gi_grid):
             raise ConfigError("tau_gi values must be > 0")
+        if None in self.theta_grid:
+            raise ConfigError("theta grid values must be numbers (0 disables the filter)")
+        for theta in self.theta_grid:
+            flags_for_theta((), theta)  # ConfigError for an invalid theta
         if not 0 <= self.cal_start < self.cal_stop:
             raise ConfigError("calibration place range is empty or negative")
 
@@ -132,8 +137,7 @@ def run_grid_search(
         train_seconds[i] = time.perf_counter() - tick
         for j, theta in enumerate(plan.theta_grid):
             tick = time.perf_counter()
-            records = records_from_responses(model, responses, cal_truths, theta=theta)
-            scores[i, j] = precision_at_100_recall(records)
+            scores[i, j] = _score_theta(model, responses, cal_truths, theta)
             cell_seconds[i, j] = time.perf_counter() - tick
 
     chosen_tau, chosen_theta = _select(scores, plan.tau_gi_grid, plan.theta_grid)
@@ -147,6 +151,12 @@ def run_grid_search(
         chosen_theta=chosen_theta,
         files_read=tuple(files_read),
     )
+
+
+def _score_theta(model: EnsembleModel, responses: np.ndarray, truths, theta) -> float:
+    """P@100R of cached query responses, ignoring the neurons ``theta`` flags."""
+    flags = [flags_for_theta(ex.reference_totals, theta) for ex in model.experts]
+    return precision_at_100_recall(records_from_responses(model, responses, truths, flags))
 
 
 def derive_cal_seed(global_seed: int, tau_gi: float) -> int:
@@ -171,9 +181,8 @@ def theta_sweep(
     if responses is None:
         responses = collect_query_responses(model, queries, workers)
     curve = []
-    for theta in [0.0] + [float(t) for t in thetas if t != 0]:
-        records = records_from_responses(model, responses, truths, theta=theta)
-        curve.append((theta, precision_at_100_recall(records)))
+    for theta in [0.0] + [t for t in thetas if t != 0]:
+        curve.append((float(theta), _score_theta(model, responses, truths, theta)))
     return curve
 
 

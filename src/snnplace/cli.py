@@ -1,9 +1,12 @@
 """Operator entry points: train, regularize, calibrate, evaluate, match, bench.
 
 All tunables live in one JSON config file; command-line flags override
-individual values.  Exit codes: 0 success, 1 runtime failure, 2
-configuration or ingest error.  Every command is deterministic given the
-same inputs, seed, and config, independent of the worker count.
+individual values.  The hyperactivity threshold theta is the exception: it
+is given per command (``--theta``, or ``--params chosen.json``) and follows
+the one rule of ``ensemble.flags_for_theta``.  Exit codes: 0 success, 1
+runtime failure, 2 configuration, ingest or archive error.  Every command
+is deterministic given the same inputs, seed, and config, independent of
+the worker count.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ class RunConfig:
     workers: int = 0                      # 0: use all available cores
     image_width: int = 28
     image_height: int = 28
-    theta: float = 100.0
     patch: PatchNormConfig = PatchNormConfig()
     encoding: EncodingConfig = EncodingConfig()
     simulation: SimulationParams = SimulationParams.defaults()
@@ -62,8 +64,6 @@ class RunConfig:
             raise ConfigError("workers must be >= 0")
         if self.image_width < 1 or self.image_height < 1:
             raise ConfigError("image dimensions must be >= 1")
-        if self.theta < 0:
-            raise ConfigError("theta must be >= 0 (0 disables the filter)")
         if self.image_width % self.patch.patch_width or self.image_height % self.patch.patch_height:
             raise ConfigError("image dimensions must be multiples of the patch size")
         if self.expert.n_inputs != self.image_width * self.image_height:
@@ -99,20 +99,32 @@ _SIM_SECTIONS = {
 }
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Read the JSON config file; unknown keys anywhere are rejected."""
-    if path is None:
-        return RunConfig()
+def _read_json_object(path: str, what: str) -> dict:
+    """Parse a JSON file holding one object.
+
+    An unreadable file raises ``IngestError``; bad JSON or a value that is
+    not an object raises ``ConfigError``.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise IngestError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+        raise IngestError(f"cannot read {what} {path!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path!r} must hold a JSON object")
+    return data
+
+
+def load_config(path: str | None) -> RunConfig:
+    """Read the JSON config file; unknown keys anywhere are rejected."""
+    if path is None:
+        return RunConfig()
+    data = _read_json_object(path, "config")
 
     known = {
-        "seed", "workers", "image", "theta", "patch", "encoding",
+        "seed", "workers", "image", "patch", "encoding",
         "simulation", "expert", "calibration",
     }
     unknown = sorted(set(data) - known)
@@ -120,7 +132,7 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"unknown top-level config keys: {', '.join(unknown)}")
 
     kwargs: dict = {}
-    for key in ("seed", "workers", "theta"):
+    for key in ("seed", "workers"):
         if key in data:
             kwargs[key] = data[key]
     if "image" in data:
@@ -164,8 +176,8 @@ def load_config(path: str | None) -> RunConfig:
 
 def _override(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates: dict = {}
-    for flag, field in (("seed", "seed"), ("workers", "workers"), ("theta", "theta")):
-        value = getattr(args, flag, None)
+    for field in ("seed", "workers"):
+        value = getattr(args, field, None)
         if value is not None:
             updates[field] = value
     expert_updates = {}
@@ -253,12 +265,10 @@ def cmd_regularize(args) -> int:
         args.ref_dirs, "reference", cfg, (0, model.place_count)
     )
     _check_fingerprints(model, manifests)
-    theta = args.theta if args.theta and args.theta > 0 else None
-    ens.detect_hyperactive(model, reference, theta, cfg.effective_workers())
+    ens.detect_hyperactive(model, reference, args.theta, cfg.effective_workers())
     store.save_ensemble(model, args.out or args.model, overwrite=True)
     flagged = sum(int(ex.hyperactive.sum()) for ex in model.experts)
-    label = theta if theta is not None else "disabled"
-    print(f"reference totals stored; theta={label}; {flagged} neurons flagged")
+    print(f"reference totals stored; theta={model.theta or 'disabled'}; {flagged} neurons flagged")
     return 0
 
 
@@ -295,12 +305,10 @@ def cmd_evaluate(args) -> int:
     if not model.regularized:
         raise ConfigError("model has no reference totals: run `regularize` first")
     if args.params:
-        with open(args.params) as fh:
-            chosen = json.load(fh)
-        theta = chosen.get("theta", model.theta)
-        ens.apply_threshold(model, theta if theta and theta > 0 else None)
+        chosen = _read_json_object(args.params, "params file")
+        ens.apply_threshold(model, chosen.get("theta", model.theta))
     elif args.theta is not None:
-        ens.apply_threshold(model, args.theta if args.theta > 0 else None)
+        ens.apply_threshold(model, args.theta)
     queries, manifests, _ = _load_traverses(
         [args.query_dir], "query", cfg, (0, model.place_count)
     )

@@ -22,6 +22,7 @@ place id).
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -115,11 +116,10 @@ class MatchResult:
         return int(self.place_ids[0])
 
 
-def _train_one(args) -> tuple[int, ExpertModel, float]:
-    index, region, cfg, sim, encoding = args
+def _train_one(job) -> tuple[ExpertModel, float]:
     tick = time.perf_counter()
-    model, _ = train_expert(region, cfg, sim, encoding)
-    return index, model, time.perf_counter() - tick
+    model, _ = train_expert(*job)
+    return model, time.perf_counter() - tick
 
 
 def train_ensemble(
@@ -156,23 +156,11 @@ def train_ensemble(
             places_per_expert=partition.places_per_expert,
             seed=derive_seed(global_seed, index),
         )
-        jobs.append((index, region, cfg, sim, encoding))
-
-    results: dict[int, ExpertModel] = {}
-    timings: dict[int, float] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, model, seconds in pool.map(_train_one, jobs):
-                results[index] = model
-                timings[index] = seconds
-    else:
-        for job in jobs:
-            index, model, seconds = _train_one(job)
-            results[index] = model
-            timings[index] = seconds
+        jobs.append((region, cfg, sim, encoding))
+    trained = _ordered_map(_train_one, jobs, workers)
 
     model = EnsembleModel(
-        experts=[results[i] for i in range(len(jobs))],
+        experts=[expert for expert, _ in trained],
         place_count=place_count,
         sim=sim,
         encoding=encoding,
@@ -181,22 +169,23 @@ def train_ensemble(
         global_seed=global_seed,
         expert_config=expert_cfg,
         dataset_fingerprints=dataset_fingerprints or {},
-        train_seconds=[timings[i] for i in range(len(jobs))],
+        train_seconds=[seconds for _, seconds in trained],
     )
     model.validate_tiling()
     return model
 
 
-def hyperactive_flags(totals: np.ndarray, theta: float) -> np.ndarray:
-    """Literal threshold test: a neuron is hyperactive when total >= theta."""
-    return np.asarray(totals) >= theta
+def flags_for_theta(totals, theta) -> np.ndarray:
+    """The hyperactivity rule: flag every neuron whose reference total is >= theta.
 
-
-def flags_for_theta(totals: np.ndarray, theta: float | None) -> np.ndarray:
-    """Deployment semantics: theta None (or 0 at the CLI) disables the filter."""
-    if theta is None or theta == 0:
+    None or 0 disables the filter; any other theta must be a finite number > 0.
+    """
+    real = isinstance(theta, numbers.Real) and not isinstance(theta, bool)
+    if theta is None or (real and theta == 0):
         return np.zeros(len(totals), dtype=bool)
-    return hyperactive_flags(totals, theta)
+    if not (real and np.isfinite(theta) and theta > 0):
+        raise ConfigError(f"theta must be 0 (filter off) or a finite number > 0, not {theta!r}")
+    return np.asarray(totals) >= theta
 
 
 def detect_hyperactive(
@@ -214,6 +203,7 @@ def detect_hyperactive(
     expert's cumulative reference totals and sets the hyperactive flags for
     ``theta``.  Mutates and returns ``model``.
     """
+    flags_for_theta((), theta)  # reject a bad theta before the replay
     images = reference.reshape((-1,) + reference.shape[2:])
     totals = np.zeros((len(model.experts), model.experts[0].n_excitatory), dtype=np.int64)
     for part in _map_image_chunks(_chunk_totals, model, images, STREAM_REFERENCE, 0, workers):
@@ -225,12 +215,12 @@ def detect_hyperactive(
 
 
 def apply_threshold(model: EnsembleModel, theta: float | None) -> EnsembleModel:
-    """Re-flag hyperactive neurons from cached totals (no new simulation)."""
+    """Re-flag hyperactive neurons from cached totals; the only writer of ``model.theta``."""
     if not model.regularized:
         raise StateError("reference totals missing: run detect_hyperactive first")
     for expert in model.experts:
         expert.hyperactive = flags_for_theta(expert.reference_totals, theta)
-    model.theta = theta
+    model.theta = theta or None  # theta passed flags_for_theta: None when the filter is off
     return model
 
 
@@ -312,6 +302,14 @@ def _chunk_totals(args) -> np.ndarray:
     return sum(_image_responses(*args))
 
 
+def _ordered_map(fn, jobs: list, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, over a process pool when workers > 1."""
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def _map_image_chunks(reduce_chunk, model, images, stream, first_id, workers) -> list:
     """Apply ``reduce_chunk`` to ceil(n / workers) contiguous image chunks, in order."""
     chunk = max(1, -(-images.shape[0] // max(workers, 1)))
@@ -319,10 +317,7 @@ def _map_image_chunks(reduce_chunk, model, images, stream, first_id, workers) ->
         (model, images[s:s + chunk], stream, first_id + s)
         for s in range(0, images.shape[0], chunk)
     ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(reduce_chunk, jobs))
-    return [reduce_chunk(job) for job in jobs]
+    return _ordered_map(reduce_chunk, jobs, workers)
 
 
 def collect_query_responses(
@@ -355,19 +350,21 @@ def query_time_benchmark(
     """Mean wall time per query against synthetic ensembles of each size.
 
     Experts are frozen random networks; queries are random textures.  Runs
-    in single-worker mode so the totals scale with the serial work.
+    in single-worker mode so the totals scale with the serial work.  Each
+    query visits every size in turn, so a drift in machine speed during the
+    run lands on all sizes alike instead of on whichever size it overlaps.
     """
     from .synthetic import make_textures, synthetic_ensemble
 
-    rows = []
-    for n_experts in sizes:
-        model = synthetic_ensemble(
-            n_experts, n_excitatory=n_excitatory, image_size=image_size, seed=seed
-        )
-        queries = make_textures(n_queries, image_size, derive_seed(seed, 1))
-        start = time.perf_counter()
-        for k in range(n_queries):
+    models = [
+        synthetic_ensemble(n, n_excitatory=n_excitatory, image_size=image_size, seed=seed)
+        for n in sizes
+    ]
+    queries = make_textures(n_queries, image_size, derive_seed(seed, 1))
+    elapsed = [0.0] * len(sizes)
+    for k in range(n_queries):
+        for i, model in enumerate(models):
+            start = time.perf_counter()
             match_query(model, queries[k], query_id=k)
-        elapsed = time.perf_counter() - start
-        rows.append((n_experts, elapsed / n_queries))
-    return rows
+            elapsed[i] += time.perf_counter() - start
+    return [(n, seconds / n_queries) for n, seconds in zip(sizes, elapsed)]

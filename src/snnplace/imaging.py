@@ -149,10 +149,12 @@ def _read_pgm_body(fh, path: str) -> np.ndarray:
         raise IngestError(f"PGM {path!r} declares empty dimensions")
     if not 0 < maxval <= 255:
         raise IngestError(f"PGM {path!r} is not 8-bit (maxval={maxval})")
-    data = fh.read(width * height)
-    if len(data) != width * height:
+    data = fh.read()  # what the file holds, never a buffer of the size the header claims
+    if len(data) < width * height:
         raise IngestError(f"PGM {path!r} payload is truncated")
-    pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height).reshape(height, width)
+    if pixels.max() > maxval:
+        raise IngestError(f"PGM {path!r} holds pixels above its maxval {maxval}")
     return pixels.astype(np.float64) / float(maxval)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleModel, MatchResult, flags_for_theta, fuse_scores
+from .ensemble import EnsembleModel, MatchResult, fuse_scores
 from .errors import ConfigError
 from .expert import UNASSIGNED
 
@@ -51,18 +51,12 @@ def records_from_responses(
     model: EnsembleModel,
     responses: np.ndarray,
     truths,
-    theta: float | None = ...,
+    flags: list[np.ndarray] | None = None,
 ) -> list[EvalRecord]:
-    """Score cached per-expert responses, optionally at an overriding threshold.
+    """Score cached (n_queries, n_experts, n_excitatory) responses.
 
-    ``responses`` has shape (n_queries, n_experts, n_excitatory); passing
-    ``theta`` re-derives the hyperactive flags from each expert's stored
-    reference totals, which is exactly what a fresh detect-and-match run
-    would use.
+    ``flags`` overrides the experts' stored hyperactive flags, as in ``fuse_scores``.
     """
-    flags = None
-    if theta is not ...:
-        flags = [flags_for_theta(ex.reference_totals, theta) for ex in model.experts]
     matches = [fuse_scores(model, responses[q], flags) for q in range(responses.shape[0])]
     return records_from_matches(matches, truths)
 

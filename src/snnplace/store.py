@@ -6,7 +6,8 @@ n_excitatory]).  Everything else — assignments, adaptive thresholds,
 reference totals, hyperactive flags, full config — lives in the manifest.
 Python's JSON writer emits shortest round-trip float representations, so
 save/load is bit-exact; saves go through a temporary name and a final
-atomic rename.  Loading rejects archives whose experts do not tile the
+atomic rename.  Loading rejects, with ``ArchiveError``, manifests with a
+missing or wrongly typed key and archives whose experts do not tile the
 place set or disagree on their shapes.
 """
 
@@ -20,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from .ensemble import EnsembleModel
+from .ensemble import EnsembleModel, flags_for_theta
 from .errors import ArchiveError, ConfigError, IngestError
 from .expert import ExpertConfig, ExpertModel
 from .imaging import EncodingConfig, PatchNormConfig
@@ -189,13 +190,25 @@ def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"corrupt manifest {manifest_path!r}: {exc}") from exc
 
+    if not isinstance(manifest, dict):
+        raise ArchiveError(f"manifest {manifest_path!r} is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise ArchiveError(
             f"unsupported archive version {version!r} in {path!r} "
             f"(supported: {FORMAT_VERSION})"
         )
+    try:
+        model = _model_from_manifest(manifest, path)
+        _check_consistent(model, path)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ArchiveError(
+            f"archive {path!r}: malformed manifest ({type(exc).__name__}: {exc})"
+        ) from exc
+    return model
 
+
+def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
     cfg = manifest["config"]
     experts = []
     for meta in manifest["experts"]:
@@ -223,8 +236,7 @@ def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
             reference_totals=np.array(meta["reference_totals"], dtype=np.int64),
             hyperactive=np.array(meta["hyperactive"], dtype=bool),
         ))
-
-    model = EnsembleModel(
+    return EnsembleModel(
         experts=experts,
         place_count=manifest["place_count"],
         sim=_sim_from_block(cfg),
@@ -235,16 +247,23 @@ def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
         theta=manifest["theta"],
         regularized=manifest["regularized"],
         expert_config=ExpertConfig(**cfg["expert"]) if "expert" in cfg else None,
-        dataset_fingerprints=manifest["dataset_fingerprints"],
+        dataset_fingerprints=dict(manifest["dataset_fingerprints"]),
     )
-    _check_consistent(model, path)
-    return model
 
 
 def _check_consistent(model: EnsembleModel, path: str) -> None:
-    """Reject archives whose experts cannot serve one query together."""
+    """Reject archives whose experts cannot serve one query together.
+
+    The stored configs and theta must pass the same checks as fresh ones.
+    """
     try:
         model.validate_tiling()
+        model.sim.validate()
+        model.encoding.validate()
+        model.patch.validate()
+        if model.expert_config is not None:
+            model.expert_config.validate()
+        flags_for_theta((), model.theta)
     except ConfigError as exc:
         raise ArchiveError(f"archive {path!r}: {exc}") from exc
     sizes = sorted({ex.n_excitatory for ex in model.experts})
@@ -258,8 +277,8 @@ def _check_consistent(model: EnsembleModel, path: str) -> None:
                 f"image size {width}x{height} needs {width * height}"
             )
         for name in ("theta", "assignments", "reference_totals", "hyperactive"):
-            if len(getattr(ex, name)) != ex.n_excitatory:
+            if getattr(ex, name).shape != (ex.n_excitatory,):
                 raise ArchiveError(
-                    f"archive {path!r}: expert {i} lists {len(getattr(ex, name))} "
-                    f"{name}, expected {ex.n_excitatory}"
+                    f"archive {path!r}: expert {i} lists {name} of shape "
+                    f"{getattr(ex, name).shape}, expected ({ex.n_excitatory},)"
                 )

@@ -101,7 +101,6 @@ def synthetic_ensemble(
         image_size=image_size,
         global_seed=seed,
         regularized=True,
-        theta=None,
     )
     return model
 

@@ -38,6 +38,14 @@ class TestPlan:
         with pytest.raises(ConfigError):
             CalibrationPlan(cal_start=5, cal_stop=5).validate()
 
+    @pytest.mark.parametrize("bad", [-5.0, float("nan"), "abc", True, None])
+    def test_invalid_theta_in_grid_rejected(self, bad):
+        with pytest.raises(ConfigError, match="theta"):
+            CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=(20.0, bad)).validate()
+
+    def test_zero_theta_is_a_valid_cell(self):
+        CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=(0.0, 20.0)).validate()
+
 
 class TestSelectTheta:
     def test_unique_maximum_wins(self):
@@ -91,6 +99,11 @@ class TestThetaSweep:
         responses = np.array([[[3, 0]]] * 3)
         curve = theta_sweep(model, None, [0, 0, 0], thetas=(20.0, 40.0), responses=responses)
         assert len({p for _, p in curve}) == 1
+
+    def test_invalid_theta_rejected(self):
+        model, responses, truths = self._poisoned_model()
+        with pytest.raises(ConfigError, match="theta"):
+            theta_sweep(model, None, truths, thetas=(20.0, -5.0), responses=responses)
 
     def test_curve_cardinality_includes_baseline(self):
         model, responses, truths = self._poisoned_model()

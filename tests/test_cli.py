@@ -111,6 +111,90 @@ class TestRegularize:
         assert flagged[0] >= flagged[1] >= flagged[2]
 
 
+def assert_one_error_line(capsys, *fragments):
+    """Exit-2 contract: a single `error:` line on stderr, no traceback."""
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+class TestInvalidTheta:
+    def test_regularize_negative_theta_exits_2(self, world, trained_archive, capsys):
+        root, cfg, ref, _ = world
+        out = str(root / "model_neg")
+        rc = main(["regularize", "--config", cfg, "--model", trained_archive,
+                   "--ref-dirs", ref, "--theta", "-5", "--out", out])
+        assert rc == 2
+        assert_one_error_line(capsys, "theta")
+        assert not os.path.exists(out)
+
+    def test_evaluate_negative_theta_exits_2(self, world, trained_archive, tmp_path, capsys):
+        _, cfg, _, query = world
+        rc = main(["evaluate", "--config", cfg, "--model", trained_archive,
+                   "--query-dir", query, "--report-dir", str(tmp_path / "r"),
+                   "--theta", "-5"])
+        assert rc == 2
+        assert_one_error_line(capsys, "theta")
+
+    @pytest.mark.parametrize("text", ['{"theta": -5}', '{"theta": "abc"}', '{"theta": NaN}'])
+    def test_evaluate_params_bad_theta_exits_2(self, world, trained_archive, tmp_path,
+                                               capsys, text):
+        _, cfg, _, query = world
+        params = tmp_path / "chosen.json"
+        params.write_text(text)
+        rc = main(["evaluate", "--config", cfg, "--model", trained_archive,
+                   "--query-dir", query, "--report-dir", str(tmp_path / "r"),
+                   "--params", str(params)])
+        assert rc == 2
+        assert_one_error_line(capsys, "theta")
+        assert not (tmp_path / "r").exists()
+
+    def test_calibrate_bad_grid_fails_before_training(self, world, tmp_path, capsys,
+                                                       monkeypatch):
+        import snnplace.calibration as cal
+
+        _, cfg, ref, query = world
+        monkeypatch.setattr(cal, "train_ensemble", lambda *a, **k: pytest.fail("trained"))
+        out_dir = tmp_path / "cal"
+        rc = main(["calibrate", "--config", cfg, "--ref-dirs", ref,
+                   "--query-dir", query, "--cal-range", "0:2",
+                   "--tau-gi-grid", "0.5", "--theta-grid", "-5",
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert_one_error_line(capsys, "theta")
+        assert not (out_dir / "chosen.json").exists()
+
+
+class TestEvaluateParams:
+    def _evaluate(self, world, archive, tmp_path, params):
+        _, cfg, _, query = world
+        return main(["evaluate", "--config", cfg, "--model", archive,
+                     "--query-dir", query, "--report-dir", str(tmp_path / "r"),
+                     "--params", str(params)])
+
+    def test_missing_file_exits_2(self, world, trained_archive, tmp_path, capsys):
+        missing = tmp_path / "no_such_chosen.json"
+        assert self._evaluate(world, trained_archive, tmp_path, missing) == 2
+        assert_one_error_line(capsys, "no_such_chosen.json")
+
+    @pytest.mark.parametrize("text", ["{not json", "[50.0]"])
+    def test_malformed_file_exits_2(self, world, trained_archive, tmp_path, capsys, text):
+        params = tmp_path / "chosen.json"
+        params.write_text(text)
+        assert self._evaluate(world, trained_archive, tmp_path, params) == 2
+        assert_one_error_line(capsys, "chosen.json")
+
+    def test_chosen_theta_is_applied(self, world, trained_archive, tmp_path):
+        params = tmp_path / "chosen.json"
+        params.write_text(json.dumps({"tau_gi_ms": 0.5, "theta": 0}))
+        assert self._evaluate(world, trained_archive, tmp_path, params) == 0
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert summary["theta"] is None
+
+
 class TestEvaluate:
     def test_reports_contract(self, world, trained_archive):
         root, cfg, _, query = world
@@ -160,6 +244,20 @@ class TestMatch:
         assert lines[0]["rank"] == 1
         assert lines[0]["place"] == 2
         assert lines == sorted(lines, key=lambda r: r["rank"])
+
+
+    def test_manifest_without_config_exits_2(self, world, trained_archive, tmp_path,
+                                             capsys):
+        root, cfg, ref, _ = world
+        broken = tmp_path / "no_config"
+        shutil.copytree(trained_archive, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        del manifest["config"]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["match", "--config", cfg, "--model", str(broken),
+                   "--image", os.path.join(ref, "place_002.pgm")])
+        assert rc == 2
+        assert_one_error_line(capsys, "config")
 
 
 class TestBench:
@@ -250,4 +348,15 @@ class TestConfig:
         assert cfg.simulation.lif_exc.tau_ms == 100.0
         assert cfg.simulation.weight_norm_target == 78.0
         assert cfg.expert.places_per_expert == 25
-        assert cfg.theta == 100.0
+
+    def test_theta_key_rejected_and_named(self, tmp_path):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps({"theta": 100.0}))
+        with pytest.raises(ConfigError, match="theta"):
+            load_config(str(path))
+
+    def test_config_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="object"):
+            load_config(str(path))

@@ -16,7 +16,6 @@ from snnplace.ensemble import (
     detect_hyperactive,
     flags_for_theta,
     fuse_scores,
-    hyperactive_flags,
     match_query,
     match_spike_train,
     partition_reference,
@@ -63,7 +62,7 @@ def random_instance(rng):
     model = handmade_ensemble(
         counts, assignments, totals_per_expert=totals, places_per_expert=places_per
     )
-    apply_threshold(model, theta if theta > 0 else None)
+    apply_threshold(model, theta)
     flags = [ex.hyperactive for ex in model.experts]
     return model, counts, flags
 
@@ -100,23 +99,59 @@ class TestPartition:
 
 class TestFlags:
     def test_threshold_comparison_is_inclusive(self):
-        flags = hyperactive_flags(np.array([120, 80, 100]), 100)
+        flags = flags_for_theta(np.array([120, 80, 100]), 100)
         np.testing.assert_array_equal(flags, [True, False, True])
-
-    def test_raw_zero_threshold_flags_every_firing_neuron(self):
-        flags = hyperactive_flags(np.array([0, 1, 50]), 0)
-        np.testing.assert_array_equal(flags, [True, True, True])
 
     def test_deployment_zero_means_disabled(self):
         assert not flags_for_theta(np.array([0, 1, 50]), 0).any()
+        assert not flags_for_theta(np.array([0, 1, 50]), 0.0).any()
         assert not flags_for_theta(np.array([0, 1, 50]), None).any()
+
+    @pytest.mark.parametrize("theta", [
+        -5, -0.5, float("nan"), float("inf"), "abc", "100", True, False, np.bool_(True),
+    ])
+    def test_invalid_theta_rejected(self, theta):
+        with pytest.raises(ConfigError, match="theta"):
+            flags_for_theta(np.array([0, 1, 50]), theta)
+
+    def test_numpy_scalars_are_numbers(self):
+        totals = np.array([0, 1, 50])
+        np.testing.assert_array_equal(flags_for_theta(totals, np.int64(1)), [False, True, True])
+        np.testing.assert_array_equal(flags_for_theta(totals, np.float64(50)), [False, False, True])
+
+    def test_apply_threshold_stores_none_when_filter_off(self):
+        model = handmade_ensemble([np.zeros(2)], [[0, 1]], totals_per_expert=[[3, 9]],
+                                  places_per_expert=2)
+        for theta in (0, 0.0, None):
+            apply_threshold(model, theta)
+            assert model.theta is None
+            assert not model.experts[0].hyperactive.any()
+        apply_threshold(model, 5.0)
+        assert model.theta == 5.0
+        np.testing.assert_array_equal(model.experts[0].hyperactive, [False, True])
+
+    def test_bad_theta_leaves_model_unchanged(self):
+        model = handmade_ensemble([np.zeros(2)], [[0, 1]], totals_per_expert=[[3, 9]],
+                                  places_per_expert=2, theta=5.0)
+        with pytest.raises(ConfigError):
+            apply_threshold(model, -5)
+        assert model.theta == 5.0
+        np.testing.assert_array_equal(model.experts[0].hyperactive, [False, True])
+
+    def test_detect_rejects_bad_theta_before_replay(self, monkeypatch):
+        import snnplace.ensemble as ens
+
+        model = synthetic_ensemble(1, n_excitatory=2, image_size=(4, 4), places_per_expert=1)
+        monkeypatch.setattr(ens, "_map_image_chunks", lambda *a: pytest.fail("replay ran"))
+        with pytest.raises(ConfigError):
+            detect_hyperactive(model, np.zeros((1, 1, 4, 4)), -5)
 
     def test_flag_set_monotone_in_theta(self):
         rng = np.random.default_rng(11)
         totals = rng.integers(0, 200, size=50)
-        previous = hyperactive_flags(totals, 1)
+        previous = flags_for_theta(totals, 1)
         for theta in range(2, 220, 7):
-            current = hyperactive_flags(totals, theta)
+            current = flags_for_theta(totals, theta)
             assert not np.any(current & ~previous)  # no neuron joins as theta rises
             previous = current
 

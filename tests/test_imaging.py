@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snnplace.errors import ConfigError, IngestError
 from snnplace.imaging import (
@@ -82,6 +84,18 @@ class TestLoading:
         with pytest.raises(IngestError, match="8-bit"):
             load_image(path)
 
+    def test_pixel_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n" + bytes([100, 200]))
+        with pytest.raises(IngestError, match="maxval"):
+            load_image(path)
+
+    def test_huge_declared_size_is_truncation(self, tmp_path):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(b"P5\n100000 100000\n255\n" + bytes(4))
+        with pytest.raises(IngestError, match="truncated"):
+            load_image(path)
+
     def test_load_and_resize_shape(self, tmp_path):
         path = tmp_path / "r.pgm"
         write_pgm(path, np.random.default_rng(4).uniform(size=(36, 64)))
@@ -96,6 +110,27 @@ class TestLoading:
         Image.fromarray(rgb).save(path)
         img = load_image(path)
         np.testing.assert_allclose(img, 0.299, atol=1e-6)
+
+
+PGM_HEADERS = st.builds(
+    lambda sep, w, h, maxval, payload: f"{sep}{w} {h}{sep}{maxval}\n".encode() + payload,
+    st.sampled_from([" ", "\n", "\n# note\n"]),
+    st.integers(-1, 5), st.integers(-1, 5), st.integers(-1, 300),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.one_of(st.binary(max_size=64), PGM_HEADERS))
+def test_pgm_parser_returns_unit_image_or_ingest_error(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(b"P5" + body)
+    try:
+        image = load_image(path)
+    except IngestError:
+        return
+    assert image.ndim == 2 and image.size > 0
+    assert 0.0 <= image.min() and image.max() <= 1.0
 
 
 class TestPatchNormalize:

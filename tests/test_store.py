@@ -1,10 +1,13 @@
 """Archive round-trips, corruption detection, and dataset manifests."""
 
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snnplace.ensemble import (
     detect_hyperactive,
@@ -148,10 +151,73 @@ class TestCorruption:
         with pytest.raises(ArchiveError, match="assignments"):
             load_ensemble(path)
 
+    def test_missing_config_block_rejected(self, trained_model, tmp_path):
+        model, _ = trained_model
+        path = self._edit_manifest(model, tmp_path, lambda m: m.pop("config"))
+        with pytest.raises(ArchiveError, match="config"):
+            load_ensemble(path)
+
+    def test_invalid_stored_theta_rejected(self, trained_model, tmp_path):
+        model, _ = trained_model
+        path = self._edit_manifest(model, tmp_path, lambda m: m.update(theta=-5))
+        with pytest.raises(ArchiveError, match="theta"):
+            load_ensemble(path)
+
     def test_missing_manifest(self, tmp_path):
         os.makedirs(tmp_path / "empty")
         with pytest.raises(ArchiveError):
             load_ensemble(tmp_path / "empty")
+
+
+def manifest_keys(node, prefix=()):
+    """Paths to every key of a manifest, the keys of each expert entry included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from manifest_keys(value, prefix + (key,))
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text("ab.", max_size=3),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text("ab", max_size=2), st.integers(), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_archive(trained_model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "arch"
+    save_ensemble(trained_model[0], path)
+    manifest = json.loads((path / "manifest.json").read_text())
+    return path, manifest, sorted(manifest_keys(manifest), key=repr)
+
+
+class TestManifestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_dropped_or_retyped_key_raises_only_archive_error(self, fuzz_archive, data):
+        path, manifest, keys = fuzz_archive
+        key = data.draw(st.sampled_from(keys))
+        edited = copy.deepcopy(manifest)
+        owner = edited
+        for step in key[:-1]:
+            owner = owner[step]
+        if data.draw(st.booleans()):
+            del owner[key[-1]]
+        else:
+            owner[key[-1]] = data.draw(JUNK)
+        (path / "manifest.json").write_text(json.dumps(edited))
+        try:
+            load_ensemble(path)
+        except ArchiveError:
+            pass
+
+    def test_unedited_manifest_still_loads(self, fuzz_archive, trained_model):
+        path, manifest, _ = fuzz_archive
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        assert load_ensemble(path).place_count == trained_model[0].place_count
 
 
 class TestScale:
