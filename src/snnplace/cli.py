@@ -1,9 +1,12 @@
 """Operator entry points: train, regularize, calibrate, evaluate, match, bench.
 
-All tunables live in one JSON config file; command-line flags override
-individual values.  The hyperactivity threshold theta is the exception: it
-is given per command (``--theta``, or ``--params chosen.json``) and follows
-the one rule of ``ensemble.flags_for_theta``.  Exit codes: 0 success, 1
+All tunables live in one JSON config file, the JSON form of
+``config.RunConfig``; a file names only the values it changes, and
+command-line flags override individual values.  Commands that read an
+archive preprocess images with the archive's image size and patch grid.
+The hyperactivity threshold theta is given per command (``--theta``, or
+``--params chosen.json``) and follows the one rule of
+``ensemble.flags_for_theta``.  Exit codes: 0 success, 1
 runtime failure, 2 configuration, ingest or archive error.  Every command
 is deterministic given the same inputs, seed, and config, independent of
 the worker count.
@@ -23,80 +26,9 @@ import numpy as np
 from . import calibration as cal
 from . import ensemble as ens
 from . import metrics, store
+from .config import RunConfig, from_json, to_json
 from .errors import ArchiveError, ConfigError, IngestError, SnnPlaceError
-from .expert import ExpertConfig
-from .imaging import EncodingConfig, PatchNormConfig, load_and_resize, patch_normalize, rescale_unit
-from .network import (
-    FixedWiring,
-    HomeostasisParams,
-    LifParams,
-    SimulationParams,
-    StdpParams,
-)
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Every tunable of the pipeline, as read from the JSON config file."""
-
-    seed: int = 0
-    workers: int = 0                      # 0: use all available cores
-    image_width: int = 28
-    image_height: int = 28
-    patch: PatchNormConfig = PatchNormConfig()
-    encoding: EncodingConfig = EncodingConfig()
-    simulation: SimulationParams = SimulationParams.defaults()
-    expert: ExpertConfig = ExpertConfig()
-    tau_gi_grid: tuple[float, ...] = cal.DEFAULT_TAU_GI_GRID
-    theta_grid: tuple[float, ...] = cal.DEFAULT_THETA_GRID
-
-    @property
-    def image_size(self) -> tuple[int, int]:
-        return (self.image_width, self.image_height)
-
-    def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
-
-    def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.workers < 0:
-            raise ConfigError("workers must be >= 0")
-        if self.image_width < 1 or self.image_height < 1:
-            raise ConfigError("image dimensions must be >= 1")
-        if self.image_width % self.patch.patch_width or self.image_height % self.patch.patch_height:
-            raise ConfigError("image dimensions must be multiples of the patch size")
-        if self.expert.n_inputs != self.image_width * self.image_height:
-            raise ConfigError("expert.n_inputs must equal image_width * image_height")
-        self.patch.validate()
-        self.encoding.validate()
-        self.simulation.validate()
-        self.expert.validate()
-        cal.CalibrationPlan(self.tau_gi_grid, self.theta_grid, 0, 1).validate()
-
-
-def _from_dict(cls, data, where: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {where!r} must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where!r}: {', '.join(unknown)}")
-    return cls(**data)
-
-
-_SECTIONS = {
-    "patch": PatchNormConfig,
-    "encoding": EncodingConfig,
-    "expert": ExpertConfig,
-}
-_SIM_SECTIONS = {
-    "lif_excitatory": LifParams,
-    "lif_inhibitory": LifParams,
-    "homeostasis": HomeostasisParams,
-    "stdp": StdpParams,
-    "wiring": FixedWiring,
-}
+from .imaging import PatchNormConfig, load_and_resize, patch_normalize, rescale_unit
 
 
 def _read_json_object(path: str, what: str) -> dict:
@@ -118,60 +50,21 @@ def _read_json_object(path: str, what: str) -> dict:
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Read the JSON config file; unknown keys anywhere are rejected."""
+    """Read the JSON config file: the values it names, laid over the defaults."""
     if path is None:
         return RunConfig()
-    data = _read_json_object(path, "config")
+    data = _overlay(to_json(RunConfig()), _read_json_object(path, "config"))
+    return from_json(RunConfig, data, "config")
 
-    known = {
-        "seed", "workers", "image", "patch", "encoding",
-        "simulation", "expert", "calibration",
-    }
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {', '.join(unknown)}")
 
-    kwargs: dict = {}
-    for key in ("seed", "workers"):
-        if key in data:
-            kwargs[key] = data[key]
-    if "image" in data:
-        img = data["image"]
-        extra = sorted(set(img) - {"width", "height"})
-        if extra:
-            raise ConfigError(f"unknown keys in 'image': {', '.join(extra)}")
-        kwargs["image_width"] = img.get("width", 28)
-        kwargs["image_height"] = img.get("height", 28)
-    for key, cls in _SECTIONS.items():
-        if key in data:
-            kwargs[key] = _from_dict(cls, data[key], key)
-    if "simulation" in data:
-        sim_data = dict(data["simulation"])
-        sim_kwargs = {}
-        for key, cls in _SIM_SECTIONS.items():
-            if key in sim_data:
-                field = {"lif_excitatory": "lif_exc", "lif_inhibitory": "lif_inh"}.get(key, key)
-                sim_kwargs[field] = _from_dict(cls, sim_data.pop(key), f"simulation.{key}")
-        scalar_names = {"dt_ms", "weight_norm_enabled", "weight_norm_target", "weight_init_max"}
-        extra = sorted(set(sim_data) - scalar_names)
-        if extra:
-            raise ConfigError(f"unknown keys in 'simulation': {', '.join(extra)}")
-        sim_kwargs.update(sim_data)
-        kwargs["simulation"] = dataclasses.replace(SimulationParams.defaults(), **sim_kwargs)
-    if "calibration" in data:
-        cal_data = data["calibration"]
-        extra = sorted(set(cal_data) - {"tau_gi_grid", "theta_grid"})
-        if extra:
-            raise ConfigError(f"unknown keys in 'calibration': {', '.join(extra)}")
-        if "tau_gi_grid" in cal_data:
-            kwargs["tau_gi_grid"] = tuple(cal_data["tau_gi_grid"])
-        if "theta_grid" in cal_data:
-            kwargs["theta_grid"] = tuple(cal_data["theta_grid"])
-    try:
-        cfg = RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"malformed config {path!r}: {exc}") from exc
-    return cfg
+def _overlay(base: dict, data: dict) -> dict:
+    """``base`` with ``data`` laid over it; objects in both are merged key by key."""
+    merged = dict(base)
+    for key, value in data.items():
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            value = _overlay(base[key], value)
+        merged[key] = value
+    return merged
 
 
 def _override(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -192,15 +85,24 @@ def _override(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The command's config: the file, then its flags, validated."""
+    cfg = _override(load_config(args.config), args)
+    cfg.validate()
+    return cfg
+
+
 def _encoder_input(path, size: tuple[int, int], patch: PatchNormConfig) -> np.ndarray:
     """Load one image file and run the encoder-input chain on it."""
     # Module globals, not imaging.preprocess_for_encoding: bench/tracing.py wraps these names.
     return rescale_unit(patch_normalize(load_and_resize(path, size), patch))
 
 
-def _load_traverses(dirs, role, cfg: RunConfig, place_range=None):
+def _load_traverses(dirs, role, source, place_range=None):
     """Scan and load traverse directories into an encoder-ready array.
 
+    ``source`` gives the image size and patch grid: the run config for a new
+    model, the loaded model (``EnsembleModel``) for one read from an archive.
     Returns (images (n_trav, places, H, W), manifests, files_read).
     """
     manifests = [store.scan_traverse(d, role) for d in dirs]
@@ -213,11 +115,12 @@ def _load_traverses(dirs, role, cfg: RunConfig, place_range=None):
         raise IngestError(
             f"traverses hold fewer than {stop} places: {sorted(counts)}"
         )
-    images = np.empty((len(manifests), stop - start, cfg.image_height, cfg.image_width))
+    width, height = source.image_size
+    images = np.empty((len(manifests), stop - start, height, width))
     files_read = []
     for t, manifest in enumerate(manifests):
         for k, path in enumerate(manifest.paths()[start:stop]):
-            images[t, k] = _encoder_input(path, cfg.image_size, cfg.patch)
+            images[t, k] = _encoder_input(path, source.image_size, source.patch)
             files_read.append(path)
     return images, manifests, files_read
 
@@ -233,19 +136,15 @@ def _check_fingerprints(model: ens.EnsembleModel, manifests) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _override(load_config(args.config), args)
-    cfg.validate()
+    cfg = _run_config(args)
     place_range = (0, args.places) if args.places else None
     reference, manifests, _ = _load_traverses(args.ref_dirs, "reference", cfg, place_range)
     partition = ens.partition_reference(reference.shape[1], cfg.expert.places_per_expert)
-    expert_cfg = dataclasses.replace(
-        cfg.expert, n_inputs=cfg.image_width * cfg.image_height
-    )
     print(f"training {partition.n_regions} experts on {reference.shape[1]} places "
           f"({reference.shape[0]} traverse(s), workers={cfg.effective_workers()})")
     tick = time.perf_counter()
     model = ens.train_ensemble(
-        reference, partition, expert_cfg, cfg.simulation, cfg.encoding, cfg.patch,
+        reference, partition, cfg.expert, cfg.simulation, cfg.encoding, cfg.patch,
         cfg.seed, cfg.effective_workers(),
         dataset_fingerprints={m.name: m.fingerprint for m in manifests},
     )
@@ -259,10 +158,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_regularize(args) -> int:
-    cfg = _override(load_config(args.config), args)
+    cfg = _run_config(args)
     model = store.load_ensemble(args.model)
     reference, manifests, _ = _load_traverses(
-        args.ref_dirs, "reference", cfg, (0, model.place_count)
+        args.ref_dirs, "reference", model, (0, model.place_count)
     )
     _check_fingerprints(model, manifests)
     ens.detect_hyperactive(model, reference, args.theta, cfg.effective_workers())
@@ -273,12 +172,11 @@ def cmd_regularize(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _override(load_config(args.config), args)
-    cfg.validate()
+    cfg = _run_config(args)
     start, stop = _parse_range(args.cal_range)
     plan = cal.CalibrationPlan(
-        tau_gi_grid=tuple(args.tau_gi_grid) if args.tau_gi_grid else cfg.tau_gi_grid,
-        theta_grid=tuple(args.theta_grid) if args.theta_grid else cfg.theta_grid,
+        tau_gi_grid=tuple(args.tau_gi_grid) if args.tau_gi_grid else cfg.calibration.tau_gi_grid,
+        theta_grid=tuple(args.theta_grid) if args.theta_grid else cfg.calibration.theta_grid,
         cal_start=start,
         cal_stop=stop,
     )
@@ -300,7 +198,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _override(load_config(args.config), args)
+    cfg = _run_config(args)
     model = store.load_ensemble(args.model)
     if not model.regularized:
         raise ConfigError("model has no reference totals: run `regularize` first")
@@ -309,9 +207,7 @@ def cmd_evaluate(args) -> int:
         ens.apply_threshold(model, chosen.get("theta", model.theta))
     elif args.theta is not None:
         ens.apply_threshold(model, args.theta)
-    queries, manifests, _ = _load_traverses(
-        [args.query_dir], "query", cfg, (0, model.place_count)
-    )
+    queries, _, _ = _load_traverses([args.query_dir], "query", model, (0, model.place_count))
     truths = np.arange(model.place_count)
     tick = time.perf_counter()
     responses = ens.collect_query_responses(model, queries[0], cfg.effective_workers())
@@ -344,7 +240,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_match(args) -> int:
-    cfg = _override(load_config(args.config), args)
     model = store.load_ensemble(args.model)
     query = _encoder_input(args.image, model.image_size, model.patch)
     result = ens.match_query(model, query, query_id=args.query_id)
@@ -360,12 +255,12 @@ def cmd_match(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _override(load_config(args.config), args)
+    cfg = _run_config(args)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 1 for s in sizes):
         raise ConfigError(f"invalid --sizes {args.sizes!r}")
     rows = ens.query_time_benchmark(
-        sizes, n_excitatory=args.neurons or 100,
+        sizes, n_excitatory=args.synthetic_neurons or 100,
         image_size=cfg.image_size, n_queries=args.queries, seed=cfg.seed,
     )
     metrics.write_scaling_csv(args.out, rows)
@@ -392,9 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="global random seed")
+        if seed:
+            p.add_argument("--seed", type=int, help="global random seed")
         p.add_argument("--workers", type=int, help="worker processes (0 = all cores)")
 
     p = sub.add_parser("train", help="train an ensemble from reference traverses")
@@ -409,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("regularize", help="compute reference totals and flag hyperactive neurons")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--model", required=True)
     p.add_argument("--ref-dirs", nargs="+", required=True)
     p.add_argument("--theta", type=float, required=True, help="threshold (0 disables filtering)")
@@ -430,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("evaluate", help="score a query traverse and write reports")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--model", required=True)
     p.add_argument("--query-dir", required=True)
     p.add_argument("--report-dir", required=True)
@@ -439,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("match", help="match a single image and print ranked places")
-    common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--top", type=int, default=5)
@@ -449,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure query latency against synthetic ensembles")
     common(p)
     p.add_argument("--sizes", required=True, help="comma-separated expert counts")
-    p.add_argument("--neurons", type=int, help="excitatory neurons per expert")
+    p.add_argument("--neurons", type=int, dest="synthetic_neurons", metavar="NEURONS",
+                   help="excitatory neurons per synthetic expert (default 100)")
     p.add_argument("--queries", type=int, default=20)
     p.add_argument("--out", default="scaling.csv")
     p.set_defaults(func=cmd_bench)

@@ -23,6 +23,7 @@ place id).
 from __future__ import annotations
 
 import numbers
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -183,7 +184,7 @@ def flags_for_theta(totals, theta) -> np.ndarray:
     real = isinstance(theta, numbers.Real) and not isinstance(theta, bool)
     if theta is None or (real and theta == 0):
         return np.zeros(len(totals), dtype=bool)
-    if not (real and np.isfinite(theta) and theta > 0):
+    if not (real and 0 < theta <= sys.float_info.max):  # exact for ints of any size
         raise ConfigError(f"theta must be 0 (filter off) or a finite number > 0, not {theta!r}")
     return np.asarray(totals) >= theta
 

@@ -6,9 +6,10 @@ n_excitatory]).  Everything else — assignments, adaptive thresholds,
 reference totals, hyperactive flags, full config — lives in the manifest.
 Python's JSON writer emits shortest round-trip float representations, so
 save/load is bit-exact; saves go through a temporary name and a final
-atomic rename.  Loading rejects, with ``ArchiveError``, manifests with a
-missing or wrongly typed key and archives whose experts do not tile the
-place set or disagree on their shapes.
+atomic rename.  The config block is written and read by ``config``'s JSON
+codec.  Loading rejects, with ``ArchiveError``, manifests with a missing or
+wrongly typed key (or an unknown config key) and archives whose experts do
+not tile the place set or disagree on their shapes.
 """
 
 from __future__ import annotations
@@ -21,17 +22,12 @@ import tempfile
 
 import numpy as np
 
+from .config import from_json, to_json
 from .ensemble import EnsembleModel, flags_for_theta
 from .errors import ArchiveError, ConfigError, IngestError
 from .expert import ExpertConfig, ExpertModel
 from .imaging import EncodingConfig, PatchNormConfig
-from .network import (
-    FixedWiring,
-    HomeostasisParams,
-    LifParams,
-    SimulationParams,
-    StdpParams,
-)
+from .network import SimulationParams
 
 FORMAT_VERSION = 1
 _IMAGE_SUFFIXES = (".pgm", ".png", ".jpg", ".jpeg", ".bmp", ".tif", ".tiff")
@@ -81,40 +77,6 @@ def scan_traverse(directory: str | os.PathLike, role: str, note: str = "") -> Da
     )
 
 
-def _config_block(model: EnsembleModel) -> dict:
-    sim = model.sim
-    block = {
-        "dt_ms": sim.dt_ms,
-        "weight_norm_enabled": sim.weight_norm_enabled,
-        "weight_norm_target": sim.weight_norm_target,
-        "weight_init_max": sim.weight_init_max,
-        "lif_excitatory": dataclasses.asdict(sim.lif_exc),
-        "lif_inhibitory": dataclasses.asdict(sim.lif_inh),
-        "homeostasis": dataclasses.asdict(sim.homeostasis),
-        "stdp": dataclasses.asdict(sim.stdp),
-        "wiring": dataclasses.asdict(sim.wiring),
-        "encoding": dataclasses.asdict(model.encoding),
-        "patch": dataclasses.asdict(model.patch),
-    }
-    if model.expert_config is not None:
-        block["expert"] = dataclasses.asdict(model.expert_config)
-    return block
-
-
-def _sim_from_block(block: dict) -> SimulationParams:
-    return SimulationParams(
-        lif_exc=LifParams(**block["lif_excitatory"]),
-        lif_inh=LifParams(**block["lif_inhibitory"]),
-        homeostasis=HomeostasisParams(**block["homeostasis"]),
-        stdp=StdpParams(**block["stdp"]),
-        wiring=FixedWiring(**block["wiring"]),
-        dt_ms=block["dt_ms"],
-        weight_norm_enabled=block["weight_norm_enabled"],
-        weight_norm_target=block["weight_norm_target"],
-        weight_init_max=block["weight_init_max"],
-    )
-
-
 def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool = False) -> None:
     """Write the model as a directory archive (atomic rename on completion)."""
     path = os.fspath(path)
@@ -135,6 +97,11 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
             "reference_totals": [int(t) for t in ex.reference_totals],
             "hyperactive": [bool(h) for h in ex.hyperactive],
         })
+    # The simulation's keys, plus one key per other config section.
+    config = {**to_json(model.sim), "encoding": to_json(model.encoding),
+              "patch": to_json(model.patch)}
+    if model.expert_config is not None:
+        config["expert"] = to_json(model.expert_config)
     manifest = {
         "format_version": FORMAT_VERSION,
         "place_count": model.place_count,
@@ -143,7 +110,7 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
         "regularized": model.regularized,
         "image_size": list(model.image_size),
         "dataset_fingerprints": model.dataset_fingerprints,
-        "config": _config_block(model),
+        "config": config,
         "experts": experts_meta,
     }
 
@@ -163,7 +130,11 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
                 raise ArchiveError(f"refusing to overwrite existing archive {path!r}")
             stale = tmp + ".old"
             os.rename(path, stale)
-            os.rename(tmp, path)
+            try:
+                os.rename(tmp, path)
+            except OSError:
+                os.rename(stale, path)
+                raise
             for leftover in os.listdir(stale):
                 os.unlink(os.path.join(stale, leftover))
             os.rmdir(stale)
@@ -201,6 +172,8 @@ def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
     try:
         model = _model_from_manifest(manifest, path)
         _check_consistent(model, path)
+    except ConfigError as exc:
+        raise ArchiveError(f"archive {path!r}: {exc}") from exc
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ArchiveError(
             f"archive {path!r}: malformed manifest ({type(exc).__name__}: {exc})"
@@ -210,6 +183,9 @@ def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
 
 def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
     cfg = manifest["config"]
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"'config' must be an object, got {cfg!r}")
+    sim = {key: value for key, value in cfg.items() if key not in ("encoding", "patch", "expert")}
     experts = []
     for meta in manifest["experts"]:
         payload_path = os.path.join(path, meta["file"])
@@ -239,14 +215,16 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
     return EnsembleModel(
         experts=experts,
         place_count=manifest["place_count"],
-        sim=_sim_from_block(cfg),
-        encoding=EncodingConfig(**cfg["encoding"]),
-        patch=PatchNormConfig(**cfg["patch"]),
+        sim=from_json(SimulationParams, sim, "config"),
+        encoding=from_json(EncodingConfig, cfg["encoding"], "config.encoding"),
+        patch=from_json(PatchNormConfig, cfg["patch"], "config.patch"),
         image_size=tuple(manifest["image_size"]),
         global_seed=manifest["global_seed"],
         theta=manifest["theta"],
         regularized=manifest["regularized"],
-        expert_config=ExpertConfig(**cfg["expert"]) if "expert" in cfg else None,
+        expert_config=(
+            from_json(ExpertConfig, cfg["expert"], "config.expert") if "expert" in cfg else None
+        ),
         dataset_fingerprints=dict(manifest["dataset_fingerprints"]),
     )
 
@@ -256,16 +234,13 @@ def _check_consistent(model: EnsembleModel, path: str) -> None:
 
     The stored configs and theta must pass the same checks as fresh ones.
     """
-    try:
-        model.validate_tiling()
-        model.sim.validate()
-        model.encoding.validate()
-        model.patch.validate()
-        if model.expert_config is not None:
-            model.expert_config.validate()
-        flags_for_theta((), model.theta)
-    except ConfigError as exc:
-        raise ArchiveError(f"archive {path!r}: {exc}") from exc
+    model.validate_tiling()
+    model.sim.validate()
+    model.encoding.validate()
+    model.patch.validate()
+    if model.expert_config is not None:
+        model.expert_config.validate()
+    flags_for_theta((), model.theta)
     sizes = sorted({ex.n_excitatory for ex in model.experts})
     if len(sizes) > 1:
         raise ArchiveError(f"archive {path!r}: experts differ in n_excitatory {sizes}")

@@ -1,16 +1,23 @@
 """End-to-end CLI behavior: exit codes, determinism, and report contracts."""
 
+import copy
+import dataclasses
 import json
 import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snnplace.cli import load_config, main
+from snnplace.config import RunConfig, from_json, to_json
 from snnplace.errors import ConfigError
 from snnplace.imaging import write_pgm
+from snnplace.network import LifParams
 from snnplace.store import load_ensemble
+from tests.test_store import JUNK, manifest_keys
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +126,26 @@ def assert_one_error_line(capsys, *fragments):
     assert "Traceback" not in err
     for fragment in fragments:
         assert fragment in lines[0]
+
+
+class TestArchiveGeometry:
+    """Commands that load an archive preprocess with its size and patch, not the config's."""
+
+    def test_regularize_and_evaluate_without_config(self, world, trained_archive, tmp_path):
+        _, cfg, ref, query = world
+        out = str(tmp_path / "model")
+        assert main(["regularize", "--model", trained_archive, "--ref-dirs", ref,
+                     "--theta", "1000", "--out", out, "--workers", "1"]) == 0
+        assert read_archive_bytes(out) == read_archive_bytes(trained_archive)
+        summaries = []
+        for extra in ([], ["--config", cfg]):
+            reports = tmp_path / f"reports{len(extra)}"
+            assert main(["evaluate", "--model", out, "--query-dir", query, "--workers", "1",
+                         "--report-dir", str(reports)] + extra) == 0
+            summary = json.loads((reports / "summary.json").read_text())
+            summary.pop("mean_query_seconds")
+            summaries.append(summary)
+        assert summaries[0] == summaries[1]
 
 
 class TestInvalidTheta:
@@ -237,7 +264,7 @@ class TestEvaluate:
 class TestMatch:
     def test_training_image_ranks_first(self, world, trained_archive, capsys):
         root, cfg, ref, _ = world
-        rc = main(["match", "--config", cfg, "--model", trained_archive,
+        rc = main(["match", "--model", trained_archive,
                    "--image", os.path.join(ref, "place_002.pgm"), "--query-id", "2"])
         assert rc == 0
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -254,7 +281,7 @@ class TestMatch:
         manifest = json.loads((broken / "manifest.json").read_text())
         del manifest["config"]
         (broken / "manifest.json").write_text(json.dumps(manifest))
-        rc = main(["match", "--config", cfg, "--model", str(broken),
+        rc = main(["match", "--model", str(broken),
                    "--image", os.path.join(ref, "place_002.pgm")])
         assert rc == 2
         assert_one_error_line(capsys, "config")
@@ -275,6 +302,11 @@ class TestBench:
     def test_bad_sizes_exits_2(self, world):
         _, cfg, _, _ = world
         assert main(["bench", "--config", cfg, "--sizes", "0,2", "--out", "x.csv"]) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        rc = main(["bench", "--sizes", "1", "--seed", "-1", "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert_one_error_line(capsys, "seed")
 
 
 class TestCalibrate:
@@ -360,3 +392,90 @@ class TestConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="object"):
             load_config(str(path))
+
+    def test_partial_section_keeps_other_defaults(self, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"simulation": {"lif_excitatory": {"tau_ms": 50.0}}}))
+        cfg = load_config(str(path))
+        defaults = RunConfig().simulation
+        assert cfg.simulation.lif_exc == dataclasses.replace(defaults.lif_exc, tau_ms=50.0)
+        assert cfg.simulation == dataclasses.replace(defaults, lif_exc=cfg.simulation.lif_exc)
+
+    def test_round_trip(self, world):
+        for cfg in (RunConfig(), load_config(world[1])):
+            assert from_json(type(cfg), to_json(cfg), "config") == cfg
+
+    def test_decoder_is_strict(self):
+        lif = to_json(LifParams.excitatory_defaults())
+        assert from_json(LifParams, {**lif, "tau_ms": 100}, "lif").tau_ms == 100
+        for bad in (True, "100", None, [100.0]):
+            with pytest.raises(ConfigError, match="lif.tau_ms"):
+                from_json(LifParams, {**lif, "tau_ms": bad}, "lif")
+        del lif["tau_ms"]
+        with pytest.raises(ConfigError, match="missing keys in 'lif': tau_ms"):
+            from_json(LifParams, lif, "lif")
+
+
+def config_commands(tmp_path):
+    """Every command that reads a config, with arguments it never gets to use."""
+    missing = str(tmp_path / "missing")
+    return {
+        "train": ["train", "--ref-dirs", missing, "--out", missing],
+        "regularize": ["regularize", "--model", missing, "--ref-dirs", missing,
+                       "--theta", "1"],
+        "calibrate": ["calibrate", "--ref-dirs", missing, "--query-dir", missing,
+                      "--cal-range", "0:2", "--out-dir", missing],
+        "evaluate": ["evaluate", "--model", missing, "--query-dir", missing,
+                     "--report-dir", missing],
+        "bench": ["bench", "--sizes", "1", "--out", missing],
+    }
+
+
+BAD_VALUES = [
+    ({"image": 5}, "image"),
+    ({"calibration": {"theta_grid": 5}}, "theta_grid"),
+    ({"calibration": {"theta_grid": [10**400]}}, "theta"),
+    ({"expert": {"epochs": "x"}}, "epochs"),
+    ({"seed": "x"}, "seed"),
+    ({"expert": {"n_excitatory": 100.5}}, "n_excitatory"),
+    ({"simulation": "x"}, "simulation"),
+    ({"patch": {"patch_width": 0}}, "patch"),
+    ({"simulation": {"dt_ms": float("nan")}}, "dt_ms"),
+]
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("command", ["train", "regularize", "calibrate", "evaluate", "bench"])
+    @pytest.mark.parametrize("data,fragment", BAD_VALUES)
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, data, fragment):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = config_commands(tmp_path)[command] + ["--config", str(path)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys, fragment)
+        assert not (tmp_path / "missing").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    defaults = to_json(RunConfig())
+    keys = sorted(manifest_keys(defaults), key=repr)
+    return tmp_path_factory.mktemp("config_fuzz") / "config.json", defaults, keys
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_dropped_or_retyped_key_exits_2(self, fuzz_config, data):
+        path, defaults, keys = fuzz_config
+        key = data.draw(st.sampled_from(keys))
+        edited = copy.deepcopy(defaults)
+        owner = edited
+        for step in key[:-1]:
+            owner = owner[step]
+        if data.draw(st.booleans()):
+            del owner[key[-1]]
+        else:
+            owner[key[-1]] = data.draw(JUNK)
+        path.write_text(json.dumps(edited))
+        assert main(["bench", "--config", str(path), "--sizes", "0"]) == 2

@@ -84,6 +84,27 @@ class TestRoundTrip:
             save_ensemble(model, tmp_path / "arch")
         save_ensemble(model, tmp_path / "arch", overwrite=True)
 
+    def test_failed_swap_restores_the_old_archive(self, trained_model, tmp_path, monkeypatch):
+        model, _ = trained_model
+        save_ensemble(model, tmp_path / "arch")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "arch").iterdir()}
+        rename = os.rename
+        calls = []
+
+        def second_rename_fails(src, dst):
+            calls.append((src, dst))
+            if len(calls) == 2:
+                raise OSError("simulated failure")
+            rename(src, dst)
+
+        monkeypatch.setattr("snnplace.store.os.rename", second_rename_fails)
+        with pytest.raises(ArchiveError, match="simulated failure"):
+            save_ensemble(model, tmp_path / "arch", overwrite=True)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "arch").iterdir()} == before
+        assert os.listdir(tmp_path) == ["arch"]
+        assert load_ensemble(tmp_path / "arch").place_count == model.place_count
+
 
 class TestCorruption:
     def _edit_manifest(self, model, tmp_path, edit):
