@@ -8,6 +8,7 @@ spiking path would see.
 import numpy as np
 
 from snnplace import (
+    MatchResult,
     PatchNormConfig,
     patch_normalize,
     pr_curve,
@@ -16,7 +17,6 @@ from snnplace import (
     resize_bilinear,
     sad_match,
 )
-from snnplace.metrics import EvalRecord
 from snnplace.synthetic import corrupt_queries, make_textures
 
 rng = np.random.default_rng(0)
@@ -31,8 +31,8 @@ for truth in range(10):
     else:
         ranking.insert(1, truth)     # correct at rank 2
     scores = np.arange(10, 0, -1) * (3 if truth < 7 else 1)
-    records.append(EvalRecord(truth=truth, place_ids=np.array(ranking),
-                              scores=np.array(scores)))
+    records.append(MatchResult(place_ids=np.array(ranking), scores=np.array(scores),
+                               truth=truth))
 
 print(f"P@100R = {precision_at_100_recall(records):.2f}")
 for n in (1, 2, 5):

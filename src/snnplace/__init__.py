@@ -25,7 +25,6 @@ from .ensemble import (
     match_query,
     match_spike_train,
     partition_reference,
-    query_time_benchmark,
     train_ensemble,
 )
 from .errors import (
@@ -57,7 +56,6 @@ from .imaging import (
     resize_bilinear,
 )
 from .metrics import (
-    EvalRecord,
     NeuronPrecisionRecord,
     neuron_precision_analysis,
     pr_curve,
@@ -82,5 +80,6 @@ from .network import (
     stdp_on_post_spike,
 )
 from .store import DatasetManifest, load_ensemble, save_ensemble, scan_traverse
+from .synthetic import query_time_benchmark
 
 __version__ = "0.1.0"

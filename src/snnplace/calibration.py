@@ -27,7 +27,7 @@ from .ensemble import (
     partition_reference,
     train_ensemble,
 )
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .expert import ExpertConfig
 from .imaging import EncodingConfig, PatchNormConfig, derive_seed
 from .metrics import precision_at_100_recall, records_from_responses
@@ -49,6 +49,7 @@ class CalibrationPlan:
     def validate(self) -> None:
         if not self.tau_gi_grid or not self.theta_grid:
             raise ConfigError("calibration grids must be non-empty")
+        require_finite({f"tau_gi_grid[{i}]": t for i, t in enumerate(self.tau_gi_grid)})
         if any(t <= 0 for t in self.tau_gi_grid):
             raise ConfigError("tau_gi values must be > 0")
         if None in self.theta_grid:
@@ -67,7 +68,6 @@ class CalibrationReport:
     theta_grid: tuple[float, ...]
     scores: np.ndarray          # (n_tau, n_theta) precision at 100% recall
     cell_seconds: np.ndarray    # scoring time per cell
-    train_seconds: np.ndarray   # ensemble training+totals time per tau row
     chosen_tau_gi: float
     chosen_theta: float
     files_read: tuple[str, ...] = ()
@@ -123,18 +123,15 @@ def run_grid_search(
     n_tau, n_theta = len(plan.tau_gi_grid), len(plan.theta_grid)
     scores = np.zeros((n_tau, n_theta))
     cell_seconds = np.zeros((n_tau, n_theta))
-    train_seconds = np.zeros(n_tau)
     part = partition_reference(cal_reference.shape[1], expert_cfg.places_per_expert)
 
     for i, tau_gi in enumerate(plan.tau_gi_grid):
-        tick = time.perf_counter()
         model = train_ensemble(
             cal_reference, part, expert_cfg, sim.with_tau_gi(tau_gi),
             encoding, patch, derive_cal_seed(global_seed, tau_gi), workers,
         )
         detect_hyperactive(model, cal_reference, None, workers)
         responses = collect_query_responses(model, cal_queries, workers)
-        train_seconds[i] = time.perf_counter() - tick
         for j, theta in enumerate(plan.theta_grid):
             tick = time.perf_counter()
             scores[i, j] = _score_theta(model, responses, cal_truths, theta)
@@ -146,7 +143,6 @@ def run_grid_search(
         theta_grid=plan.theta_grid,
         scores=scores,
         cell_seconds=cell_seconds,
-        train_seconds=train_seconds,
         chosen_tau_gi=chosen_tau,
         chosen_theta=chosen_theta,
         files_read=tuple(files_read),

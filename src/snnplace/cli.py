@@ -1,4 +1,4 @@
-"""Operator entry points: train, regularize, calibrate, evaluate, match, bench.
+"""Operator entry points: train, regularize, calibrate, evaluate, match.
 
 All tunables live in one JSON config file, the JSON form of
 ``config.RunConfig``; a file names only the values it changes, and
@@ -192,6 +192,10 @@ def cmd_calibrate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     report.write_csv(os.path.join(args.out_dir, "calibration.csv"))
     report.write_chosen_json(os.path.join(args.out_dir, "chosen.json"))
+    chosen = dataclasses.replace(cfg, simulation=cfg.simulation.with_tau_gi(report.chosen_tau_gi))
+    with open(os.path.join(args.out_dir, "config.json"), "w") as fh:
+        json.dump(to_json(chosen), fh, indent=1)
+        fh.write("\n")
     print(f"best cell: tau_gi={report.chosen_tau_gi} theta={report.chosen_theta} "
           f"(P@100R={report.scores.max():.3f}); reports in {args.out_dir}")
     return 0
@@ -223,14 +227,13 @@ def cmd_evaluate(args) -> int:
     ns = [n for n in (1, 5, 10, 15, 20, 25) if n <= model.place_count]
     metrics.write_recall_at_n_csv(out("recall_at_n.csv"), records, ns)
     metrics.write_neuron_precision_csv(out("neuron_precision.csv"), precision_records)
-    metrics.write_scaling_csv(out("scaling.csv"), [(len(model.experts), mean_query_s)])
     p100 = metrics.precision_at_100_recall(records)
     summary = {
         "p_at_100r": p100,
         "recall_at_n": {str(n): metrics.recall_at_n(records, n) for n in ns},
         "n_queries": len(records),
         "theta": model.theta,
-        "no_evidence_queries": sum(1 for r in records if not r.scores.any()),
+        "no_evidence_queries": sum(r.no_evidence for r in records),
         "neuron_precision": neuron_summary,
         "mean_query_seconds": mean_query_s,
     }
@@ -251,22 +254,6 @@ def cmd_match(args) -> int:
             "score": int(result.scores[rank]),
             "no_evidence": result.no_evidence,
         }))
-    return 0
-
-
-def cmd_bench(args) -> int:
-    cfg = _run_config(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ConfigError(f"invalid --sizes {args.sizes!r}")
-    rows = ens.query_time_benchmark(
-        sizes, n_excitatory=args.synthetic_neurons or 100,
-        image_size=cfg.image_size, n_queries=args.queries, seed=cfg.seed,
-    )
-    metrics.write_scaling_csv(args.out, rows)
-    for n_experts, seconds in rows:
-        print(f"N={n_experts:4d}  {seconds * 1e3:8.2f} ms/query")
-    print(f"scaling table: {args.out}")
     return 0
 
 
@@ -340,15 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=5)
     p.add_argument("--query-id", type=int, default=0)
     p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("bench", help="measure query latency against synthetic ensembles")
-    common(p)
-    p.add_argument("--sizes", required=True, help="comma-separated expert counts")
-    p.add_argument("--neurons", type=int, dest="synthetic_neurons", metavar="NEURONS",
-                   help="excitatory neurons per synthetic expert (default 100)")
-    p.add_argument("--queries", type=int, default=20)
-    p.add_argument("--out", default="scaling.csv")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -110,11 +110,25 @@ class MatchResult:
 
     place_ids: np.ndarray   # all places, best first
     scores: np.ndarray      # summed non-hyperactive spike counts
-    no_evidence: bool       # every neuron stayed silent
+    truth: int | None = None  # the query's true place, when it is known
 
     @property
     def top(self) -> int:
         return int(self.place_ids[0])
+
+    @property
+    def no_evidence(self) -> bool:
+        """Every neuron that counts stayed silent."""
+        return not self.scores.any()
+
+    @property
+    def correct(self) -> bool:
+        return self.top == self.truth
+
+    @property
+    def confidence(self) -> float:
+        """Winning place's summed spike count (the only available magnitude)."""
+        return float(self.scores[0])
 
 
 def _train_one(job) -> tuple[ExpertModel, float]:
@@ -248,11 +262,7 @@ def fuse_scores(
                 counts[keep],
             )
     order = np.lexsort((np.arange(model.place_count), -scores))
-    return MatchResult(
-        place_ids=order.astype(np.int64),
-        scores=scores[order],
-        no_evidence=not scores.any(),
-    )
+    return MatchResult(place_ids=order.astype(np.int64), scores=scores[order])
 
 
 def collect_expert_responses(model: EnsembleModel, train: SpikeTrain) -> np.ndarray:
@@ -339,33 +349,3 @@ def collect_query_responses(
         return np.zeros((0, len(model.experts), 0), dtype=np.int64)
     parts = _map_image_chunks(_chunk_rows, model, queries, STREAM_QUERY, query_id_base, workers)
     return np.concatenate(parts)
-
-
-def query_time_benchmark(
-    sizes: list[int],
-    n_excitatory: int = 100,
-    image_size: tuple[int, int] = (28, 28),
-    n_queries: int = 20,
-    seed: int = 0,
-) -> list[tuple[int, float]]:
-    """Mean wall time per query against synthetic ensembles of each size.
-
-    Experts are frozen random networks; queries are random textures.  Runs
-    in single-worker mode so the totals scale with the serial work.  Each
-    query visits every size in turn, so a drift in machine speed during the
-    run lands on all sizes alike instead of on whichever size it overlaps.
-    """
-    from .synthetic import make_textures, synthetic_ensemble
-
-    models = [
-        synthetic_ensemble(n, n_excitatory=n_excitatory, image_size=image_size, seed=seed)
-        for n in sizes
-    ]
-    queries = make_textures(n_queries, image_size, derive_seed(seed, 1))
-    elapsed = [0.0] * len(sizes)
-    for k in range(n_queries):
-        for i, model in enumerate(models):
-            start = time.perf_counter()
-            match_query(model, queries[k], query_id=k)
-            elapsed[i] += time.perf_counter() - start
-    return [(n, seconds / n_queries) for n, seconds in zip(sizes, elapsed)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IngestError
+from .errors import ConfigError, IngestError, require_finite
 
 # Stream tags keep the RNG substreams of distinct pipeline stages apart.
 # A seed is always derived as derive_seed(base_seed, stream, *ids).
@@ -24,7 +24,6 @@ STREAM_WEIGHT_INIT = 0
 STREAM_TRAINING = 1
 STREAM_REFERENCE = 2
 STREAM_QUERY = 3
-STREAM_BENCH = 4
 
 # Rec.601 luma coefficients for color -> grayscale conversion.
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -50,6 +49,7 @@ class PatchNormConfig:
     epsilon: float = 1e-6  # std floor; zero-variance patches map to 0
 
     def validate(self) -> None:
+        require_finite({"epsilon": self.epsilon})
         if self.patch_width < 1 or self.patch_height < 1:
             raise ConfigError("patch dimensions must be >= 1")
         if self.epsilon <= 0:
@@ -75,6 +75,8 @@ class EncodingConfig:
     max_retries: int = 20  # safety cap; an all-black input can never fire
 
     def validate(self) -> None:
+        require_finite({"max_rate_hz": self.max_rate_hz, "presentation_ms": self.presentation_ms,
+                        "rest_ms": self.rest_ms, "retry_boost_hz": self.retry_boost_hz})
         if self.max_rate_hz <= 0:
             raise ConfigError("max_rate_hz must be > 0")
         if self.presentation_ms <= 0:

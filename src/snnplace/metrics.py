@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,57 +18,30 @@ from .errors import ConfigError
 from .expert import UNASSIGNED
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One scored query: ground truth plus the full ranked prediction."""
-
-    truth: int
-    place_ids: np.ndarray   # descending score order
-    scores: np.ndarray
-
-    @property
-    def top(self) -> int:
-        return int(self.place_ids[0])
-
-    @property
-    def correct(self) -> bool:
-        return self.top == self.truth
-
-    @property
-    def confidence(self) -> float:
-        """Winning place's summed spike count (the only available magnitude)."""
-        return float(self.scores[0])
-
-
-def records_from_matches(matches: list[MatchResult], truths) -> list[EvalRecord]:
-    return [
-        EvalRecord(truth=int(t), place_ids=m.place_ids, scores=m.scores)
-        for m, t in zip(matches, truths)
-    ]
-
-
 def records_from_responses(
     model: EnsembleModel,
     responses: np.ndarray,
     truths,
     flags: list[np.ndarray] | None = None,
-) -> list[EvalRecord]:
-    """Score cached (n_queries, n_experts, n_excitatory) responses.
+) -> list[MatchResult]:
+    """Rank cached (n_queries, n_experts, n_excitatory) responses; each carries its truth.
 
     ``flags`` overrides the experts' stored hyperactive flags, as in ``fuse_scores``.
     """
-    matches = [fuse_scores(model, responses[q], flags) for q in range(responses.shape[0])]
-    return records_from_matches(matches, truths)
+    return [
+        replace(fuse_scores(model, rows, flags), truth=int(t))
+        for rows, t in zip(responses, truths)
+    ]
 
 
-def precision_at_100_recall(records: list[EvalRecord]) -> float:
+def precision_at_100_recall(records: list[MatchResult]) -> float:
     """Fraction of queries whose forced top-1 match is exactly correct."""
     if not records:
         raise ConfigError("cannot score an empty record set")
     return sum(r.correct for r in records) / len(records)
 
 
-def recall_at_n(records: list[EvalRecord], n: int) -> float:
+def recall_at_n(records: list[MatchResult], n: int) -> float:
     """Fraction of queries whose true place appears in the top n."""
     if n < 1:
         raise ConfigError("recall_at_n needs n >= 1")
@@ -78,7 +51,7 @@ def recall_at_n(records: list[EvalRecord], n: int) -> float:
     return hits / len(records)
 
 
-def pr_curve(records: list[EvalRecord]) -> list[tuple[float, float, float]]:
+def pr_curve(records: list[MatchResult]) -> list[tuple[float, float, float]]:
     """Precision/recall while sweeping an acceptance threshold on confidence.
 
     At each threshold t (descending), queries with confidence >= t are
@@ -222,13 +195,6 @@ def write_neuron_precision_csv(path: str | os.PathLike, records) -> None:
                 r.expert, r.neuron, r.assigned_place, int(r.hyperactive),
                 r.fired_correct, r.fired_total, r.precision,
             ])
-
-
-def write_scaling_csv(path: str | os.PathLike, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_experts", "mean_query_seconds"])
-        writer.writerows(rows)
 
 
 def write_summary_json(path: str | os.PathLike, summary: dict) -> None:

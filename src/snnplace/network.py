@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .imaging import EncodingConfig, SpikeTrain, derive_seed, poisson_encode
 
 
@@ -47,6 +47,7 @@ class LifParams:
     tau_gi_ms: float
 
     def validate(self) -> None:
+        require_finite(vars(self))
         if min(self.tau_ms, self.tau_ge_ms, self.tau_gi_ms, self.refractory_ms) <= 0:
             raise ConfigError("all LIF time constants must be > 0")
         if not self.e_inh_mv < self.e_rest_mv < self.e_exc_mv:
@@ -79,6 +80,8 @@ class HomeostasisParams:
     theta_decay_ms: float = 1e7
 
     def validate(self) -> None:
+        # An infinite theta_decay_ms is valid: the adaptive threshold never decays.
+        require_finite({"theta_plus_mv": self.theta_plus_mv})
         if self.theta_plus_mv < 0:
             raise ConfigError("theta_plus_mv must be >= 0")
         if self.theta_decay_ms <= 0:
@@ -96,6 +99,7 @@ class StdpParams:
     trace_tau_ms: float = 20.0
 
     def validate(self) -> None:
+        require_finite(vars(self))
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.trace_target < 0:
@@ -116,6 +120,7 @@ class FixedWiring:
     w_inh_to_exc: float = 17.0  # applied to every excitatory neuron but the partner
 
     def validate(self) -> None:
+        require_finite(vars(self))
         if self.w_exc_to_inh < 0 or self.w_inh_to_exc < 0:
             raise ConfigError("wiring weights must be >= 0")
 
@@ -152,6 +157,8 @@ class SimulationParams:
         )
 
     def validate(self) -> None:
+        require_finite({"dt_ms": self.dt_ms, "weight_norm_target": self.weight_norm_target,
+                        "weight_init_max": self.weight_init_max})
         if self.dt_ms <= 0:
             raise ConfigError("dt_ms must be > 0")
         if self.weight_norm_target <= 0:

@@ -1,17 +1,19 @@
 """Synthetic worlds for tests, demos, and benchmarks.
 
 Provides seeded random place textures, corrupted query variants, frozen
-random ensembles for latency measurements, and the cross-region responder
-injection used to study hyperactivity filtering without real data.
+random ensembles and the query-latency table measured on them, and the
+cross-region responder injection used to study hyperactivity filtering
+without real data.
 """
 
 from __future__ import annotations
 
 import copy
+import time
 
 import numpy as np
 
-from .ensemble import EnsembleModel
+from .ensemble import EnsembleModel, match_query
 from .errors import StateError
 from .expert import UNASSIGNED, ExpertModel
 from .imaging import (
@@ -103,6 +105,34 @@ def synthetic_ensemble(
         regularized=True,
     )
     return model
+
+
+def query_time_benchmark(
+    sizes: list[int],
+    n_excitatory: int = 100,
+    image_size: tuple[int, int] = (28, 28),
+    n_queries: int = 20,
+    seed: int = 0,
+) -> list[tuple[int, float]]:
+    """Mean wall time per query against synthetic ensembles of each size.
+
+    Experts are frozen random networks; queries are random textures.  Runs
+    in single-worker mode so the totals scale with the serial work.  Each
+    query visits every size in turn, so a drift in machine speed during the
+    run lands on all sizes alike instead of on whichever size it overlaps.
+    """
+    models = [
+        synthetic_ensemble(n, n_excitatory=n_excitatory, image_size=image_size, seed=seed)
+        for n in sizes
+    ]
+    queries = make_textures(n_queries, image_size, derive_seed(seed, 1))
+    elapsed = [0.0] * len(sizes)
+    for k in range(n_queries):
+        for i, model in enumerate(models):
+            start = time.perf_counter()
+            match_query(model, queries[k], query_id=k)
+            elapsed[i] += time.perf_counter() - start
+    return [(n, seconds / n_queries) for n, seconds in zip(sizes, elapsed)]
 
 
 def inject_cross_region_responders(

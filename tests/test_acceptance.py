@@ -24,7 +24,6 @@ from snnplace.ensemble import (
     fuse_scores,
     match_query,
     partition_reference,
-    query_time_benchmark,
     train_ensemble,
 )
 from snnplace.expert import ExpertConfig
@@ -51,6 +50,7 @@ from snnplace.synthetic import (
     inject_cross_region_responders,
     make_textures,
     preprocess_stack,
+    query_time_benchmark,
 )
 from tests.conftest import tiny_encoding, tiny_expert_cfg, tiny_sim, tiny_textures
 from tests.test_ensemble import brute_force_ranking, random_instance

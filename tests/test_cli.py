@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import shutil
 
@@ -94,6 +95,12 @@ class TestTrain:
         model = load_ensemble(out)
         assert model.place_count == 2
         assert len(model.experts) == 1
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        rc = main(["train", "--ref-dirs", missing, "--out", missing, "--seed", "-1"])
+        assert rc == 2
+        assert_one_error_line(capsys, "seed")
 
 
 class TestRegularize:
@@ -229,7 +236,7 @@ class TestEvaluate:
         assert main(["evaluate", "--config", cfg, "--model", trained_archive,
                      "--query-dir", query, "--report-dir", reports]) == 0
         for name in ("pr_curve.csv", "recall_at_n.csv", "neuron_precision.csv",
-                     "scaling.csv", "summary.json"):
+                     "summary.json"):
             assert os.path.exists(os.path.join(reports, name)), name
         summary = json.loads(open(os.path.join(reports, "summary.json")).read())
         assert 0.0 <= summary["p_at_100r"] <= 1.0
@@ -287,28 +294,6 @@ class TestMatch:
         assert_one_error_line(capsys, "config")
 
 
-class TestBench:
-    def test_three_row_scaling_csv(self, world):
-        root, cfg, _, _ = world
-        out = str(root / "scaling.csv")
-        rc = main(["bench", "--config", cfg, "--sizes", "1,2,4", "--neurons", "4",
-                   "--queries", "2", "--out", out])
-        assert rc == 0
-        rows = open(out).read().strip().splitlines()
-        assert rows[0] == "n_experts,mean_query_seconds"
-        assert len(rows) == 4
-        assert [int(r.split(",")[0]) for r in rows[1:]] == [1, 2, 4]
-
-    def test_bad_sizes_exits_2(self, world):
-        _, cfg, _, _ = world
-        assert main(["bench", "--config", cfg, "--sizes", "0,2", "--out", "x.csv"]) == 2
-
-    def test_negative_seed_exits_2(self, tmp_path, capsys):
-        rc = main(["bench", "--sizes", "1", "--seed", "-1", "--out", str(tmp_path / "s.csv")])
-        assert rc == 2
-        assert_one_error_line(capsys, "seed")
-
-
 class TestCalibrate:
     def test_tiny_grid_end_to_end(self, world):
         root, cfg, ref, query = world
@@ -323,6 +308,19 @@ class TestCalibrate:
         assert chosen["theta"] in (50.0, 100.0)
         rows = open(os.path.join(out_dir, "calibration.csv")).read().strip().splitlines()
         assert len(rows) == 3
+
+    def test_train_uses_calibrated_tau_gi(self, world, tmp_path):
+        _, cfg, ref, query = world
+        out_dir = str(tmp_path / "cal")
+        assert main(["calibrate", "--config", cfg, "--ref-dirs", ref,
+                     "--query-dir", query, "--cal-range", "0:2",
+                     "--tau-gi-grid", "2.0", "--theta-grid", "50",
+                     "--out-dir", out_dir]) == 0
+        model = str(tmp_path / "model")
+        assert main(["train", "--config", os.path.join(out_dir, "config.json"),
+                     "--ref-dirs", ref, "--out", model]) == 0
+        sim = load_ensemble(model).sim
+        assert sim.lif_exc.tau_gi_ms == sim.lif_inh.tau_gi_ms == 2.0
 
 
 class TestCalibrationSplitHygiene:
@@ -405,6 +403,32 @@ class TestConfig:
         for cfg in (RunConfig(), load_config(world[1])):
             assert from_json(type(cfg), to_json(cfg), "config") == cfg
 
+    def test_infinite_numbers_rejected_but_theta_decay(self):
+        defaults = to_json(RunConfig())
+        leaves = list(float_leaves(defaults))
+        decay = ("simulation", "homeostasis", "theta_decay_ms")
+        assert decay in leaves and ("calibration", "tau_gi_grid", 0) in leaves
+        accepted = []
+        for path in leaves:
+            for value in (math.inf, -math.inf):
+                try:
+                    from_json(RunConfig, with_leaf(defaults, path, value), "config").validate()
+                except ConfigError:
+                    continue
+                accepted.append((path, value))
+        assert accepted == [(decay, math.inf)]
+
+    def test_infinite_presentation_exits_2(self, world, tmp_path, capsys):
+        _, cfg, ref, _ = world
+        data = json.loads(open(cfg).read())
+        data["encoding"]["presentation_ms"] = math.inf
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(data))
+        rc = main(["train", "--config", str(path), "--ref-dirs", ref,
+                   "--out", str(tmp_path / "never")])
+        assert rc == 2
+        assert_one_error_line(capsys, "presentation_ms")
+
     def test_decoder_is_strict(self):
         lif = to_json(LifParams.excitatory_defaults())
         assert from_json(LifParams, {**lif, "tau_ms": 100}, "lif").tau_ms == 100
@@ -414,6 +438,26 @@ class TestConfig:
         del lif["tau_ms"]
         with pytest.raises(ConfigError, match="missing keys in 'lif': tau_ms"):
             from_json(LifParams, lif, "lif")
+
+
+def float_leaves(node, prefix=()):
+    """Paths to every float of a JSON tree, list items included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from float_leaves(value, prefix + (key,))
+        elif isinstance(value, float):
+            yield prefix + (key,)
+
+
+def with_leaf(tree, path, value):
+    """A deep copy of ``tree`` with the leaf at ``path`` set to ``value``."""
+    edited = copy.deepcopy(tree)
+    owner = edited
+    for step in path[:-1]:
+        owner = owner[step]
+    owner[path[-1]] = value
+    return edited
 
 
 def config_commands(tmp_path):
@@ -427,7 +471,6 @@ def config_commands(tmp_path):
                       "--cal-range", "0:2", "--out-dir", missing],
         "evaluate": ["evaluate", "--model", missing, "--query-dir", missing,
                      "--report-dir", missing],
-        "bench": ["bench", "--sizes", "1", "--out", missing],
     }
 
 
@@ -445,7 +488,7 @@ BAD_VALUES = [
 
 
 class TestBadConfigValues:
-    @pytest.mark.parametrize("command", ["train", "regularize", "calibrate", "evaluate", "bench"])
+    @pytest.mark.parametrize("command", ["train", "regularize", "calibrate", "evaluate"])
     @pytest.mark.parametrize("data,fragment", BAD_VALUES)
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, data, fragment):
         path = tmp_path / "bad.json"
@@ -478,4 +521,5 @@ class TestConfigFuzz:
         else:
             owner[key[-1]] = data.draw(JUNK)
         path.write_text(json.dumps(edited))
-        assert main(["bench", "--config", str(path), "--sizes", "0"]) == 2
+        missing = str(path.parent / "missing")
+        assert main(["train", "--config", str(path), "--ref-dirs", missing, "--out", missing]) == 2

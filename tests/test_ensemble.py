@@ -381,6 +381,6 @@ class TestSharedFanOut:
 
 class TestBenchmark:
     def test_empty_size_list_gives_empty_table(self):
-        from snnplace.ensemble import query_time_benchmark
+        from snnplace.synthetic import query_time_benchmark
 
         assert query_time_benchmark([]) == []

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from snnplace.ensemble import MatchResult
 from snnplace.errors import ConfigError
 from snnplace.expert import UNASSIGNED
 from snnplace.metrics import (
-    EvalRecord,
     neuron_precision_analysis,
     pr_curve,
     precision_at_100_recall,
@@ -21,7 +21,7 @@ def record(truth, ranking, scores=None):
     ranking = np.asarray(ranking)
     if scores is None:
         scores = np.arange(len(ranking), 0, -1)
-    return EvalRecord(truth=truth, place_ids=ranking, scores=np.asarray(scores))
+    return MatchResult(place_ids=ranking, scores=np.asarray(scores), truth=truth)
 
 
 class TestPrecisionRecall:
