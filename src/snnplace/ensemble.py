@@ -11,8 +11,8 @@ threshold responds to places far outside its own region and is flagged
 hyperactive; flagged neurons are ignored when queries are matched.
 
 Replaying the reference set and answering queries are one computation:
-each image is encoded once and the train is fanned out to every expert,
-which starts from rest in a freshly built network
+each image is encoded once and the train is fanned out to every expert;
+all experts start from rest and step in lockstep through one network
 (``collect_expert_responses``).  Batches run in parallel over contiguous
 image chunks, so results never depend on the worker count.  Each place's
 score is the summed response of the non-hyperactive neurons assigned to
@@ -271,9 +271,7 @@ def collect_expert_responses(model: EnsembleModel, train: SpikeTrain) -> np.ndar
     The only place where frozen experts run: matching, query batches and
     the reference replay all come through here.
     """
-    return np.stack(
-        [expert_respond(ex, train, model.sim, model.encoding) for ex in model.experts]
-    )
+    return expert_respond(model.experts, train, model.sim, model.encoding)
 
 
 def match_spike_train(model: EnsembleModel, train: SpikeTrain) -> MatchResult:

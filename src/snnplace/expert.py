@@ -110,7 +110,11 @@ class ExpertModel:
         return self.global_start, self.global_start + self.n_places
 
     def build_network(self, sim: SimulationParams, encoding: EncodingConfig) -> ExpertNetwork:
-        """Instantiate a canonical inference network from the frozen arrays."""
+        """Instantiate this expert alone as a canonical inference network.
+
+        The one-expert reference for ``expert_respond``, which runs frozen
+        experts in lockstep instead of building one network each.
+        """
         syn = SynapseMatrix(self.weights.astype(np.float64))
         return ExpertNetwork(syn, sim, encoding, theta=self.theta)
 
@@ -182,17 +186,22 @@ def assign_neurons(spike_counts: np.ndarray) -> np.ndarray:
 
 
 def expert_respond(
-    model: ExpertModel,
+    experts: list[ExpertModel],
     query: SpikeTrain,
     sim: SimulationParams,
     encoding: EncodingConfig,
 ) -> np.ndarray:
-    """Per-neuron spike counts of a frozen expert for one query train.
+    """Per-neuron spike counts of frozen experts for one query train: (N, K).
 
-    Runs from the canonical rest state with plasticity and threshold
-    adaptation frozen, so the result depends only on (model, query).
+    All experts run in lockstep in one network whose weights are stacked as
+    (inputs, N, K), in their stored float32, and whose state is (N, K).
+    Each starts from the canonical rest state with plasticity and threshold
+    adaptation frozen, so row i equals what ``experts[i].build_network``
+    answers alone and depends only on (expert, query).
     """
-    net = model.build_network(sim, encoding)
+    syn = SynapseMatrix(np.stack([ex.weights for ex in experts], axis=1))
+    theta = np.stack([ex.theta for ex in experts])
+    net = ExpertNetwork(syn, sim, encoding, theta=theta)
     return net.present(query, learn=False, run_rest=False)
 
 

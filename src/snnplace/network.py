@@ -16,6 +16,11 @@ postsynaptic spike moves each afferent weight by
 clamped to [0, w_max].  Excitatory thresholds are homeostatic: each spike
 raises an adaptive offset that otherwise decays very slowly.
 
+Frozen experts can run in lockstep: with weights stacked as (inputs, N, K),
+every state array takes the shape (N, K) and one step loop advances all N
+experts, each with its own winner-take-all circuit.  Learning runs one
+expert at a time.
+
 There is no randomness anywhere in this module; all stochasticity lives in
 the spike encoder.  One network instance is single-threaded mutable state,
 but distinct instances share nothing and may run fully in parallel.
@@ -173,7 +178,7 @@ class SimulationParams:
 
 
 class LayerState:
-    """Per-neuron dynamic variables of one layer."""
+    """Per-neuron dynamic variables of one layer, shaped (K,) or (N experts, K)."""
 
     __slots__ = ("v", "g_e", "g_i", "theta", "refractory")
 
@@ -185,23 +190,29 @@ class LayerState:
         self.refractory = refractory
 
     @staticmethod
-    def resting(n: int, params: LifParams, theta: np.ndarray | None = None) -> "LayerState":
+    def resting(shape, params: LifParams, theta: np.ndarray | None = None) -> "LayerState":
         return LayerState(
-            v=np.full(n, params.e_rest_mv, dtype=np.float64),
-            g_e=np.zeros(n, dtype=np.float64),
-            g_i=np.zeros(n, dtype=np.float64),
-            theta=np.zeros(n) if theta is None else np.array(theta, dtype=np.float64),
-            refractory=np.zeros(n, dtype=np.float64),
+            v=np.full(shape, params.e_rest_mv, dtype=np.float64),
+            g_e=np.zeros(shape, dtype=np.float64),
+            g_i=np.zeros(shape, dtype=np.float64),
+            theta=np.zeros(shape) if theta is None else np.array(theta, dtype=np.float64),
+            refractory=np.zeros(shape, dtype=np.float64),
         )
 
 
 class SynapseMatrix:
-    """Plastic input->excitatory weights plus per-input presynaptic traces."""
+    """Plastic input->excitatory weights plus per-input presynaptic traces.
+
+    ``w`` is (inputs, K), or (inputs, N, K) for frozen experts in lockstep.
+    Float32 weights stay float32 (frozen experts); anything else becomes
+    float64.
+    """
 
     __slots__ = ("w", "pre_trace")
 
     def __init__(self, w: np.ndarray, pre_trace: np.ndarray | None = None):
-        self.w = np.asarray(w, dtype=np.float64)
+        w = np.asarray(w)
+        self.w = w if w.dtype == np.float32 else w.astype(np.float64, copy=False)
         self.pre_trace = (
             np.zeros(self.w.shape[0]) if pre_trace is None
             else np.asarray(pre_trace, dtype=np.float64)
@@ -258,7 +269,8 @@ def apply_input_spikes(state: LayerState, syn: SynapseMatrix, indices: np.ndarra
     indices = np.asarray(indices)
     if indices.min() < 0 or indices.max() >= syn.w.shape[0]:
         raise AssertionError("input spike index out of range: wiring bug")
-    state.g_e += syn.w[indices].sum(axis=0)
+    # Summing float32 rows in float64 equals summing their float64 copies, bit for bit.
+    state.g_e += syn.w[indices].sum(axis=0, dtype=np.float64)
     np.add.at(syn.pre_trace, indices, 1.0)
 
 
@@ -272,11 +284,11 @@ def apply_lateral_inhibition(
     """Route winner-take-all spikes through the fixed one-to-one wiring.
 
     Each spiking excitatory neuron e drives inhibitory neuron e; each
-    spiking inhibitory neuron inhibits every excitatory neuron except its
-    own partner.
+    spiking inhibitory neuron inhibits every excitatory neuron of its own
+    expert (the last axis) except its own partner.
     """
-    n_inh = int(np.count_nonzero(inh_spiked))
-    if n_inh:
+    n_inh = np.count_nonzero(inh_spiked, axis=-1, keepdims=True)
+    if n_inh.any():
         exc_state.g_i += wiring.w_inh_to_exc * n_inh
         exc_state.g_i[inh_spiked] -= wiring.w_inh_to_exc
     if exc_spiked.any():
@@ -323,9 +335,9 @@ class ExpertNetwork:
         self.syn = syn
         self.params = params
         self.encoding = encoding
-        self.n_excitatory = syn.w.shape[1]
-        self.exc = LayerState.resting(self.n_excitatory, params.lif_exc, theta)
-        self.inh = LayerState.resting(self.n_excitatory, params.lif_inh)
+        shape = syn.w.shape[1:]
+        self.exc = LayerState.resting(shape, params.lif_exc, theta)
+        self.inh = LayerState.resting(shape, params.lif_inh)
 
     def present(self, train: SpikeTrain, learn: bool, run_rest: bool = True) -> np.ndarray:
         """Simulate one presentation; return per-neuron excitatory spike counts.
@@ -348,7 +360,7 @@ class ExpertNetwork:
 
         homeo = p.homeostasis if learn else None
         trace_decay = math.exp(-dt / p.stdp.trace_tau_ms)
-        counts = np.zeros(self.n_excitatory, dtype=np.int64)
+        counts = np.zeros(self.exc.v.shape, dtype=np.int64)
         for t in range(n_pres + n_rest):
             if t < n_pres:
                 lo, hi = offsets[t], offsets[t + 1]

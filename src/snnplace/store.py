@@ -6,10 +6,13 @@ n_excitatory]).  Everything else — assignments, adaptive thresholds,
 reference totals, hyperactive flags, full config — lives in the manifest.
 Python's JSON writer emits shortest round-trip float representations, so
 save/load is bit-exact; saves go through a temporary name and a final
-atomic rename.  The config block is written and read by ``config``'s JSON
-codec.  Loading rejects, with ``ArchiveError``, manifests with a missing or
-wrongly typed key (or an unknown config key) and archives whose experts do
-not tile the place set or disagree on their shapes.
+atomic rename.  An overwrite first moves the old archive aside to
+``<path>.old``; if the process dies before the new one is in place,
+loading ``path`` falls back to that copy.  The config block is written and
+read by ``config``'s JSON codec.  Loading rejects, with ``ArchiveError``,
+manifests with a missing or wrongly typed key (or an unknown config key)
+and archives whose experts do not tile the place set or disagree on their
+shapes.
 """
 
 from __future__ import annotations
@@ -125,33 +128,47 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
             json.dump(manifest, fh, indent=1, sort_keys=True)
             fh.flush()
             os.fsync(fh.fileno())
+        stale = _moved_aside(path)
         if os.path.isdir(path):
             if not overwrite:
                 raise ArchiveError(f"refusing to overwrite existing archive {path!r}")
-            stale = tmp + ".old"
+            _remove_flat_dir(stale)  # left by an interrupted overwrite; path is complete
             os.rename(path, stale)
             try:
                 os.rename(tmp, path)
             except OSError:
                 os.rename(stale, path)
                 raise
-            for leftover in os.listdir(stale):
-                os.unlink(os.path.join(stale, leftover))
-            os.rmdir(stale)
         else:
             os.rename(tmp, path)
+        _remove_flat_dir(stale)
     except OSError as exc:
         raise ArchiveError(f"cannot write archive {path!r}: {exc}") from exc
     finally:
-        if os.path.isdir(tmp):
-            for leftover in os.listdir(tmp):
-                os.unlink(os.path.join(tmp, leftover))
-            os.rmdir(tmp)
+        _remove_flat_dir(tmp)
+
+
+def _moved_aside(path: str) -> str:
+    """Where an overwrite keeps the old archive until the new one is in place."""
+    return os.path.normpath(path) + ".old"
+
+
+def _remove_flat_dir(directory: str) -> None:
+    if os.path.isdir(directory):
+        for leftover in os.listdir(directory):
+            os.unlink(os.path.join(directory, leftover))
+        os.rmdir(directory)
 
 
 def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
-    """Read an archive back into a query-ready model."""
+    """Read an archive back into a query-ready model.
+
+    When ``path`` is missing but ``<path>.old`` exists, an overwrite died
+    between its two renames, and the old archive is read from there.
+    """
     path = os.fspath(path)
+    if not os.path.isdir(path) and os.path.isdir(_moved_aside(path)):
+        path = _moved_aside(path)
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path) as fh:

@@ -1,6 +1,7 @@
 """Partitioning, fused matching, hyperactivity flags, and the oracle check."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from snnplace.ensemble import (
     train_ensemble,
 )
 from snnplace.errors import ConfigError, StateError
-from snnplace.expert import UNASSIGNED, expert_respond, query_seed
+from snnplace.expert import UNASSIGNED, ExpertModel, expert_respond, query_seed
 from snnplace.imaging import STREAM_REFERENCE, PatchNormConfig, derive_seed, poisson_encode
-from snnplace.synthetic import synthetic_ensemble
+from snnplace.synthetic import make_textures, synthetic_ensemble
 from tests.conftest import (
     handmade_ensemble,
     tiny_encoding,
@@ -348,7 +349,8 @@ class TestSharedFanOut:
 
         def respond(expert, image, encoder_seed):
             train = poisson_encode(image, encoding, encoder_seed)
-            return expert_respond(expert, train, model.sim, encoding)
+            net = expert.build_network(model.sim, encoding)
+            return net.present(train, learn=False, run_rest=False)
 
         expected_totals = [
             sum(
@@ -377,6 +379,53 @@ class TestSharedFanOut:
             want_ids, want_scores = brute_force_ranking(model, expected_rows[k], flags)
             assert result.place_ids.tolist() == want_ids
             assert result.scores.tolist() == want_scores
+
+
+class TestLockstep:
+    """``expert_respond`` steps N frozen experts together; each row is that expert alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_experts=st.integers(1, 6),
+        n_excitatory=st.integers(1, 40),
+        weight_max=st.floats(0.05, 2.0),
+        max_rate_hz=st.floats(20.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lockstep_equals_per_expert(
+        self, n_experts, n_excitatory, weight_max, max_rate_hz, seed
+    ):
+        rng = np.random.default_rng(seed)
+        sim = tiny_sim()
+        encoding = tiny_encoding(presentation_ms=100.0, max_rate_hz=max_rate_hz)
+        experts = [
+            ExpertModel(
+                weights=rng.uniform(0.0, weight_max, size=(16, n_excitatory)).astype(np.float32),
+                theta=rng.uniform(0.01, 5.0, size=n_excitatory),
+                assignments=np.zeros(n_excitatory, dtype=np.int64),
+                global_start=i,
+                n_places=1,
+            )
+            for i in range(n_experts)
+        ]
+        train = poisson_encode(rng.uniform(size=(4, 4)), encoding, seed)
+        rows = expert_respond(experts, train, sim, encoding)
+        assert rows.shape == (n_experts, n_excitatory)
+        for row, expert in zip(rows, experts):
+            alone = expert.build_network(sim, encoding)
+            np.testing.assert_array_equal(row, alone.present(train, learn=False, run_rest=False))
+
+    def test_replay_holds_no_float64_copy_of_the_weights(self):
+        model = synthetic_ensemble(4, n_excitatory=400, seed=0)
+        train = poisson_encode(make_textures(1, (28, 28), 5)[0], model.encoding, 1)
+        one_float64_copy = sum(ex.weights.size for ex in model.experts) * 8
+        tracemalloc.start()
+        try:
+            collect_expert_responses(model, train)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_float64_copy
 
 
 class TestBenchmark:

@@ -141,6 +141,20 @@ class TestInputDelivery:
         apply_input_spikes(state, syn, np.array([0, 4]))
         np.testing.assert_allclose(state.g_e, w[0] + w[4])
 
+    def test_float32_weights_give_the_float64_conductance(self):
+        rng = np.random.default_rng(5)
+        for shape in ((7,), (3, 7)):
+            for m in (1, 2, 13, 40):
+                w = rng.uniform(size=(50,) + shape).astype(np.float32)
+                idx = rng.integers(0, 50, size=m)
+                start = rng.uniform(size=shape)
+                narrow, wide = fresh_state(n=shape, g_e=start), fresh_state(n=shape, g_e=start)
+                syn = SynapseMatrix(w)
+                assert syn.w.dtype == np.float32
+                apply_input_spikes(narrow, syn, idx)
+                apply_input_spikes(wide, SynapseMatrix(w.astype(np.float64)), idx)
+                np.testing.assert_array_equal(narrow.g_e, wide.g_e)
+
     def test_out_of_range_index_is_internal_error(self):
         state = fresh_state(n=2)
         syn = SynapseMatrix(np.zeros((4, 2)))
@@ -173,6 +187,16 @@ class TestLateralInhibition:
         exc_spiked = np.array([False, True, False])
         apply_lateral_inhibition(exc_spiked, np.zeros(3, bool), self.wiring, self.exc, self.inh)
         np.testing.assert_allclose(self.inh.g_e, [0.0, 10.4, 0.0])
+
+    def test_stacked_experts_inhibit_only_their_own_block(self):
+        exc = fresh_state(n=(2, 3))
+        inh = fresh_state(n=(2, 3), params=LifParams.inhibitory_defaults())
+        inh_spiked = np.array([[True, False, True], [False, False, False]])
+        exc_spiked = np.array([[False, False, False], [False, True, False]])
+        apply_lateral_inhibition(exc_spiked, inh_spiked, self.wiring, exc, inh)
+        np.testing.assert_array_equal(exc.g_i[0], [17.0, 34.0, 17.0])
+        np.testing.assert_array_equal(exc.g_i[1], 0.0)
+        np.testing.assert_array_equal(inh.g_e, [[0.0, 0.0, 0.0], [0.0, 10.4, 0.0]])
 
 
 class TestStdp:

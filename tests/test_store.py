@@ -105,6 +105,37 @@ class TestRoundTrip:
         assert os.listdir(tmp_path) == ["arch"]
         assert load_ensemble(tmp_path / "arch").place_count == model.place_count
 
+    def test_interrupted_swap_leaves_the_old_archive_loadable(
+        self, trained_model, tmp_path, monkeypatch
+    ):
+        model, _ = trained_model
+        save_ensemble(model, tmp_path / "arch")
+        newer = copy.copy(model)
+        newer.global_seed = model.global_seed + 1
+        rename = os.rename
+        calls = []
+
+        def killed_before_second_rename(src, dst):
+            calls.append((src, dst))
+            if len(calls) == 2:
+                raise KeyboardInterrupt  # not an OSError: no rollback runs
+            rename(src, dst)
+
+        monkeypatch.setattr("snnplace.store.os.rename", killed_before_second_rename)
+        with pytest.raises(KeyboardInterrupt):
+            save_ensemble(newer, tmp_path / "arch", overwrite=True)
+        monkeypatch.undo()
+        assert not (tmp_path / "arch").exists()
+        assert load_ensemble(tmp_path / "arch").global_seed == model.global_seed
+
+        save_ensemble(newer, tmp_path / "arch", overwrite=True)
+        assert os.listdir(tmp_path) == ["arch"]
+        assert load_ensemble(tmp_path / "arch").global_seed == newer.global_seed
+
+        save_ensemble(model, tmp_path / "arch", overwrite=True)
+        assert os.listdir(tmp_path) == ["arch"]
+        assert load_ensemble(tmp_path / "arch").global_seed == model.global_seed
+
 
 class TestCorruption:
     def _edit_manifest(self, model, tmp_path, edit):
