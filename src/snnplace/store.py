@@ -129,9 +129,9 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
             fh.flush()
             os.fsync(fh.fileno())
         stale = _moved_aside(path)
+        if not overwrite and (os.path.isdir(path) or os.path.isdir(stale)):
+            raise ArchiveError(f"refusing to overwrite existing archive {path!r}")
         if os.path.isdir(path):
-            if not overwrite:
-                raise ArchiveError(f"refusing to overwrite existing archive {path!r}")
             _remove_flat_dir(stale)  # left by an interrupted overwrite; path is complete
             os.rename(path, stale)
             try:

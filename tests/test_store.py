@@ -127,6 +127,8 @@ class TestRoundTrip:
         monkeypatch.undo()
         assert not (tmp_path / "arch").exists()
         assert load_ensemble(tmp_path / "arch").global_seed == model.global_seed
+        with pytest.raises(ArchiveError, match="refusing to overwrite"):
+            save_ensemble(newer, tmp_path / "arch")
 
         save_ensemble(newer, tmp_path / "arch", overwrite=True)
         assert os.listdir(tmp_path) == ["arch"]
