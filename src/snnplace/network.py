@@ -287,8 +287,8 @@ def apply_lateral_inhibition(
     spiking inhibitory neuron inhibits every excitatory neuron of its own
     expert (the last axis) except its own partner.
     """
-    n_inh = np.count_nonzero(inh_spiked, axis=-1, keepdims=True)
-    if n_inh.any():
+    if inh_spiked.any():
+        n_inh = inh_spiked.sum(axis=-1, keepdims=True)  # per expert
         exc_state.g_i += wiring.w_inh_to_exc * n_inh
         exc_state.g_i[inh_spiked] -= wiring.w_inh_to_exc
     if exc_spiked.any():
