@@ -190,7 +190,9 @@ class LayerState:
         self.refractory = refractory
 
     @staticmethod
-    def resting(shape, params: LifParams, theta: np.ndarray | None = None) -> "LayerState":
+    def resting(
+        shape: int | tuple[int, ...], params: LifParams, theta: np.ndarray | None = None
+    ) -> "LayerState":
         return LayerState(
             v=np.full(shape, params.e_rest_mv, dtype=np.float64),
             g_e=np.zeros(shape, dtype=np.float64),
