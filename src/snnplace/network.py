@@ -271,8 +271,14 @@ def apply_input_spikes(state: LayerState, syn: SynapseMatrix, indices: np.ndarra
     indices = np.asarray(indices)
     if indices.min() < 0 or indices.max() >= syn.w.shape[0]:
         raise AssertionError("input spike index out of range: wiring bug")
+    rows = syn.w[indices]
+    if rows.ndim == 3 and rows.shape[-1] == 1:
+        # numpy sums one expert's lone (m, 1) column pairwise but a stack's rows
+        # one by one; laying the stack's columns out contiguously sums each
+        # pairwise too, so every expert gets the conductance it gets alone.
+        rows = np.asfortranarray(rows)
     # Summing float32 rows in float64 equals summing their float64 copies, bit for bit.
-    state.g_e += syn.w[indices].sum(axis=0, dtype=np.float64)
+    state.g_e += rows.sum(axis=0, dtype=np.float64)
     np.add.at(syn.pre_trace, indices, 1.0)
 
 

@@ -7,8 +7,9 @@ reference totals, hyperactive flags, full config — lives in the manifest.
 Python's JSON writer emits shortest round-trip float representations, so
 save/load is bit-exact; saves go through a temporary name and a final
 atomic rename.  An overwrite first moves the old archive aside to
-``<path>.old``; if the process dies before the new one is in place,
-loading ``path`` falls back to that copy.  The config block is written and
+``<path>.snnplace-old``; if the process dies before the new one is in
+place, loading ``path`` falls back to that copy.  A save replaces only
+directories that hold nothing but archive files.  The config block is written and
 read by ``config``'s JSON codec.  Loading rejects, with ``ArchiveError``,
 manifests with a missing or wrongly typed key (or an unknown config key)
 and archives whose experts do not tile the place set or disagree on their
@@ -21,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -34,6 +36,7 @@ from .network import SimulationParams
 
 FORMAT_VERSION = 1
 _IMAGE_SUFFIXES = (".pgm", ".png", ".jpg", ".jpeg", ".bmp", ".tif", ".tiff")
+_ARCHIVE_FILE = re.compile(r"manifest\.json|expert_\d{4,}\.bin")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,8 +132,11 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
             fh.flush()
             os.fsync(fh.fileno())
         stale = _moved_aside(path)
-        if not overwrite and (os.path.isdir(path) or os.path.isdir(stale)):
-            raise ArchiveError(f"refusing to overwrite existing archive {path!r}")
+        for existing in (path, stale):
+            if os.path.isdir(existing):
+                if not overwrite:
+                    raise ArchiveError(f"refusing to overwrite existing archive {existing!r}")
+                _check_archive_files(existing)
         if os.path.isdir(path):
             _remove_flat_dir(stale)  # left by an interrupted overwrite; path is complete
             os.rename(path, stale)
@@ -149,8 +155,24 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
 
 
 def _moved_aside(path: str) -> str:
-    """Where an overwrite keeps the old archive until the new one is in place."""
-    return os.path.normpath(path) + ".old"
+    """Where an overwrite keeps the old archive until the new one is in place.
+
+    The suffix is this program's own, so a user's ``<path>.old`` backup is
+    never read, refused on or removed.
+    """
+    return os.path.normpath(path) + ".snnplace-old"
+
+
+def _check_archive_files(directory: str) -> None:
+    """Refuse, before anything is moved or deleted, to replace a non-archive."""
+    for name in os.listdir(directory):
+        if not (
+            _ARCHIVE_FILE.fullmatch(name) and os.path.isfile(os.path.join(directory, name))
+        ):
+            raise ArchiveError(
+                f"refusing to replace {directory!r}: it holds {name!r}, "
+                "which no archive holds"
+            )
 
 
 def _remove_flat_dir(directory: str) -> None:
@@ -163,8 +185,9 @@ def _remove_flat_dir(directory: str) -> None:
 def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
     """Read an archive back into a query-ready model.
 
-    When ``path`` is missing but ``<path>.old`` exists, an overwrite died
-    between its two renames, and the old archive is read from there.
+    When ``path`` is missing but ``<path>.snnplace-old`` exists, an
+    overwrite died between its two renames, and the old archive is read
+    from there.
     """
     path = os.fspath(path)
     if not os.path.isdir(path) and os.path.isdir(_moved_aside(path)):

@@ -125,6 +125,23 @@ class TestRegularize:
         assert flagged[0] >= flagged[1] >= flagged[2]
 
 
+    def test_a_users_old_backup_survives_regularize(self, world, trained_archive, tmp_path):
+        _, cfg, ref, _ = world
+        model = str(tmp_path / "model")
+        shutil.copytree(trained_archive, model)
+        for backup in (model + ".old", str(tmp_path / "out.old")):
+            shutil.copytree(trained_archive, backup)
+            with open(os.path.join(backup, "notes.txt"), "w") as fh:
+                fh.write("mine")
+        kept = read_archive_bytes(model + ".old")
+        for extra in ([], ["--out", str(tmp_path / "out")]):
+            assert main(["regularize", "--config", cfg, "--model", model, "--ref-dirs", ref,
+                         "--theta", "5"] + extra) == 0
+        assert read_archive_bytes(model + ".old") == kept
+        assert read_archive_bytes(str(tmp_path / "out.old")) == kept
+        assert load_ensemble(model).theta == 5
+
+
 def assert_one_error_line(capsys, *fragments):
     """Exit-2 contract: a single `error:` line on stderr, no traceback."""
     err = capsys.readouterr().err

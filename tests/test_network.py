@@ -155,6 +155,22 @@ class TestInputDelivery:
                 apply_input_spikes(wide, SynapseMatrix(w.astype(np.float64)), idx)
                 np.testing.assert_array_equal(narrow.g_e, wide.g_e)
 
+    def test_stacked_experts_each_get_their_own_conductance(self):
+        # Weights spanning 60 binades make float64 sums depend on their order,
+        # so each expert's block must be summed as its own network sums it.
+        rng = np.random.default_rng(6)
+        for n_experts in (1, 2, 3):
+            for k in (1, 2, 7):
+                for m in (1, 8, 9, 40, 200):
+                    w = (2.0 ** rng.uniform(-60, 1, size=(50, n_experts, k))).astype(np.float32)
+                    idx = rng.integers(0, 50, size=m)
+                    stacked = fresh_state(n=(n_experts, k))
+                    apply_input_spikes(stacked, SynapseMatrix(w), idx)
+                    for i in range(n_experts):
+                        alone = fresh_state(n=k)
+                        apply_input_spikes(alone, SynapseMatrix(w[:, i].astype(np.float64)), idx)
+                        np.testing.assert_array_equal(stacked.g_e[i], alone.g_e)
+
     def test_out_of_range_index_is_internal_error(self):
         state = fresh_state(n=2)
         syn = SynapseMatrix(np.zeros((4, 2)))

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -137,6 +138,50 @@ class TestRoundTrip:
         save_ensemble(model, tmp_path / "arch", overwrite=True)
         assert os.listdir(tmp_path) == ["arch"]
         assert load_ensemble(tmp_path / "arch").global_seed == model.global_seed
+
+    def test_a_users_old_backup_is_never_touched(self, trained_model, tmp_path):
+        model, _ = trained_model
+        save_ensemble(model, tmp_path / "arch")
+        shutil.copytree(tmp_path / "arch", tmp_path / "arch.old")
+        (tmp_path / "arch.old" / "notes.txt").write_text("mine")
+        (tmp_path / "arch.old" / "sub").mkdir()
+        backup = {p.name for p in (tmp_path / "arch.old").iterdir()}
+        newer = copy.copy(model)
+        newer.global_seed = model.global_seed + 1
+
+        shutil.copytree(tmp_path / "arch.old", tmp_path / "fresh.old")
+
+        save_ensemble(newer, tmp_path / "arch", overwrite=True)
+        save_ensemble(newer, tmp_path / "fresh")  # a plain save beside a fresh.old
+        for kept in ("arch.old", "fresh.old"):
+            assert {p.name for p in (tmp_path / kept).iterdir()} == backup
+        assert load_ensemble(tmp_path / "fresh").global_seed == newer.global_seed
+        assert (tmp_path / "arch.old" / "notes.txt").read_text() == "mine"
+        assert load_ensemble(tmp_path / "arch").global_seed == newer.global_seed
+
+        shutil.rmtree(tmp_path / "arch")
+        with pytest.raises(ArchiveError, match="cannot read"):
+            load_ensemble(tmp_path / "arch")  # arch.old is not this program's copy
+
+    def test_refuses_to_replace_what_is_not_an_archive(self, trained_model, tmp_path):
+        model, _ = trained_model
+        save_ensemble(model, tmp_path / "arch")
+        aside = tmp_path / "arch.snnplace-old"
+        aside.mkdir()
+        (aside / "notes.txt").write_text("mine")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "arch").iterdir()}
+        with pytest.raises(ArchiveError, match="notes.txt"):
+            save_ensemble(model, tmp_path / "arch", overwrite=True)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "arch").iterdir()} == before
+        assert [p.name for p in aside.iterdir()] == ["notes.txt"]
+
+        folder = tmp_path / "folder"
+        (folder / "sub").mkdir(parents=True)
+        (folder / "manifest.json").write_text("{}")
+        with pytest.raises(ArchiveError, match="'sub'"):
+            save_ensemble(model, folder, overwrite=True)
+        assert sorted(p.name for p in folder.iterdir()) == ["manifest.json", "sub"]
+        assert sorted(os.listdir(tmp_path)) == ["arch", "arch.snnplace-old", "folder"]
 
 
 class TestCorruption:
