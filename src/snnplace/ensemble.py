@@ -11,13 +11,15 @@ threshold responds to places far outside its own region and is flagged
 hyperactive; flagged neurons are ignored when queries are matched.
 
 Replaying the reference set and answering queries are one computation:
-each image is encoded once and the train is fanned out to every expert;
-all experts start from rest and step in lockstep through one network
-(``collect_expert_responses``).  Batches run in parallel over contiguous
-image chunks, so results never depend on the worker count.  Each place's
-score is the summed response of the non-hyperactive neurons assigned to
-it, and the ranking is the descending score order (ties toward the lowest
-place id).
+each image is encoded once and binned to simulation steps, and blocks of
+images are fanned out to every expert; all (image, expert) pairs start from
+rest and step in lockstep through one network (``expert_respond``).  A
+block holds ``max(1, BLOCK_STATE // (N * K))`` images, so its state stays
+small; at paper scale it is one image.  Batches run in parallel over
+contiguous image chunks, so results never depend on the worker count or
+the block size.  Each place's score is the summed response of the
+non-hyperactive neurons assigned to it, and the ranking is the descending
+score order (ties toward the lowest place id).
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ from .imaging import (
     derive_seed,
     poisson_encode,
 )
-from .network import SimulationParams
+from .network import SimulationParams, bin_train
+
+# State elements (images x experts x neurons) one inference block may hold.
+BLOCK_STATE = 20_000
 
 
 @dataclass(frozen=True)
@@ -266,12 +271,8 @@ def fuse_scores(
 
 
 def collect_expert_responses(model: EnsembleModel, train: SpikeTrain) -> np.ndarray:
-    """Present one train to every expert; rows are per-expert counts.
-
-    The only place where frozen experts run: matching, query batches and
-    the reference replay all come through here.
-    """
-    return expert_respond(model.experts, train, model.sim, model.encoding)
+    """Present one train to every expert, as a block of one; rows are per-expert counts."""
+    return expert_respond(model.experts, [train], model.sim, model.encoding)[0]
 
 
 def match_spike_train(model: EnsembleModel, train: SpikeTrain) -> MatchResult:
@@ -293,22 +294,30 @@ def match_query(model: EnsembleModel, query_unit: np.ndarray, query_id: int = 0)
 
 
 def _image_responses(model: EnsembleModel, images: np.ndarray, stream: int, first_id: int):
-    """Yield each image's (n_experts, K) responses, encoding it once.
+    """Yield the (B, n_experts, K) responses of each block of images.
 
-    Image k is encoded with derive_seed(global_seed, stream, first_id + k),
-    so a chunk reproduces exactly the trains of the whole batch.
+    Image k is encoded once, with derive_seed(global_seed, stream, first_id
+    + k), so a chunk reproduces exactly the trains of the whole batch.  Each
+    train is binned as soon as it is drawn, and only the binned form waits
+    for its block.
     """
-    for k, image in enumerate(images):
-        seed = derive_seed(model.global_seed, stream, first_id + k)
-        yield collect_expert_responses(model, poisson_encode(image, model.encoding, seed))
+    block = max(1, BLOCK_STATE // (len(model.experts) * model.experts[0].n_excitatory))
+    for start in range(0, len(images), block):
+        trains = [
+            bin_train(poisson_encode(
+                image, model.encoding, derive_seed(model.global_seed, stream, first_id + k)
+            ), model.sim.dt_ms)
+            for k, image in enumerate(images[start:start + block], start)
+        ]
+        yield expert_respond(model.experts, trains, model.sim, model.encoding)
 
 
 def _chunk_rows(args) -> np.ndarray:
-    return np.stack(list(_image_responses(*args)))
+    return np.concatenate(list(_image_responses(*args)))
 
 
 def _chunk_totals(args) -> np.ndarray:
-    return sum(_image_responses(*args))
+    return sum(rows.sum(axis=0) for rows in _image_responses(*args))
 
 
 def _ordered_map(fn, jobs: list, workers: int) -> list:
@@ -344,6 +353,6 @@ def collect_query_responses(
     from the cache without re-simulating.
     """
     if queries.shape[0] == 0:
-        return np.zeros((0, len(model.experts), 0), dtype=np.int64)
+        return np.zeros((0, len(model.experts), model.experts[0].n_excitatory), dtype=np.int64)
     parts = _map_image_chunks(_chunk_rows, model, queries, STREAM_QUERY, query_id_base, workers)
     return np.concatenate(parts)

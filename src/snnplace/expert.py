@@ -24,6 +24,7 @@ from .imaging import (
     derive_seed,
 )
 from .network import (
+    BinnedTrain,
     ExpertNetwork,
     SimulationParams,
     SynapseMatrix,
@@ -187,22 +188,23 @@ def assign_neurons(spike_counts: np.ndarray) -> np.ndarray:
 
 def expert_respond(
     experts: list[ExpertModel],
-    query: SpikeTrain,
+    trains: list[SpikeTrain | BinnedTrain],
     sim: SimulationParams,
     encoding: EncodingConfig,
 ) -> np.ndarray:
-    """Per-neuron spike counts of frozen experts for one query train: (N, K).
+    """Per-neuron spike counts of frozen experts for a block of B trains: (B, N, K).
 
-    All experts run in lockstep in one network whose weights are stacked as
-    (inputs, N, K), in their stored float32, and whose state is (N, K).
-    Each starts from the canonical rest state with plasticity and threshold
-    adaptation frozen, so row i equals what ``experts[i].build_network``
-    answers alone and depends only on (expert, query).
+    All experts run in lockstep on all trains in one network whose weights
+    are stacked once per block as (inputs, N, K), in their stored float32,
+    and whose state is (B, N, K).  Each (train, expert) pair starts from the
+    canonical rest state with plasticity and threshold adaptation frozen, so
+    row [b, i] equals what ``experts[i].build_network`` answers to
+    ``trains[b]`` alone and depends on nothing else.
     """
     syn = SynapseMatrix(np.stack([ex.weights for ex in experts], axis=1))
     theta = np.stack([ex.theta for ex in experts])
-    net = ExpertNetwork(syn, sim, encoding, theta=theta)
-    return net.present(query, learn=False, run_rest=False)
+    net = ExpertNetwork(syn, sim, encoding, theta=theta, images=len(trains))
+    return net.present(list(trains), learn=False, run_rest=False)
 
 
 def query_seed(global_seed: int, query_id: int) -> int:

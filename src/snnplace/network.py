@@ -16,10 +16,11 @@ postsynaptic spike moves each afferent weight by
 clamped to [0, w_max].  Excitatory thresholds are homeostatic: each spike
 raises an adaptive offset that otherwise decays very slowly.
 
-Frozen experts can run in lockstep: with weights stacked as (inputs, N, K),
-every state array takes the shape (N, K) and one step loop advances all N
-experts, each with its own winner-take-all circuit.  Learning runs one
-expert at a time.
+Frozen experts can run in lockstep on a block of images: with weights
+stacked as (inputs, N, K) and B images, every state array takes the shape
+(B, N, K) and one step loop advances all N experts on all B images, each
+(image, expert) pair with its own winner-take-all circuit.  Learning runs
+one expert on one train at a time.
 
 There is no randomness anywhere in this module; all stochasticity lives in
 the spike encoder.  One network instance is single-threaded mutable state,
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,7 +180,12 @@ class SimulationParams:
 
 
 class LayerState:
-    """Per-neuron dynamic variables of one layer, shaped (K,) or (N experts, K)."""
+    """Per-neuron dynamic variables of one layer.
+
+    Shaped (K,) for one expert, or (B images, N experts, K) for frozen
+    experts answering a block; a frozen ``theta`` may be (N, K) and
+    broadcast over the images.
+    """
 
     __slots__ = ("v", "g_e", "g_i", "theta", "refractory")
 
@@ -207,7 +214,7 @@ class SynapseMatrix:
 
     ``w`` is (inputs, K), or (inputs, N, K) for frozen experts in lockstep.
     Float32 weights stay float32 (frozen experts); anything else becomes
-    float64.
+    float64.  Only learning reads or writes ``pre_trace``.
     """
 
     __slots__ = ("w", "pre_trace")
@@ -264,22 +271,66 @@ def lif_step(
     return spiked
 
 
-def apply_input_spikes(state: LayerState, syn: SynapseMatrix, indices: np.ndarray) -> None:
-    """Deliver input spikes: bump excitatory conductance and presynaptic traces."""
-    if len(indices) == 0:
-        return
-    indices = np.asarray(indices)
-    if indices.min() < 0 or indices.max() >= syn.w.shape[0]:
+class BinnedTrain(NamedTuple):
+    """One spike train binned to simulation steps (``bin_train``)."""
+
+    indices: np.ndarray  # input ids in step order, int32 to halve a waiting block
+    offsets: np.ndarray  # step t's spikes are indices[offsets[t]:offsets[t + 1]]
+
+
+def bin_train(train: SpikeTrain | BinnedTrain, dt_ms: float) -> BinnedTrain:
+    """Bin a train's spike times to steps of ``dt_ms``; a binned train passes through."""
+    if isinstance(train, BinnedTrain):
+        return train
+    n_pres = int(round(train.duration_ms / dt_ms))
+    steps = np.minimum((train.times / dt_ms).astype(np.int64), max(n_pres - 1, 0))
+    offsets = np.zeros(n_pres + 1, dtype=np.int64)
+    np.cumsum(np.bincount(steps, minlength=n_pres), out=offsets[1:])
+    indices = train.indices[np.argsort(steps, kind="stable")].astype(np.int32)
+    return BinnedTrain(indices, offsets)
+
+
+def _check_indices(indices: np.ndarray, n_inputs: int) -> None:
+    if len(indices) and (indices.min() < 0 or indices.max() >= n_inputs):
         raise AssertionError("input spike index out of range: wiring bug")
-    rows = syn.w[indices]
+
+
+def _summed_rows(rows: np.ndarray) -> np.ndarray:
+    """Gathered weight rows summed over the spike axis, as one expert alone sums them."""
     if rows.ndim == 3 and rows.shape[-1] == 1:
         # numpy sums one expert's lone (m, 1) column pairwise but a stack's rows
         # one by one; laying the stack's columns out contiguously sums each
         # pairwise too, so every expert gets the conductance it gets alone.
         rows = np.asfortranarray(rows)
     # Summing float32 rows in float64 equals summing their float64 copies, bit for bit.
-    state.g_e += rows.sum(axis=0, dtype=np.float64)
-    np.add.at(syn.pre_trace, indices, 1.0)
+    return rows.sum(axis=0, dtype=np.float64)
+
+
+def apply_input_spikes(
+    state: LayerState, syn: SynapseMatrix, indices: np.ndarray, splits=None
+) -> None:
+    """Deliver one step's input spikes to the excitatory conductance.
+
+    Learning passes one train's spikes and no ``splits``: they are checked
+    against the input count and also bump the presynaptic traces that STDP
+    reads.  Frozen inference passes a block: image b's spikes are
+    ``indices[splits[b]:splits[b + 1]]`` and drive ``state.g_e[b]`` (a
+    state without an image axis is a block of one).  ``present`` checked
+    those indices once for the whole train, and the traces stay untouched.
+    """
+    if splits is None:
+        if len(indices) == 0:
+            return
+        indices = np.asarray(indices)
+        _check_indices(indices, syn.w.shape[0])
+        state.g_e += _summed_rows(syn.w[indices])
+        np.add.at(syn.pre_trace, indices, 1.0)
+        return
+    g_e = state.g_e if state.g_e.ndim == syn.w.ndim else state.g_e[None]
+    for b in range(len(splits) - 1):
+        lo, hi = splits[b], splits[b + 1]
+        if hi > lo:
+            g_e[b] += _summed_rows(syn.w[indices[lo:hi]])
 
 
 def apply_lateral_inhibition(
@@ -337,43 +388,62 @@ class ExpertNetwork:
         params: SimulationParams,
         encoding: EncodingConfig,
         theta: np.ndarray | None = None,
+        images: int | None = None,
     ):
+        """``images`` gives the state a leading axis: frozen inference of a block."""
         params.validate()
         encoding.validate()
         self.syn = syn
         self.params = params
         self.encoding = encoding
-        shape = syn.w.shape[1:]
+        shape = syn.w.shape[1:] if images is None else (images,) + syn.w.shape[1:]
         self.exc = LayerState.resting(shape, params.lif_exc, theta)
         self.inh = LayerState.resting(shape, params.lif_inh)
 
-    def present(self, train: SpikeTrain, learn: bool, run_rest: bool = True) -> np.ndarray:
+    def present(self, train, learn: bool, run_rest: bool = True) -> np.ndarray:
         """Simulate one presentation; return per-neuron excitatory spike counts.
 
-        Counts cover the presentation window only; the optional rest window
-        just lets the dynamic variables relax.  In learn mode the plasticity
-        rule fires on every postsynaptic spike and the adaptive threshold
-        evolves; otherwise both are frozen.
+        ``train`` is a ``SpikeTrain`` or ``BinnedTrain``; frozen inference
+        also takes a list of them, one per image of the network's block, and
+        steps them all together.  Counts cover the presentation window only;
+        the optional rest window just lets the dynamic variables relax.  In
+        learn mode the plasticity rule fires on every postsynaptic spike and
+        the adaptive threshold evolves; otherwise both are frozen.
         """
         p = self.params
         dt = p.dt_ms
-        n_pres = int(round(train.duration_ms / dt))
+        trains = [bin_train(t, dt) for t in (train if isinstance(train, list) else [train])]
+        n_img = len(trains)
+        n_pres = len(trains[0].offsets) - 1
         n_rest = int(round(self.encoding.rest_ms / dt)) if run_rest else 0
-        # Bin spike times once: offsets[t]..offsets[t+1] index step t's spikes.
-        steps = np.minimum((train.times / dt).astype(np.int64), max(n_pres - 1, 0))
-        order = np.argsort(steps, kind="stable")
-        spike_idx = train.indices[order]
-        offsets = np.zeros(n_pres + 1, dtype=np.int64)
-        np.cumsum(np.bincount(steps, minlength=n_pres), out=offsets[1:])
+        spike_idx, offsets = trains[0]
+        if n_img > 1:
+            # Interleave step-major: image b's step-t spikes become run t * n_img + b.
+            runs = np.stack([np.diff(tr.offsets) for tr in trains], axis=1).ravel()
+            offsets = np.zeros(runs.size + 1, dtype=np.int64)
+            np.cumsum(runs, out=offsets[1:])
+            spike_idx = np.empty(offsets[-1], dtype=np.int32)
+            for b, tr in enumerate(trains):
+                shift = np.repeat(offsets[b:-1:n_img] - tr.offsets[:-1], np.diff(tr.offsets))
+                spike_idx[shift + np.arange(shift.size)] = tr.indices
+        if not learn:
+            _check_indices(spike_idx, self.syn.w.shape[0])
 
         homeo = p.homeostasis if learn else None
         trace_decay = math.exp(-dt / p.stdp.trace_tau_ms)
         counts = np.zeros(self.exc.v.shape, dtype=np.int64)
         for t in range(n_pres + n_rest):
             if t < n_pres:
-                lo, hi = offsets[t], offsets[t + 1]
-                if hi > lo:
-                    apply_input_spikes(self.exc, self.syn, spike_idx[lo:hi])
+                first, last = t * n_img, (t + 1) * n_img
+                if offsets[last] > offsets[first]:
+                    if learn:
+                        apply_input_spikes(
+                            self.exc, self.syn, spike_idx[offsets[first]:offsets[last]]
+                        )
+                    else:
+                        apply_input_spikes(
+                            self.exc, self.syn, spike_idx, offsets[first:last + 1]
+                        )
             exc_spiked = lif_step(self.exc, p.lif_exc, dt, homeo)
             fired = exc_spiked.any()
             if fired and learn:

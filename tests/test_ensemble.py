@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snnplace import ensemble
 from snnplace.ensemble import (
     EnsembleModel,
     apply_threshold,
@@ -25,6 +26,7 @@ from snnplace.ensemble import (
 from snnplace.errors import ConfigError, StateError
 from snnplace.expert import UNASSIGNED, ExpertModel, expert_respond, query_seed
 from snnplace.imaging import STREAM_REFERENCE, PatchNormConfig, derive_seed, poisson_encode
+from snnplace.metrics import neuron_precision_analysis
 from snnplace.synthetic import make_textures, synthetic_ensemble
 from tests.conftest import (
     handmade_ensemble,
@@ -409,7 +411,7 @@ class TestLockstep:
             for i in range(n_experts)
         ]
         train = poisson_encode(rng.uniform(size=(4, 4)), encoding, seed)
-        rows = expert_respond(experts, train, sim, encoding)
+        rows = expert_respond(experts, [train], sim, encoding)[0]
         assert rows.shape == (n_experts, n_excitatory)
         for row, expert in zip(rows, experts):
             alone = expert.build_network(sim, encoding)
@@ -417,15 +419,92 @@ class TestLockstep:
 
     def test_replay_holds_no_float64_copy_of_the_weights(self):
         model = synthetic_ensemble(4, n_excitatory=400, seed=0)
-        train = poisson_encode(make_textures(1, (28, 28), 5)[0], model.encoding, 1)
+        images = make_textures(12, (28, 28), 5)
+        train = poisson_encode(images[0], model.encoding, 1)
         one_float64_copy = sum(ex.weights.size for ex in model.experts) * 8
-        tracemalloc.start()
-        try:
-            collect_expert_responses(model, train)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < one_float64_copy
+        assert ensemble.BLOCK_STATE // (4 * 400) == len(images)   # one block of 12
+        for respond in (lambda: collect_expert_responses(model, train),
+                        lambda: collect_query_responses(model, images)):
+            tracemalloc.start()
+            try:
+                respond()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < one_float64_copy
+
+
+class TestBlocks:
+    """A block of trains answers each train as if it were alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_images=st.integers(1, 5),
+        n_experts=st.integers(1, 4),
+        n_excitatory=st.integers(1, 20),
+        wide_weights=st.booleans(),
+        max_rate_hz=st.floats(20.0, 600.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_rows_equal_each_train_alone(
+        self, n_images, n_experts, n_excitatory, wide_weights, max_rate_hz, seed
+    ):
+        rng = np.random.default_rng(seed)
+        sim = tiny_sim()
+        encoding = tiny_encoding(presentation_ms=100.0, max_rate_hz=max_rate_hz)
+        shape = (64, n_excitatory)
+        experts = [
+            ExpertModel(
+                # wide weights span 60 binades, so float64 sums depend on their order
+                weights=(2.0 ** rng.uniform(-60, 1, size=shape) if wide_weights
+                         else rng.uniform(0.0, 1.0, size=shape)).astype(np.float32),
+                theta=rng.uniform(0.01, 5.0, size=n_excitatory),
+                assignments=np.zeros(n_excitatory, dtype=np.int64),
+                global_start=i,
+                n_places=1,
+            )
+            for i in range(n_experts)
+        ]
+        trains = [
+            poisson_encode(rng.uniform(size=(8, 8)), encoding, seed + b) for b in range(n_images)
+        ]
+        rows = expert_respond(experts, trains, sim, encoding)
+        assert rows.shape == (n_images, n_experts, n_excitatory)
+        for row, train in zip(rows, trains):
+            np.testing.assert_array_equal(row, expert_respond(experts, [train], sim, encoding)[0])
+            for counts, expert in zip(row, experts):
+                alone = expert.build_network(sim, encoding)
+                np.testing.assert_array_equal(
+                    counts, alone.present(train, learn=False, run_rest=False)
+                )
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        model = synthetic_ensemble(2, n_excitatory=30, places_per_expert=5, seed=3)
+        reference = make_textures(10, (28, 28), 6)[None]
+        queries = make_textures(7, (28, 28), 7)
+        respond = ensemble.expert_respond
+        results = {}
+        for block_state in (1, 10**9):
+            blocks = []
+            monkeypatch.setattr(ensemble, "BLOCK_STATE", block_state)
+            monkeypatch.setattr(
+                ensemble, "expert_respond",
+                lambda experts, trains, *args: blocks.append(len(trains)) or respond(experts, trains, *args),
+            )
+            detect_hyperactive(model, reference, None)
+            rows = collect_query_responses(model, queries, query_id_base=4)
+            results[block_state] = ([ex.reference_totals for ex in model.experts], rows, blocks)
+        (totals_1, rows_1, blocks_1), (totals_all, rows_all, blocks_all) = results.values()
+        assert blocks_1 == [1] * 17 and blocks_all == [10, 7]
+        np.testing.assert_array_equal(totals_1, totals_all)
+        np.testing.assert_array_equal(rows_1, rows_all)
+
+    def test_zero_queries_keep_the_neuron_axis(self):
+        model = synthetic_ensemble(2, n_excitatory=30, places_per_expert=5)
+        rows = collect_query_responses(model, np.zeros((0, 28, 28)))
+        assert rows.shape == (0, 2, 30)
+        records, _ = neuron_precision_analysis(model, rows, np.zeros(0, dtype=np.int64))
+        assert records == []
 
 
 class TestBenchmark:

@@ -132,7 +132,7 @@ class TestRespond:
     def test_empty_query_yields_zeros(self, two_pattern_expert):
         model, _, _ = two_pattern_expert
         train = poisson_encode(np.zeros((8, 8)), tiny_encoding(), seed=0)
-        counts = expert_respond([model], train, tiny_sim(), tiny_encoding())[0]
+        counts = expert_respond([model], [train], tiny_sim(), tiny_encoding())[0, 0]
         assert not counts.any()
 
     def test_training_image_matches_its_own_place(self, two_pattern_expert):
@@ -141,7 +141,7 @@ class TestRespond:
             train = poisson_encode(
                 images[0, place], tiny_encoding(), derive_seed(99, STREAM_QUERY, place)
             )
-            counts = expert_respond([model], train, tiny_sim(), tiny_encoding())[0]
+            counts = expert_respond([model], [train], tiny_sim(), tiny_encoding())[0, 0]
             scores = [
                 counts[model.assignments == candidate].sum() for candidate in (0, 1)
             ]
@@ -150,6 +150,6 @@ class TestRespond:
     def test_identical_query_identical_counts(self, two_pattern_expert):
         model, _, images = two_pattern_expert
         train = poisson_encode(images[0, 0], tiny_encoding(), seed=123)
-        first = expert_respond([model], train, tiny_sim(), tiny_encoding())[0]
-        second = expert_respond([model], train, tiny_sim(), tiny_encoding())[0]
+        first = expert_respond([model], [train], tiny_sim(), tiny_encoding())[0, 0]
+        second = expert_respond([model], [train], tiny_sim(), tiny_encoding())[0, 0]
         np.testing.assert_array_equal(first, second)

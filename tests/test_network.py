@@ -177,6 +177,29 @@ class TestInputDelivery:
         with pytest.raises(AssertionError):
             apply_input_spikes(state, syn, np.array([4]))
 
+    def test_block_images_each_get_their_own_conductance(self):
+        # A block delivers every image's step spikes in one call; each
+        # (image, expert) cell must get what that expert alone gets from
+        # that image's spikes, with weights spanning 60 binades.
+        rng = np.random.default_rng(7)
+        for n_images in (1, 3):
+            for n_experts in (1, 2, 3):
+                for k in (1, 2, 7):
+                    w = (2.0 ** rng.uniform(-60, 1, size=(50, n_experts, k))).astype(np.float32)
+                    per_image = [rng.integers(0, 50, size=m)
+                                 for m in rng.choice([0, 1, 8, 9, 40, 200], size=n_images)]
+                    splits = np.concatenate([[0], np.cumsum([len(i) for i in per_image])])
+                    start = rng.uniform(size=(n_images, n_experts, k))
+                    block = fresh_state(n=(n_images, n_experts, k), g_e=start)
+                    syn = SynapseMatrix(w)
+                    apply_input_spikes(block, syn, np.concatenate(per_image), splits.tolist())
+                    assert not syn.pre_trace.any()
+                    for b, idx in enumerate(per_image):
+                        for i in range(n_experts):
+                            alone = fresh_state(n=k, g_e=start[b, i])
+                            apply_input_spikes(alone, SynapseMatrix(w[:, i].astype(np.float64)), idx)
+                            np.testing.assert_array_equal(block.g_e[b, i], alone.g_e)
+
 
 class TestLateralInhibition:
     def setup_method(self):
@@ -331,6 +354,22 @@ class TestPresentation:
         net = ExpertNetwork(SynapseMatrix(np.full((4, 2), 0.3)), tiny_sim(), enc_retry)
         counts = net.present_with_retry(np.zeros((2, 2)), (0,), learn=False)
         assert not counts.any()
+
+    def test_inference_leaves_the_presynaptic_traces_alone(self):
+        rng = np.random.default_rng(8)
+        train = poisson_encode(rng.uniform(size=(8, 8)), tiny_encoding(), seed=13)
+        net = ExpertNetwork(SynapseMatrix(rng.uniform(0, 0.5, size=(64, 6))), tiny_sim(), tiny_encoding())
+        net.present(train, learn=False)
+        assert len(train) > 0 and not net.syn.pre_trace.any()
+
+    def test_out_of_range_index_in_an_inference_train_is_internal_error(self):
+        good = SpikeTrain(np.array([0.1]), np.array([3], dtype=np.int64), 4, 350.0)
+        bad = SpikeTrain(np.array([0.1, 200.0]), np.array([1, 4], dtype=np.int64), 5, 350.0)
+        syn = SynapseMatrix(np.full((4, 2), 0.5, dtype=np.float32))
+        with pytest.raises(AssertionError):
+            ExpertNetwork(syn, tiny_sim(), tiny_encoding()).present(bad, learn=False)
+        with pytest.raises(AssertionError):
+            ExpertNetwork(syn, tiny_sim(), tiny_encoding(), images=2).present([good, bad], learn=False)
 
     def test_learning_changes_weights_inference_does_not(self):
         rng = np.random.default_rng(4)
