@@ -486,11 +486,13 @@ class TestBlocks:
         results = {}
         for block_state in (1, 10**9):
             blocks = []
+
+            def counting_respond(experts, trains, *args):
+                blocks.append(len(trains))
+                return respond(experts, trains, *args)
+
             monkeypatch.setattr(ensemble, "BLOCK_STATE", block_state)
-            monkeypatch.setattr(
-                ensemble, "expert_respond",
-                lambda experts, trains, *args: blocks.append(len(trains)) or respond(experts, trains, *args),
-            )
+            monkeypatch.setattr(ensemble, "expert_respond", counting_respond)
             detect_hyperactive(model, reference, None)
             rows = collect_query_responses(model, queries, query_id_base=4)
             results[block_state] = ([ex.reference_totals for ex in model.experts], rows, blocks)
