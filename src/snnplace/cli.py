@@ -150,9 +150,6 @@ def cmd_train(args) -> int:
     )
     elapsed = time.perf_counter() - tick
     store.save_ensemble(model, args.out, overwrite=args.force)
-    for index, seconds in enumerate(model.train_seconds):
-        start, stop = partition.ranges[index]
-        print(f"  expert {index:4d} (places {start}..{stop - 1}): {seconds:.1f}s")
     print(f"trained {partition.n_regions} experts in {elapsed:.1f}s; archive: {args.out}")
     return 0
 

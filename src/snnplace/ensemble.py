@@ -2,8 +2,10 @@
 
 The reference place set is cut into contiguous, non-overlapping regions of
 ``places_per_expert`` places (the last region may be short).  One expert is
-trained per region; experts share no state, so training jobs are
-embarrassingly parallel and results are identical for any worker count.
+trained per region; experts share no state, so each worker trains a
+contiguous chunk of them, in groups that step through every presentation
+together (``train_experts``), and results are identical for any worker
+count or group size.
 
 After training, every expert is shown the *entire* reference set in
 inference mode.  A neuron whose cumulative spike count reaches the
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import numbers
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -40,7 +41,8 @@ from .expert import (
     RegionData,
     expert_respond,
     query_seed,
-    train_expert,
+    train_expert,  # noqa: F401  (bench/tracing.py looks up and wraps this name)
+    train_experts,
 )
 from .imaging import (
     STREAM_QUERY,
@@ -95,7 +97,6 @@ class EnsembleModel:
     regularized: bool = False            # reference totals computed
     expert_config: ExpertConfig | None = None
     dataset_fingerprints: dict = field(default_factory=dict)
-    train_seconds: list = field(default_factory=list)  # per expert; not persisted
 
     def validate_tiling(self) -> None:
         expected = 0
@@ -136,10 +137,8 @@ class MatchResult:
         return float(self.scores[0])
 
 
-def _train_one(job) -> tuple[ExpertModel, float]:
-    tick = time.perf_counter()
-    model, _ = train_expert(*job)
-    return model, time.perf_counter() - tick
+def _train_chunk(job) -> list[ExpertModel]:
+    return [model for model, _ in train_experts(*job)]
 
 
 def train_ensemble(
@@ -157,30 +156,31 @@ def train_ensemble(
 
     ``reference`` holds the encoder-ready reference images with shape
     (n_traverses, place_count, H, W).  Each expert derives its own seed
-    from (global_seed, region index), so serial and parallel runs are
+    from (global_seed, region index), and workers train contiguous chunks
+    of experts in groups, so serial, parallel and grouped runs are
     bit-identical.
     """
     n_trav, place_count = reference.shape[0], reference.shape[1]
     if partition.ranges[-1][1] != place_count:
         raise ConfigError("partition does not match the reference place count")
 
-    jobs = []
+    regions, cfgs = [], []
     for index, (start, stop) in enumerate(partition.ranges):
-        region = RegionData(
+        regions.append(RegionData(
             images=reference[:, start:stop],
             image_ids=np.arange(n_trav)[:, None] * place_count + np.arange(start, stop),
             global_start=start,
-        )
-        cfg = replace(
+        ))
+        cfgs.append(replace(
             expert_cfg,
             places_per_expert=partition.places_per_expert,
             seed=derive_seed(global_seed, index),
-        )
-        jobs.append((region, cfg, sim, encoding))
-    trained = _ordered_map(_train_one, jobs, workers)
+        ))
+    jobs = [(regions[part], cfgs[part], sim, encoding) for part in _chunks(len(regions), workers)]
+    experts = [expert for part in _ordered_map(_train_chunk, jobs, workers) for expert in part]
 
     model = EnsembleModel(
-        experts=[expert for expert, _ in trained],
+        experts=experts,
         place_count=place_count,
         sim=sim,
         encoding=encoding,
@@ -189,7 +189,6 @@ def train_ensemble(
         global_seed=global_seed,
         expert_config=expert_cfg,
         dataset_fingerprints=dataset_fingerprints or {},
-        train_seconds=[seconds for _, seconds in trained],
     )
     model.validate_tiling()
     return model
@@ -328,12 +327,17 @@ def _ordered_map(fn, jobs: list, workers: int) -> list:
     return [fn(job) for job in jobs]
 
 
+def _chunks(n: int, workers: int) -> list[slice]:
+    """ceil(n / workers)-sized contiguous slices that cover range(n) in order."""
+    size = max(1, -(-n // max(workers, 1)))
+    return [slice(s, s + size) for s in range(0, n, size)]
+
+
 def _map_image_chunks(reduce_chunk, model, images, stream, first_id, workers) -> list:
     """Apply ``reduce_chunk`` to ceil(n / workers) contiguous image chunks, in order."""
-    chunk = max(1, -(-images.shape[0] // max(workers, 1)))
     jobs = [
-        (model, images[s:s + chunk], stream, first_id + s)
-        for s in range(0, images.shape[0], chunk)
+        (model, images[part], stream, first_id + part.start)
+        for part in _chunks(images.shape[0], workers)
     ]
     return _ordered_map(reduce_chunk, jobs, workers)
 

@@ -6,11 +6,15 @@ with plasticity on, records per-neuron spike counts over the trailing
 epochs, and then freezes the weights and adaptive thresholds.  Each neuron
 is afterwards assigned to the place it responded to most; neurons that
 never fired stay unassigned and are excluded from matching.
+
+Experts with the same region shape and schedule learn in groups that share
+one step loop (``train_experts``); each ends bit for bit as it would alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,11 +32,13 @@ from .network import (
     ExpertNetwork,
     SimulationParams,
     SynapseMatrix,
-    init_weights,
     normalize_columns,
 )
 
 UNASSIGNED = -1
+
+# Experts one learning group may hold: 32 x 785 x 400 float64 weights are 80 MB.
+GROUP_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -133,45 +139,89 @@ def train_expert(
     table S[e, l] sums neuron e's spike counts on place l over the trailing
     ``record_last_epochs`` epochs (recording piggybacks on training).
     """
-    cfg.validate()
-    if region.n_places == 0 or region.images.shape[0] == 0:
-        raise ConfigError("expert region has no reference images")
-    if region.images.shape[2] * region.images.shape[3] != cfg.n_inputs:
-        raise ConfigError(
-            f"image size {region.images.shape[2]}x{region.images.shape[3]} "
-            f"does not match n_inputs={cfg.n_inputs}"
-        )
+    return train_experts([region], [cfg], sim, encoding)[0]
 
-    weights = init_weights(
-        cfg.n_inputs, cfg.n_excitatory,
-        derive_seed(cfg.seed, STREAM_WEIGHT_INIT),
-        sim.weight_init_max,
-    )
-    net = ExpertNetwork(SynapseMatrix(weights), sim, encoding)
-    spike_counts = np.zeros((cfg.n_excitatory, region.n_places), dtype=np.int64)
+
+def train_experts(
+    regions: list[RegionData],
+    cfgs: list[ExpertConfig],
+    sim: SimulationParams,
+    encoding: EncodingConfig,
+) -> list[tuple[ExpertModel, np.ndarray]]:
+    """Train every region's expert; each result equals ``train_expert``'s alone.
+
+    Consecutive experts with the same region shape and schedule learn in
+    groups of up to ``GROUP_SIZE`` (one-neuron experts alone) that step
+    through each presentation together.
+    """
+    def schedule(member):
+        region, cfg = member
+        return region.images.shape, replace(cfg, seed=0)
+
+    results = []
+    for _, run in itertools.groupby(zip(regions, cfgs), key=schedule):
+        run = list(run)
+        size = GROUP_SIZE if run[0][1].n_excitatory > 1 else 1
+        for start in range(0, len(run), size):
+            results += _train_group(run[start:start + size], sim, encoding)
+    return results
+
+
+def normalize_group(w: np.ndarray, n_inputs: int, sim: SimulationParams) -> None:
+    """Normalize each expert of a (G, inputs + 1, K) stack on its own matrix.
+
+    Each expert's contiguous (inputs, K) view sums its columns exactly as
+    the expert alone does; a call on the 3-D stack or on strided views
+    sums them in another order.
+    """
+    for member in w:
+        normalize_columns(member[:n_inputs], sim.weight_norm_target, sim.stdp.w_max)
+
+
+def _train_group(
+    members: list[tuple[RegionData, ExpertConfig]], sim: SimulationParams, encoding: EncodingConfig
+) -> list[tuple[ExpertModel, np.ndarray]]:
+    """Train experts of one region shape and schedule through one step loop."""
+    for region, cfg in members:
+        cfg.validate()
+        if region.n_places == 0 or region.images.shape[0] == 0:
+            raise ConfigError("expert region has no reference images")
+        if region.images.shape[2] * region.images.shape[3] != cfg.n_inputs:
+            raise ConfigError(
+                f"image size {region.images.shape[2]}x{region.images.shape[3]} "
+                f"does not match n_inputs={cfg.n_inputs}"
+            )
+    cfg = members[0][1]  # the schedule every member shares
+    places, traverses = members[0][0].n_places, members[0][0].n_traverses
+    seeds = [derive_seed(c.seed, STREAM_WEIGHT_INIT) for _, c in members]
+    net = ExpertNetwork.learning_group(cfg.n_inputs, cfg.n_excitatory, seeds, sim, encoding)
+    tables = np.zeros((len(members), cfg.n_excitatory, places), dtype=np.int64)
     record_from = cfg.epochs - cfg.record_last_epochs
 
     for epoch in range(cfg.epochs):
-        for place in range(region.n_places):
-            for traverse in range(region.n_traverses):
+        for place in range(places):
+            for traverse in range(traverses):
                 counts = net.present_with_retry(
-                    region.images[traverse, place],
-                    (cfg.seed, STREAM_TRAINING, epoch, int(region.image_ids[traverse, place])),
+                    [region.images[traverse, place] for region, _ in members],
+                    [(c.seed, STREAM_TRAINING, epoch, int(region.image_ids[traverse, place]))
+                     for region, c in members],
                     learn=True,
                 )
                 if sim.weight_norm_enabled:
-                    normalize_columns(net.syn.w, sim.weight_norm_target, sim.stdp.w_max)
+                    normalize_group(net.syn.w, cfg.n_inputs, sim)
                 if epoch >= record_from:
-                    spike_counts[:, place] += counts
+                    tables[:, :, place] += counts
 
-    model = ExpertModel(
-        weights=net.syn.w.astype(np.float32),
-        theta=net.exc.theta.copy(),
-        assignments=assign_neurons(spike_counts),
-        global_start=region.global_start,
-        n_places=region.n_places,
-    )
-    return model, spike_counts
+    return [
+        (ExpertModel(
+            weights=net.syn.w[g, :cfg.n_inputs].astype(np.float32),
+            theta=net.exc.theta[g].copy(),
+            assignments=assign_neurons(tables[g]),
+            global_start=region.global_start,
+            n_places=region.n_places,
+        ), tables[g])
+        for g, (region, _) in enumerate(members)
+    ]
 
 
 def assign_neurons(spike_counts: np.ndarray) -> np.ndarray:

@@ -16,11 +16,16 @@ postsynaptic spike moves each afferent weight by
 clamped to [0, w_max].  Excitatory thresholds are homeostatic: each spike
 raises an adaptive offset that otherwise decays very slowly.
 
-Frozen experts can run in lockstep on a block of images: with weights
-stacked as (inputs, N, K) and B images, every state array takes the shape
-(B, N, K) and one step loop advances all N experts on all B images, each
-(image, expert) pair with its own winner-take-all circuit.  Learning runs
-one expert on one train at a time.
+Experts that share nothing can share one step loop.  A learning group of
+G experts stacks its weights as (G, inputs + 1, K), each with an all-zero
+pad row, and its state as (G, K): every step delivers one padded block of
+spike indices, one per expert, and STDP acts on the spiking (expert,
+column) pairs; each expert ends bit for bit where it would alone.  One
+expert learns as a group of one.  Frozen experts run in lockstep on a
+block of images: with weights stacked as (inputs, N, K) and B images,
+every state array takes the shape (B, N, K) and one step loop advances all
+N experts on all B images, each (image, expert) pair with its own
+winner-take-all circuit.
 
 There is no randomness anywhere in this module; all stochasticity lives in
 the spike encoder.  One network instance is single-threaded mutable state,
@@ -29,6 +34,7 @@ but distinct instances share nothing and may run fully in parallel.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -182,9 +188,10 @@ class SimulationParams:
 class LayerState:
     """Per-neuron dynamic variables of one layer.
 
-    Shaped (K,) for one expert, or (B images, N experts, K) for frozen
-    experts answering a block; a frozen ``theta`` may be (N, K) and
-    broadcast over the images.
+    Shaped (K,) for one expert, (G, K) for a learning group, or (B images,
+    N experts, K) for frozen experts answering a block; a frozen ``theta``
+    may be (N, K) and broadcast over the images.  Indexing gives a state
+    of views into this one.
     """
 
     __slots__ = ("v", "g_e", "g_i", "theta", "refractory")
@@ -208,13 +215,20 @@ class LayerState:
             refractory=np.zeros(shape, dtype=np.float64),
         )
 
+    def __getitem__(self, key) -> "LayerState":
+        return LayerState(*(getattr(self, name)[key] for name in self.__slots__))
+
 
 class SynapseMatrix:
     """Plastic input->excitatory weights plus per-input presynaptic traces.
 
-    ``w`` is (inputs, K), or (inputs, N, K) for frozen experts in lockstep.
-    Float32 weights stay float32 (frozen experts); anything else becomes
-    float64.  Only learning reads or writes ``pre_trace``.
+    ``w`` is (inputs, K) with (inputs,) traces for one expert; (G, inputs
+    + 1, K) with (G, inputs + 1) traces for a learning group, whose row
+    ``inputs`` is each expert's all-zero pad row; or (inputs, N, K) for
+    frozen experts in lockstep.  Float32 weights stay float32 (frozen
+    experts); anything else becomes float64.  Float64 arrays are kept as
+    given, views included: learning writes through views of a group's
+    stack.  Only learning reads or writes ``pre_trace``.
     """
 
     __slots__ = ("w", "pre_trace")
@@ -307,24 +321,31 @@ def _summed_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def apply_input_spikes(
-    state: LayerState, syn: SynapseMatrix, indices: np.ndarray, splits=None
+    state: LayerState, syn: SynapseMatrix, indices: np.ndarray, splits=None, trace_at=None
 ) -> None:
     """Deliver one step's input spikes to the excitatory conductance.
 
-    Learning passes one train's spikes and no ``splits``: they are checked
-    against the input count and also bump the presynaptic traces that STDP
-    reads.  Frozen inference passes a block: image b's spikes are
-    ``indices[splits[b]:splits[b + 1]]`` and drive ``state.g_e[b]`` (a
-    state without an image axis is a block of one).  ``present`` checked
-    those indices once for the whole train, and the traces stay untouched.
+    Without ``splits``, ``indices`` pick the rows of ``syn.w`` that drive
+    the state, and they bump the presynaptic traces that STDP reads.  One
+    train's spikes are checked against the input count here.  A learning
+    group passes its stack flattened to (G * rows, K), an (m, G) block
+    whose column g holds expert g's rows (padded with its all-zero row),
+    and ``trace_at``, the trace positions of the real spikes; ``present``
+    checked those trains once, before padding.  Frozen inference passes a
+    block: image b's spikes are ``indices[splits[b]:splits[b + 1]]`` and
+    drive ``state.g_e[b]`` (a state without an image axis is a block of
+    one).  ``present`` checked those indices once for the whole train, and
+    the traces stay untouched.
     """
     if splits is None:
         if len(indices) == 0:
             return
         indices = np.asarray(indices)
-        _check_indices(indices, syn.w.shape[0])
+        if trace_at is None:
+            _check_indices(indices, syn.w.shape[0])
+            trace_at = indices
         state.g_e += _summed_rows(syn.w[indices])
-        np.add.at(syn.pre_trace, indices, 1.0)
+        np.add.at(syn.pre_trace, trace_at, 1.0)
         return
     g_e = state.g_e if state.g_e.ndim == syn.w.ndim else state.g_e[None]
     for b in range(len(splits) - 1):
@@ -355,15 +376,25 @@ def apply_lateral_inhibition(
 
 
 def stdp_on_post_spike(syn: SynapseMatrix, params: StdpParams, post_indices) -> None:
-    """Apply the post-spike plasticity rule to the given excitatory columns."""
-    post_indices = np.atleast_1d(post_indices)
-    cols = syn.w[:, post_indices]
-    dw = (
-        params.learning_rate
-        * (syn.pre_trace[:, None] - params.trace_target)
-        * (params.w_max - cols) ** params.weight_exponent
-    )
-    syn.w[:, post_indices] = np.clip(cols + dw, 0.0, params.w_max)
+    """Apply the post-spike plasticity rule to the given excitatory columns.
+
+    ``post_indices`` are columns of one expert's (inputs, K) weights, or
+    the (experts, columns) index pair of a group's (G, inputs, K) stack.
+    """
+    if syn.w.ndim == 2:  # one expert is a group of one
+        syn = SynapseMatrix(syn.w[None], syn.pre_trace[None])
+        post_indices = (0, np.atleast_1d(post_indices))
+    experts, columns = post_indices
+    cols = syn.w[experts, :, columns]
+    # dw = learning_rate * (pre_trace - trace_target) * (w_max - w) ** weight_exponent,
+    # built in place: a group's spiking columns can be many.
+    dw = params.w_max - cols
+    dw **= params.weight_exponent
+    drive = syn.pre_trace[experts] - params.trace_target
+    drive *= params.learning_rate
+    dw *= drive
+    cols += dw
+    syn.w[experts, :, columns] = np.clip(cols, 0.0, params.w_max, out=cols)
 
 
 def normalize_columns(w: np.ndarray, target_sum: float, w_max: float) -> None:
@@ -379,8 +410,35 @@ def normalize_columns(w: np.ndarray, target_sum: float, w_max: float) -> None:
     np.clip(w, 0.0, w_max, out=w)
 
 
+def _pad_group(trains: list[BinnedTrain], n_inputs: int, rows: int):
+    """Lay out a learning group's binned trains as one padded block per step.
+
+    Expert g's input i is row ``g * rows + i`` of the flattened stack, and
+    ``g * rows + n_inputs`` is its all-zero pad row.  Step t delivers
+    ``block[starts[t]:starts[t + 1]]``, an (m, G) block whose column g
+    holds expert g's spikes and then padding, and bumps the traces at
+    ``trace_at[trace_starts[t]:trace_starts[t + 1]]``, its real spikes.
+    """
+    per_step = np.stack([np.diff(tr.offsets) for tr in trains], axis=1)
+    starts = np.zeros(len(per_step) + 1, dtype=np.int64)
+    np.cumsum(per_step.max(axis=1), out=starts[1:])
+    pad = np.arange(len(trains), dtype=np.int32) * rows + n_inputs
+    block = np.empty((starts[-1], len(trains)), dtype=np.int32)
+    block[:] = pad
+    for g, tr in enumerate(trains):
+        at = np.repeat(starts[:-1] - tr.offsets[:-1], per_step[:, g]) + np.arange(len(tr.indices))
+        block[at, g] = tr.indices + (pad[g] - n_inputs)
+    trace_starts = np.zeros_like(starts)
+    np.cumsum(per_step.sum(axis=1), out=trace_starts[1:])
+    return block, starts, block[block != pad], trace_starts
+
+
 class ExpertNetwork:
-    """One simulated network: state, synapses, and the presentation loop."""
+    """One simulated network: state, synapses, and the presentation loop.
+
+    It holds one expert, a learning group (``group``) or frozen experts in
+    lockstep on a block of ``images``; ``SynapseMatrix`` gives the layouts.
+    """
 
     def __init__(
         self,
@@ -389,90 +447,146 @@ class ExpertNetwork:
         encoding: EncodingConfig,
         theta: np.ndarray | None = None,
         images: int | None = None,
+        group: bool = False,
     ):
-        """``images`` gives the state a leading axis: frozen inference of a block."""
+        """``images`` gives the state a leading axis: frozen inference of a block.
+
+        ``group`` marks a learning group's stack (``learning_group``).
+        """
         params.validate()
         encoding.validate()
         self.syn = syn
         self.params = params
         self.encoding = encoding
-        shape = syn.w.shape[1:] if images is None else (images,) + syn.w.shape[1:]
+        self.group = group
+        shape = (syn.w.shape[0], syn.w.shape[2]) if group else syn.w.shape[1:]
+        if images is not None:
+            shape = (images,) + shape
         self.exc = LayerState.resting(shape, params.lif_exc, theta)
         self.inh = LayerState.resting(shape, params.lif_inh)
+
+    @classmethod
+    def learning_group(
+        cls, n_inputs: int, n_excitatory: int, seeds: list[int],
+        params: SimulationParams, encoding: EncodingConfig,
+    ) -> "ExpertNetwork":
+        """Fresh experts, one per seed of ``init_weights``, as one learning group.
+
+        One-neuron experts learn alone: numpy sums a lone column pairwise,
+        and padding would change that sum.
+        """
+        if n_excitatory == 1 and len(seeds) > 1:
+            raise ValueError("one-neuron experts learn alone")
+        w = np.zeros((len(seeds), n_inputs + 1, n_excitatory))
+        for member, seed in zip(w, seeds):
+            member[:n_inputs] = init_weights(n_inputs, n_excitatory, seed, params.weight_init_max)
+        return cls(SynapseMatrix(w, np.zeros(w.shape[:2])), params, encoding, group=True)
+
+    def _member(self, g: int) -> "ExpertNetwork":
+        """Expert g of a learning group as a group of one that shares its arrays."""
+        member = copy.copy(self)
+        member.syn = SynapseMatrix(self.syn.w[g:g + 1], self.syn.pre_trace[g:g + 1])
+        member.exc, member.inh = self.exc[g:g + 1], self.inh[g:g + 1]
+        return member
 
     def present(self, train, learn: bool, run_rest: bool = True) -> np.ndarray:
         """Simulate one presentation; return per-neuron excitatory spike counts.
 
-        ``train`` is a ``SpikeTrain`` or ``BinnedTrain``; frozen inference
-        also takes a list of them, one per image of the network's block, and
-        steps them all together.  Counts cover the presentation window only;
-        the optional rest window just lets the dynamic variables relax.  In
-        learn mode the plasticity rule fires on every postsynaptic spike and
-        the adaptive threshold evolves; otherwise both are frozen.
+        ``train`` is a ``SpikeTrain`` or ``BinnedTrain``, or a list of them:
+        one per expert of a learning group, or one per image of a frozen
+        block, all stepped together.  Counts cover the presentation window
+        only; the optional rest window just lets the dynamic variables
+        relax.  In learn mode the plasticity rule fires on every
+        postsynaptic spike and the adaptive threshold evolves; otherwise
+        both are frozen.
         """
         p = self.params
         dt = p.dt_ms
         trains = [bin_train(t, dt) for t in (train if isinstance(train, list) else [train])]
-        n_img = len(trains)
         n_pres = len(trains[0].offsets) - 1
         n_rest = int(round(self.encoding.rest_ms / dt)) if run_rest else 0
-        spike_idx, offsets = trains[0]
-        if n_img > 1:
-            # Interleave step-major: image b's step-t spikes become run t * n_img + b.
-            runs = np.stack([np.diff(tr.offsets) for tr in trains], axis=1).ravel()
-            offsets = np.zeros(runs.size + 1, dtype=np.int64)
-            np.cumsum(runs, out=offsets[1:])
-            spike_idx = np.empty(offsets[-1], dtype=np.int32)
-            for b, tr in enumerate(trains):
-                shift = np.repeat(offsets[b:-1:n_img] - tr.offsets[:-1], np.diff(tr.offsets))
-                spike_idx[shift + np.arange(shift.size)] = tr.indices
-        if not learn:
-            _check_indices(spike_idx, self.syn.w.shape[0])
+        exc, inh, syn = self.exc, self.inh, self.syn
+        if learn:
+            n_inputs = syn.w.shape[1] - 1 if self.group else syn.w.shape[0]
+            for tr in trains:  # before padding makes every pad row a valid index
+                _check_indices(tr.indices, n_inputs)
+            if self.group:  # the contiguous stack flattens to a view
+                rows, k = syn.w.shape[1:]
+                flat = SynapseMatrix(syn.w.reshape(-1, k), syn.pre_trace.reshape(-1))
+            else:  # one expert learns as a group of one
+                rows, flat = n_inputs, syn
+                exc, inh, syn = exc[None], inh[None], SynapseMatrix(syn.w[None], syn.pre_trace[None])
+            block, starts, trace_at, trace_starts = _pad_group(trains, n_inputs, rows)
+            plastic = SynapseMatrix(syn.w[:, :n_inputs], syn.pre_trace[:, :n_inputs])
+        else:
+            n_img = len(trains)
+            spike_idx, offsets = trains[0]
+            if n_img > 1:
+                # Interleave step-major: image b's step-t spikes become run t * n_img + b.
+                runs = np.stack([np.diff(tr.offsets) for tr in trains], axis=1).ravel()
+                offsets = np.zeros(runs.size + 1, dtype=np.int64)
+                np.cumsum(runs, out=offsets[1:])
+                spike_idx = np.empty(offsets[-1], dtype=np.int32)
+                for b, tr in enumerate(trains):
+                    shift = np.repeat(offsets[b:-1:n_img] - tr.offsets[:-1], np.diff(tr.offsets))
+                    spike_idx[shift + np.arange(shift.size)] = tr.indices
+            _check_indices(spike_idx, syn.w.shape[0])
 
         homeo = p.homeostasis if learn else None
         trace_decay = math.exp(-dt / p.stdp.trace_tau_ms)
-        counts = np.zeros(self.exc.v.shape, dtype=np.int64)
+        counts = np.zeros(exc.v.shape, dtype=np.int64)
         for t in range(n_pres + n_rest):
             if t < n_pres:
-                first, last = t * n_img, (t + 1) * n_img
-                if offsets[last] > offsets[first]:
-                    if learn:
+                if learn:
+                    if starts[t + 1] > starts[t]:
                         apply_input_spikes(
-                            self.exc, self.syn, spike_idx[offsets[first]:offsets[last]]
+                            exc, flat, block[starts[t]:starts[t + 1]],
+                            trace_at=trace_at[trace_starts[t]:trace_starts[t + 1]],
                         )
-                    else:
-                        apply_input_spikes(
-                            self.exc, self.syn, spike_idx, offsets[first:last + 1]
-                        )
-            exc_spiked = lif_step(self.exc, p.lif_exc, dt, homeo)
+                else:
+                    first, last = t * n_img, (t + 1) * n_img
+                    if offsets[last] > offsets[first]:
+                        apply_input_spikes(exc, syn, spike_idx, offsets[first:last + 1])
+            exc_spiked = lif_step(exc, p.lif_exc, dt, homeo)
             fired = exc_spiked.any()
             if fired and learn:
-                stdp_on_post_spike(self.syn, p.stdp, np.nonzero(exc_spiked)[0])
-            inh_spiked = lif_step(self.inh, p.lif_inh, dt, None)
+                stdp_on_post_spike(plastic, p.stdp, np.nonzero(exc_spiked))
+            inh_spiked = lif_step(inh, p.lif_inh, dt, None)
             if fired or inh_spiked.any():
-                apply_lateral_inhibition(exc_spiked, inh_spiked, p.wiring, self.exc, self.inh)
+                apply_lateral_inhibition(exc_spiked, inh_spiked, p.wiring, exc, inh)
             if learn:
-                self.syn.pre_trace *= trace_decay
+                syn.pre_trace *= trace_decay
             if t < n_pres and fired:
                 counts += exc_spiked
-        return counts
+        return counts.reshape(self.exc.v.shape)
 
-    def present_with_retry(self, image_unit: np.ndarray, seed_words: tuple[int, ...], learn: bool) -> np.ndarray:
+    def present_with_retry(self, image_unit, seed_words, learn: bool) -> np.ndarray:
         """Encode and present, boosting rates until the output-spike floor is met.
 
         ``seed_words`` identify the presentation; the retry attempt index is
         appended so every attempt draws an independent, reproducible train.
-        Returns the counts of the final attempt.
+        A learning group takes lists, one image and one ``seed_words`` per
+        expert, and presents them together; an expert that misses the floor
+        re-presents alone, on views of its own state.  Returns the counts of
+        each expert's final attempt.
         """
         enc = self.encoding
-        attempts = enc.max_retries if enc.min_output_spikes > 0 else 0
-        for attempt in range(attempts + 1):
-            train = poisson_encode(
-                image_unit, enc,
-                derive_seed(*seed_words, attempt),
+        images, words = (image_unit, seed_words) if self.group else ([image_unit], [seed_words])
+
+        def encode(g: int, attempt: int) -> SpikeTrain:
+            return poisson_encode(
+                images[g], enc, derive_seed(*words[g], attempt),
                 rate_boost_hz=enc.retry_boost_hz * attempt,
             )
-            counts = self.present(train, learn=learn)
-            if counts.sum() >= enc.min_output_spikes or not image_unit.any():
-                break
+
+        first = [encode(g, 0) for g in range(len(images))]
+        counts = self.present(first if self.group else first[0], learn=learn)
+        per_expert = counts if self.group else counts[None]
+        for g, image in enumerate(images):
+            attempt = 0
+            while (attempt < enc.max_retries and per_expert[g].sum() < enc.min_output_spikes
+                   and image.any()):
+                attempt += 1
+                member = self._member(g) if self.group else self
+                per_expert[g] = member.present(encode(g, attempt), learn=learn)
         return counts

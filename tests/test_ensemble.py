@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnplace import ensemble
+from snnplace import ensemble, expert
 from snnplace.ensemble import (
     EnsembleModel,
     apply_threshold,
@@ -27,6 +27,7 @@ from snnplace.errors import ConfigError, StateError
 from snnplace.expert import UNASSIGNED, ExpertModel, expert_respond, query_seed
 from snnplace.imaging import STREAM_REFERENCE, PatchNormConfig, derive_seed, poisson_encode
 from snnplace.metrics import neuron_precision_analysis
+from snnplace.store import save_ensemble
 from snnplace.synthetic import make_textures, synthetic_ensemble
 from tests.conftest import (
     handmade_ensemble,
@@ -279,6 +280,27 @@ class TestTrainEnsemble:
             np.testing.assert_array_equal(a.weights, b.weights)
             np.testing.assert_array_equal(a.theta, b.theta)
             np.testing.assert_array_equal(a.assignments, b.assignments)
+
+    def test_group_size_does_not_change_archives(self, monkeypatch, tmp_path):
+        textures = tiny_textures(7, seed=21)[None]       # regions of 3, 3 and a short 1
+        cfg = tiny_expert_cfg(n_excitatory=6, places_per_expert=3, epochs=2, record_last_epochs=1)
+        train_group = expert._train_group
+        archives, groups = [], []
+        for size in (1, 10**9):
+            sizes = []
+            monkeypatch.setattr(expert, "GROUP_SIZE", size)
+            monkeypatch.setattr(expert, "_train_group",
+                                lambda members, *a: sizes.append(len(members)) or train_group(members, *a))
+            model = train_ensemble(
+                textures, partition_reference(7, 3), cfg, tiny_sim(), tiny_encoding(),
+                PatchNormConfig(), global_seed=5,
+            )
+            path = tmp_path / f"size{size}"
+            save_ensemble(model, path)
+            archives.append({f.name: f.read_bytes() for f in sorted(path.iterdir())})
+            groups.append(sizes)
+        assert groups == [[1, 1, 1], [2, 1]]
+        assert archives[0] == archives[1]
 
     def test_expert_count_follows_partition(self):
         model = self._train(workers=1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snnplace.errors import ConfigError
 from snnplace.expert import (
@@ -10,9 +12,12 @@ from snnplace.expert import (
     RegionData,
     assign_neurons,
     expert_respond,
+    normalize_group,
     train_expert,
+    train_experts,
 )
-from snnplace.imaging import STREAM_QUERY, derive_seed, poisson_encode
+from snnplace.imaging import STREAM_QUERY, EncodingConfig, derive_seed, poisson_encode
+from snnplace.network import ExpertNetwork, StdpParams, normalize_columns
 from tests.conftest import tiny_encoding, tiny_expert_cfg, tiny_sim, tiny_textures
 
 
@@ -126,6 +131,78 @@ class TestTraining:
         cfg = tiny_expert_cfg(epochs=3, record_last_epochs=3)
         _, table = train_expert(region, cfg, tiny_sim(), tiny_encoding())
         assert table.sum() > 0
+
+
+class TestGroups:
+    """Experts that learn in one group end exactly as each ends alone."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n_experts=st.integers(1, 5),
+        n_excitatory=st.one_of(st.just(1), st.integers(1, 20)),
+        traverses=st.integers(1, 2),
+        short_last=st.booleans(),
+        retries=st.booleans(),
+        weight_norm=st.booleans(),
+        tau_gi=st.sampled_from([0.5, 2.0]),
+        max_rate_hz=st.sampled_from([63.75, 400.0]),
+        seed=st.integers(0, 2**16),
+    )
+    # Several one-neuron experts, which must each learn alone (learning_group refuses them).
+    @example(n_experts=3, n_excitatory=1, traverses=1, short_last=False, retries=False,
+             weight_norm=True, tau_gi=0.5, max_rate_hz=400.0, seed=1)
+    def test_group_equals_each_expert_alone(
+        self, n_experts, n_excitatory, traverses, short_last, retries, weight_norm,
+        tau_gi, max_rate_hz, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        sim = tiny_sim(weight_norm_enabled=weight_norm).with_tau_gi(tau_gi)
+        # A floor no presentation reaches forces every retry.
+        encoding = EncodingConfig(
+            max_rate_hz=max_rate_hz, presentation_ms=60.0, rest_ms=20.0,
+            min_output_spikes=10**6 if retries else 0, max_retries=2,
+        )
+        regions, cfgs = [], []
+        for g in range(n_experts):
+            places = 1 if short_last and g == n_experts - 1 else 2
+            regions.append(RegionData(
+                images=rng.uniform(size=(traverses, places, 8, 8)),
+                image_ids=np.arange(traverses * places).reshape(traverses, places) + 10 * g,
+                global_start=2 * g,
+            ))
+            cfgs.append(tiny_expert_cfg(
+                n_excitatory=n_excitatory, places_per_expert=1, epochs=2, record_last_epochs=1,
+                seed=seed + g,
+            ))
+        together = train_experts(regions, cfgs, sim, encoding)
+        assert len(together) == n_experts
+        for (model, table), region, cfg in zip(together, regions, cfgs):
+            alone, alone_table = train_expert(region, cfg, sim, encoding)
+            for a, b in ((model.weights, alone.weights), (model.theta, alone.theta),
+                         (table, alone_table)):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n_experts, n_excitatory", [(1, 1), (3, 2), (2, 9)])
+    def test_normalization_matches_each_experts_own_matrix(self, n_experts, n_excitatory):
+        # Weights spanning 60 binades make column sums depend on their order.
+        rng = np.random.default_rng(n_excitatory)
+        sim = tiny_sim(stdp=StdpParams(w_max=2.0))
+        net = ExpertNetwork.learning_group(64, n_excitatory, list(range(n_experts)), sim, tiny_encoding())
+        net.syn.w[:, :64] = 2.0 ** rng.uniform(-60, 1, size=(n_experts, 64, n_excitatory))
+        trains = [poisson_encode(rng.uniform(size=(8, 8)), tiny_encoding(), seed=g)
+                  for g in range(n_experts)]
+        net.present(trains, learn=True)
+        alone = [net.syn.w[g, :64].copy() for g in range(n_experts)]
+        normalize_group(net.syn.w, 64, sim)
+        for g, w in enumerate(alone):
+            normalize_columns(w, sim.weight_norm_target, sim.stdp.w_max)
+            assert net.syn.w[g, :64].tobytes() == w.tobytes()
+        assert not net.syn.w[:, 64].any()   # the pad rows never learn
+
+    def test_one_neuron_experts_do_not_share_a_group(self):
+        with pytest.raises(ValueError):
+            ExpertNetwork.learning_group(4, 1, [0, 1], tiny_sim(), tiny_encoding())
 
 
 class TestRespond:

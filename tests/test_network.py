@@ -371,6 +371,19 @@ class TestPresentation:
         with pytest.raises(AssertionError):
             ExpertNetwork(syn, tiny_sim(), tiny_encoding(), images=2).present([good, bad], learn=False)
 
+    def test_a_group_train_indexing_the_pad_row_is_internal_error(self):
+        # Index 4 names input 4 of a 4-input expert, which does not exist;
+        # in a learning group it would land on that expert's all-zero pad row.
+        good = SpikeTrain(np.array([0.1]), np.array([3], dtype=np.int64), 4, 350.0)
+        bad = SpikeTrain(np.array([0.1, 200.0]), np.array([1, 4], dtype=np.int64), 5, 350.0)
+        group = ExpertNetwork.learning_group(4, 2, [0, 1], tiny_sim(), tiny_encoding())
+        before = group.syn.w.copy()
+        with pytest.raises(AssertionError):
+            group.present([good, bad], learn=True)
+        np.testing.assert_array_equal(group.syn.w, before)
+        with pytest.raises(AssertionError):
+            ExpertNetwork(SynapseMatrix(np.full((4, 2), 0.5)), tiny_sim(), tiny_encoding()).present(bad, learn=True)
+
     def test_learning_changes_weights_inference_does_not(self):
         rng = np.random.default_rng(4)
         w = rng.uniform(0, 0.5, size=(64, 6))
