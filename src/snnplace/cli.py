@@ -137,7 +137,9 @@ def _check_fingerprints(model: ens.EnsembleModel, manifests) -> None:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    place_range = (0, args.places) if args.places else None
+    if args.places is not None and args.places < 1:
+        raise ConfigError(f"--places must be >= 1, got {args.places}")
+    place_range = None if args.places is None else (0, args.places)
     reference, manifests, _ = _load_traverses(args.ref_dirs, "reference", cfg, place_range)
     partition = ens.partition_reference(reference.shape[1], cfg.expert.places_per_expert)
     print(f"training {partition.n_regions} experts on {reference.shape[1]} places "
@@ -240,6 +242,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_match(args) -> int:
+    if args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
+    if args.query_id < 0:
+        raise ConfigError(f"--query-id must be >= 0, got {args.query_id}")
     model = store.load_ensemble(args.model)
     query = _encoder_input(args.image, model.image_size, model.patch)
     result = ens.match_query(model, query, query_id=args.query_id)

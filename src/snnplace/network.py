@@ -8,7 +8,11 @@ membrane follows conductance-based leaky integrate-and-fire dynamics,
     tau * dV/dt = (E_rest - V) + g_e * (E_exc - V) + g_i * (E_inh - V),
 
 integrated with forward Euler at a fixed step, while both conductances
-decay exponentially between spikes.  Plasticity is trace-based: every
+decay exponentially between spikes.  The inhibitory layer is never
+inhibited and its threshold never adapts, so its state holds only ``v``,
+``g_e`` and the refractory countdown; the step skips the terms it lacks,
+which would only add exact zeros.  The countdown runs on every neuron and
+only its sign is read.  Plasticity is trace-based: every
 postsynaptic spike moves each afferent weight by
 
     dw = learning_rate * (pre_trace - trace_target) * (w_max - w) ** weight_exponent,
@@ -190,8 +194,11 @@ class LayerState:
 
     Shaped (K,) for one expert, (G, K) for a learning group, or (B images,
     N experts, K) for frozen experts answering a block; a frozen ``theta``
-    may be (N, K) and broadcast over the images.  Indexing gives a state
-    of views into this one.
+    may be (N, K) and broadcast over the images.  The inhibitory layer's
+    state (``inhibitory``) has ``g_i = theta = None``.  ``refractory`` is
+    the time a neuron stays held; only its sign is read, and an active
+    neuron's value may sink anywhere below 0.  Indexing gives a state of
+    views into this one.
     """
 
     __slots__ = ("v", "g_e", "g_i", "theta", "refractory")
@@ -215,8 +222,24 @@ class LayerState:
             refractory=np.zeros(shape, dtype=np.float64),
         )
 
+    @staticmethod
+    def inhibitory(shape: int | tuple[int, ...], params: LifParams) -> "LayerState":
+        """A resting inhibitory layer, without ``g_i`` or ``theta``.
+
+        Nothing inhibits it and its threshold never adapts.
+        """
+        return LayerState(
+            v=np.full(shape, params.e_rest_mv, dtype=np.float64),
+            g_e=np.zeros(shape, dtype=np.float64),
+            g_i=None,
+            theta=None,
+            refractory=np.zeros(shape, dtype=np.float64),
+        )
+
     def __getitem__(self, key) -> "LayerState":
-        return LayerState(*(getattr(self, name)[key] for name in self.__slots__))
+        return LayerState(*(
+            None if (a := getattr(self, name)) is None else a[key] for name in self.__slots__
+        ))
 
 
 class SynapseMatrix:
@@ -260,28 +283,44 @@ def lif_step(
     Conductances decay by their exact per-step factor.  When ``homeo`` is
     given, the adaptive threshold decays every step and jumps by
     theta_plus on each spike; when None the threshold array is frozen
-    (inference mode).
+    (inference mode).  A state without ``g_i`` or ``theta`` (the
+    inhibitory layer's) skips their terms, which would add exact zeros.
+    The refractory countdown runs on every neuron and only its sign is
+    read: a neuron is held while it is > 0, and an active neuron's value
+    just sinks further below 0.
     """
     if dt_ms <= 0:
         raise ConfigError("dt_ms must be > 0")
-    active = state.refractory <= 0.0
-    dv = (dt_ms / params.tau_ms) * (
-        (params.e_rest_mv - state.v)
-        + state.g_e * (params.e_exc_mv - state.v)
-        + state.g_i * (params.e_inh_mv - state.v)
-    )
-    state.v += np.where(active, dv, 0.0)
-    state.v[~active] = params.v_reset_mv
+    v, g_i, theta = state.v, state.g_i, state.theta
+    held = state.refractory > 0.0
+    # dv = dt/tau * ((E_rest - v) + g_e * (E_exc - v) + g_i * (E_inh - v)), built in
+    # place in the formula's operation order, so each neuron gets the formula's bits.
+    dv = params.e_rest_mv - v
+    drive = params.e_exc_mv - v
+    drive *= state.g_e
+    dv += drive
+    if g_i is not None:
+        np.subtract(params.e_inh_mv, v, out=drive)
+        drive *= g_i
+        dv += drive
+    dv *= dt_ms / params.tau_ms
+    v += dv
+    np.copyto(v, params.v_reset_mv, where=held)
     state.g_e *= math.exp(-dt_ms / params.tau_ge_ms)
-    state.g_i *= math.exp(-dt_ms / params.tau_gi_ms)
-    if homeo is not None:
-        state.theta *= math.exp(-dt_ms / homeo.theta_decay_ms)
-    spiked = active & (state.v >= params.v_thresh_mv + state.theta)
-    state.v[spiked] = params.v_reset_mv
-    state.refractory[~active] -= dt_ms
-    state.refractory[spiked] = params.refractory_ms
-    if homeo is not None:
-        state.theta[spiked] += homeo.theta_plus_mv
+    if g_i is not None:
+        g_i *= math.exp(-dt_ms / params.tau_gi_ms)
+    if theta is None:
+        spiked = v >= params.v_thresh_mv
+    else:
+        if homeo is not None:
+            theta *= math.exp(-dt_ms / homeo.theta_decay_ms)
+        spiked = v >= params.v_thresh_mv + theta
+    spiked &= ~held
+    np.copyto(v, params.v_reset_mv, where=spiked)
+    state.refractory -= dt_ms
+    np.copyto(state.refractory, params.refractory_ms, where=spiked)
+    if homeo is not None and theta is not None:
+        np.add(theta, homeo.theta_plus_mv, out=theta, where=spiked)
     return spiked
 
 
@@ -369,10 +408,11 @@ def apply_lateral_inhibition(
     """
     if inh_spiked.any():
         n_inh = inh_spiked.sum(axis=-1, keepdims=True)  # per expert
-        exc_state.g_i += wiring.w_inh_to_exc * n_inh
-        exc_state.g_i[inh_spiked] -= wiring.w_inh_to_exc
+        g_i = exc_state.g_i
+        g_i += wiring.w_inh_to_exc * n_inh
+        np.subtract(g_i, wiring.w_inh_to_exc, out=g_i, where=inh_spiked)
     if exc_spiked.any():
-        inh_state.g_e[exc_spiked] += wiring.w_exc_to_inh
+        np.add(inh_state.g_e, wiring.w_exc_to_inh, out=inh_state.g_e, where=exc_spiked)
 
 
 def stdp_on_post_spike(syn: SynapseMatrix, params: StdpParams, post_indices) -> None:
@@ -463,7 +503,7 @@ class ExpertNetwork:
         if images is not None:
             shape = (images,) + shape
         self.exc = LayerState.resting(shape, params.lif_exc, theta)
-        self.inh = LayerState.resting(shape, params.lif_inh)
+        self.inh = LayerState.inhibitory(shape, params.lif_inh)
 
     @classmethod
     def learning_group(

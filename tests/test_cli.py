@@ -102,6 +102,15 @@ class TestTrain:
         assert rc == 2
         assert_one_error_line(capsys, "seed")
 
+    @pytest.mark.parametrize("places", ["0", "-3"])
+    def test_nonpositive_places_exits_2(self, world, places, capsys):
+        root, cfg, ref, _ = world
+        rc = main(["train", "--config", cfg, "--ref-dirs", ref, "--places", places,
+                   "--out", str(root / "model_bad_places")])
+        assert rc == 2
+        assert_one_error_line(capsys, "--places")
+        assert not (root / "model_bad_places").exists()
+
 
 class TestRegularize:
     def test_theta_zero_disables_filter(self, world, trained_archive):
@@ -296,6 +305,16 @@ class TestMatch:
         assert lines[0]["place"] == 2
         assert lines == sorted(lines, key=lambda r: r["rank"])
 
+
+    @pytest.mark.parametrize("flag, value", [("--query-id", "-1"), ("--top", "0"),
+                                             ("--top", "-1")])
+    def test_negative_id_or_empty_top_exits_2(self, world, trained_archive, flag, value,
+                                              capsys):
+        root, cfg, ref, _ = world
+        rc = main(["match", "--model", trained_archive,
+                   "--image", os.path.join(ref, "place_002.pgm"), flag, value])
+        assert rc == 2
+        assert_one_error_line(capsys, flag)
 
     def test_manifest_without_config_exits_2(self, world, trained_archive, tmp_path,
                                              capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snnplace.errors import ConfigError
 from snnplace.imaging import EncodingConfig, SpikeTrain, poisson_encode
@@ -205,7 +207,7 @@ class TestLateralInhibition:
     def setup_method(self):
         self.wiring = FixedWiring(w_exc_to_inh=10.4, w_inh_to_exc=17.0)
         self.exc = fresh_state(n=3)
-        self.inh = fresh_state(n=3, params=LifParams.inhibitory_defaults())
+        self.inh = LayerState.inhibitory(3, LifParams.inhibitory_defaults())
 
     def test_no_spikes_no_drive(self):
         off = np.zeros(3, dtype=bool)
@@ -229,13 +231,128 @@ class TestLateralInhibition:
 
     def test_stacked_experts_inhibit_only_their_own_block(self):
         exc = fresh_state(n=(2, 3))
-        inh = fresh_state(n=(2, 3), params=LifParams.inhibitory_defaults())
+        inh = LayerState.inhibitory((2, 3), LifParams.inhibitory_defaults())
         inh_spiked = np.array([[True, False, True], [False, False, False]])
         exc_spiked = np.array([[False, False, False], [False, True, False]])
         apply_lateral_inhibition(exc_spiked, inh_spiked, self.wiring, exc, inh)
         np.testing.assert_array_equal(exc.g_i[0], [17.0, 34.0, 17.0])
         np.testing.assert_array_equal(exc.g_i[1], 0.0)
         np.testing.assert_array_equal(inh.g_e, [[0.0, 0.0, 0.0], [0.0, 10.4, 0.0]])
+
+
+def oracle_lif_step(state, params, dt_ms, homeo=None):
+    """``lif_step`` as it was before its in-place rewrite, on a full state."""
+    active = state.refractory <= 0.0
+    dv = (dt_ms / params.tau_ms) * (
+        (params.e_rest_mv - state.v)
+        + state.g_e * (params.e_exc_mv - state.v)
+        + state.g_i * (params.e_inh_mv - state.v)
+    )
+    state.v += np.where(active, dv, 0.0)
+    state.v[~active] = params.v_reset_mv
+    state.g_e *= math.exp(-dt_ms / params.tau_ge_ms)
+    state.g_i *= math.exp(-dt_ms / params.tau_gi_ms)
+    if homeo is not None:
+        state.theta *= math.exp(-dt_ms / homeo.theta_decay_ms)
+    spiked = active & (state.v >= params.v_thresh_mv + state.theta)
+    state.v[spiked] = params.v_reset_mv
+    state.refractory[~active] -= dt_ms
+    state.refractory[spiked] = params.refractory_ms
+    if homeo is not None:
+        state.theta[spiked] += homeo.theta_plus_mv
+    return spiked
+
+
+def oracle_lateral_inhibition(exc_spiked, inh_spiked, wiring, exc_state, inh_state):
+    """``apply_lateral_inhibition`` as it was, with boolean gathers and scatters."""
+    if inh_spiked.any():
+        n_inh = inh_spiked.sum(axis=-1, keepdims=True)
+        exc_state.g_i += wiring.w_inh_to_exc * n_inh
+        exc_state.g_i[inh_spiked] -= wiring.w_inh_to_exc
+    if exc_spiked.any():
+        inh_state.g_e[exc_spiked] += wiring.w_exc_to_inh
+
+
+def random_layer(rng, shape, params, theta_shape=None):
+    """A full layer state with held, active and long-active neurons."""
+    state = LayerState.resting(shape, params)
+    state.v[:] = rng.uniform(params.e_inh_mv, params.v_thresh_mv + 8.0, shape)
+    state.g_e[:] = rng.uniform(0.0, 6.0, shape) * (rng.random(shape) < 0.7)
+    state.g_i[:] = rng.uniform(0.0, 60.0, shape) * (rng.random(shape) < 0.5)
+    state.refractory[:] = rng.choice([0.0, -3.5, 0.5, 1.0, 1.3, params.refractory_ms], shape)
+    if theta_shape is not None:
+        state.theta = rng.uniform(0.0, 6.0, theta_shape) * (rng.random(theta_shape) < 0.6)
+    return state
+
+
+def copy_layer(state, minimal=False):
+    """A copy of ``state``; ``minimal`` drops ``g_i`` and ``theta``, as the inhibitory layer's."""
+    copied = LayerState(*(getattr(state, name).copy() for name in LayerState.__slots__))
+    if minimal:
+        copied.g_i = copied.theta = None
+    return copied
+
+
+class TestStepOracle:
+    """``lif_step`` and ``apply_lateral_inhibition`` match their pre-rewrite bodies bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(7,), (3, 5), (2, 3, 4), (1, 2, 9)]),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 30),
+        learn=st.booleans(),
+        broadcast_theta=st.booleans(),
+        minimal_inh=st.booleans(),
+        reset_at_threshold=st.booleans(),
+    )
+    def test_matches_pre_rewrite_bodies(self, shape, seed, steps, learn, broadcast_theta,
+                                        minimal_inh, reset_at_threshold):
+        import dataclasses
+
+        rng = np.random.default_rng(seed)
+        exc_p, inh_p = EXC, LifParams.inhibitory_defaults()
+        if reset_at_threshold:  # a held neuron sits at threshold, so only the mask stops it
+            exc_p = dataclasses.replace(exc_p, v_reset_mv=exc_p.v_thresh_mv)
+            inh_p = dataclasses.replace(inh_p, v_reset_mv=inh_p.v_thresh_mv)
+        wiring = FixedWiring()
+        homeo = HomeostasisParams(theta_plus_mv=0.5, theta_decay_ms=50.0) if learn else None
+        # frozen experts answering a block read one (N, K) theta for every image
+        theta_shape = shape[1:] if broadcast_theta and not learn and len(shape) == 3 else shape
+        ref_exc = random_layer(rng, shape, exc_p, theta_shape)
+        ref_inh = random_layer(rng, shape, inh_p)
+        ref_inh.g_i[:] = 0.0
+        ref_inh.theta[:] = 0.0
+        exc, inh = copy_layer(ref_exc), copy_layer(ref_inh, minimal=minimal_inh)
+        for _ in range(steps):
+            drive = rng.uniform(0.0, 3.0, shape) * (rng.random(shape) < 0.3)
+            ref_exc.g_e += drive
+            exc.g_e += drive
+            want = (oracle_lif_step(ref_exc, exc_p, 0.5, homeo),
+                    oracle_lif_step(ref_inh, inh_p, 0.5))
+            got = lif_step(exc, exc_p, 0.5, homeo), lif_step(inh, inh_p, 0.5)
+            oracle_lateral_inhibition(*want, wiring, ref_exc, ref_inh)
+            apply_lateral_inhibition(*got, wiring, exc, inh)
+            for w, g in zip(want, got):
+                np.testing.assert_array_equal(g, w)
+            for ref, new in ((ref_exc, exc), (ref_inh, inh)):
+                for name in ("v", "g_e", "g_i", "theta"):
+                    value = getattr(new, name)
+                    expected = getattr(ref, name)
+                    if value is None:  # a minimal inhibitory state against a zeros oracle
+                        assert not expected.any()
+                    else:
+                        assert value.tobytes() == expected.tobytes(), name
+                held = ref.refractory > 0.0
+                np.testing.assert_array_equal(new.refractory > 0.0, held)
+                assert new.refractory[held].tobytes() == ref.refractory[held].tobytes()
+
+    def test_minimal_state_indexes_to_views(self):
+        inh = LayerState.inhibitory((2, 3), LifParams.inhibitory_defaults())
+        member = inh[1:2]
+        assert member.g_i is None and member.theta is None
+        member.v[0, 0] = 1.0
+        assert inh.v[1, 0] == 1.0
 
 
 class TestStdp:
