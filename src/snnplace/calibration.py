@@ -38,15 +38,13 @@ DEFAULT_THETA_GRID = tuple(float(t) for t in range(20, 201, 20))
 
 
 @dataclass(frozen=True)
-class CalibrationPlan:
-    """Grids plus the calibration place range [cal_start, cal_stop)."""
+class CalibrationGrids:
+    """The (tau_gi, theta) grids of a search; the config file's defaults for ``calibrate``."""
 
     tau_gi_grid: tuple[float, ...] = DEFAULT_TAU_GI_GRID
     theta_grid: tuple[float, ...] = DEFAULT_THETA_GRID
-    cal_start: int = 0
-    cal_stop: int = 25
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.tau_gi_grid or not self.theta_grid:
             raise ConfigError("calibration grids must be non-empty")
         require_finite({f"tau_gi_grid[{i}]": t for i, t in enumerate(self.tau_gi_grid)})
@@ -56,6 +54,17 @@ class CalibrationPlan:
             raise ConfigError("theta grid values must be numbers (0 disables the filter)")
         for theta in self.theta_grid:
             flags_for_theta((), theta)  # ConfigError for an invalid theta
+
+
+@dataclass(frozen=True)
+class CalibrationPlan(CalibrationGrids):
+    """Grids plus the calibration place range [cal_start, cal_stop)."""
+
+    cal_start: int = 0
+    cal_stop: int = 25
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0 <= self.cal_start < self.cal_stop:
             raise ConfigError("calibration place range is empty or negative")
 
@@ -70,7 +79,6 @@ class CalibrationReport:
     cell_seconds: np.ndarray    # scoring time per cell
     chosen_tau_gi: float
     chosen_theta: float
-    files_read: tuple[str, ...] = ()
 
     def write_csv(self, path: str | os.PathLike) -> None:
         with open(path, "w", newline="") as fh:
@@ -111,7 +119,6 @@ def run_grid_search(
     patch: PatchNormConfig,
     global_seed: int,
     workers: int = 1,
-    files_read: tuple[str, ...] = (),
 ) -> CalibrationReport:
     """Evaluate every (tau_gi, theta) pair on the calibration split.
 
@@ -119,7 +126,6 @@ def run_grid_search(
     calibration range; ``cal_truths`` are place ids local to that range.
     One ensemble is trained per tau_gi and shared by all theta cells.
     """
-    plan.validate()
     n_tau, n_theta = len(plan.tau_gi_grid), len(plan.theta_grid)
     scores = np.zeros((n_tau, n_theta))
     cell_seconds = np.zeros((n_tau, n_theta))
@@ -145,7 +151,6 @@ def run_grid_search(
         cell_seconds=cell_seconds,
         chosen_tau_gi=chosen_tau,
         chosen_theta=chosen_theta,
-        files_read=tuple(files_read),
     )
 
 

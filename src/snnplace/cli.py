@@ -86,10 +86,12 @@ def _override(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """The command's config: the file, then its flags, validated."""
-    cfg = _override(load_config(args.config), args)
-    cfg.validate()
-    return cfg
+    """The command's config: the file, then its flags.
+
+    Each config is checked as it is built, so the file is checked as it is
+    decoded and the flags as they are laid over it.
+    """
+    return _override(load_config(args.config), args)
 
 
 def _encoder_input(path, size: tuple[int, int], patch: PatchNormConfig) -> np.ndarray:
@@ -179,14 +181,12 @@ def cmd_calibrate(args) -> int:
         cal_start=start,
         cal_stop=stop,
     )
-    plan.validate()
-    cal_ref, _, ref_files = _load_traverses(args.ref_dirs, "calibration", cfg, (start, stop))
-    cal_query, _, query_files = _load_traverses([args.query_dir], "calibration", cfg, (start, stop))
+    cal_ref, _, _ = _load_traverses(args.ref_dirs, "calibration", cfg, (start, stop))
+    cal_query, _, _ = _load_traverses([args.query_dir], "calibration", cfg, (start, stop))
     report = cal.run_grid_search(
         plan, cal_ref, cal_query[0], np.arange(stop - start),
         cfg.expert, cfg.simulation, cfg.encoding, cfg.patch,
         cfg.seed, cfg.effective_workers(),
-        files_read=tuple(ref_files + query_files),
     )
     os.makedirs(args.out_dir, exist_ok=True)
     report.write_csv(os.path.join(args.out_dir, "calibration.csv"))

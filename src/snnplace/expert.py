@@ -52,7 +52,7 @@ class ExpertConfig:
     record_last_epochs: int = 10
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_inputs < 1 or self.n_excitatory < 1:
             raise ConfigError("layer sizes must be >= 1")
         if self.n_excitatory < self.places_per_expert:
@@ -183,7 +183,6 @@ def _train_group(
 ) -> list[tuple[ExpertModel, np.ndarray]]:
     """Train experts of one region shape and schedule through one step loop."""
     for region, cfg in members:
-        cfg.validate()
         if region.n_places == 0 or region.images.shape[0] == 0:
             raise ConfigError("expert region has no reference images")
         if region.images.shape[2] * region.images.shape[3] != cfg.n_inputs:

@@ -48,7 +48,7 @@ class PatchNormConfig:
     patch_height: int = 7
     epsilon: float = 1e-6  # std floor; zero-variance patches map to 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite({"epsilon": self.epsilon})
         if self.patch_width < 1 or self.patch_height < 1:
             raise ConfigError("patch dimensions must be >= 1")
@@ -74,7 +74,7 @@ class EncodingConfig:
     min_output_spikes: int = 5
     max_retries: int = 20  # safety cap; an all-black input can never fire
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite({"max_rate_hz": self.max_rate_hz, "presentation_ms": self.presentation_ms,
                         "rest_ms": self.rest_ms, "retry_boost_hz": self.retry_boost_hz})
         if self.max_rate_hz <= 0:
@@ -221,7 +221,6 @@ def patch_normalize(image: np.ndarray, cfg: PatchNormConfig) -> np.ndarray:
     Uses the population standard deviation, floored at ``cfg.epsilon`` so
     constant patches map to zero rather than NaN.
     """
-    cfg.validate()
     image = np.asarray(image, dtype=np.float64)
     h, w = image.shape
     ph, pw = cfg.patch_height, cfg.patch_width
@@ -268,7 +267,6 @@ def poisson_encode(
     window.  Per neuron, the spike count is Poisson(rate * duration) and
     times are uniform on [0, duration) — an exact Poisson process.
     """
-    cfg.validate()
     intensities = np.clip(np.asarray(image, dtype=np.float64).ravel(), 0.0, None)
     rates_hz = intensities * (cfg.max_rate_hz + rate_boost_hz)
     rng = np.random.default_rng(seed)

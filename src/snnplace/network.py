@@ -63,7 +63,7 @@ class LifParams:
     tau_ge_ms: float
     tau_gi_ms: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(vars(self))
         if min(self.tau_ms, self.tau_ge_ms, self.tau_gi_ms, self.refractory_ms) <= 0:
             raise ConfigError("all LIF time constants must be > 0")
@@ -96,7 +96,7 @@ class HomeostasisParams:
     theta_plus_mv: float = 0.05
     theta_decay_ms: float = 1e7
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # An infinite theta_decay_ms is valid: the adaptive threshold never decays.
         require_finite({"theta_plus_mv": self.theta_plus_mv})
         if self.theta_plus_mv < 0:
@@ -115,7 +115,7 @@ class StdpParams:
     weight_exponent: float = 0.2
     trace_tau_ms: float = 20.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(vars(self))
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
@@ -136,7 +136,7 @@ class FixedWiring:
     w_exc_to_inh: float = 10.4  # one-to-one drive onto the partner neuron
     w_inh_to_exc: float = 17.0  # applied to every excitatory neuron but the partner
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(vars(self))
         if self.w_exc_to_inh < 0 or self.w_inh_to_exc < 0:
             raise ConfigError("wiring weights must be >= 0")
@@ -146,8 +146,8 @@ class FixedWiring:
 class SimulationParams:
     """Everything needed to integrate one network, bundled for convenience."""
 
-    lif_exc: LifParams
-    lif_inh: LifParams
+    lif_excitatory: LifParams
+    lif_inhibitory: LifParams
     homeostasis: HomeostasisParams
     stdp: StdpParams
     wiring: FixedWiring
@@ -159,8 +159,8 @@ class SimulationParams:
     @staticmethod
     def defaults(tau_gi_ms: float = 0.5) -> "SimulationParams":
         return SimulationParams(
-            lif_exc=LifParams.excitatory_defaults(tau_gi_ms),
-            lif_inh=LifParams.inhibitory_defaults(tau_gi_ms),
+            lif_excitatory=LifParams.excitatory_defaults(tau_gi_ms),
+            lif_inhibitory=LifParams.inhibitory_defaults(tau_gi_ms),
             homeostasis=HomeostasisParams(),
             stdp=StdpParams(),
             wiring=FixedWiring(),
@@ -169,11 +169,11 @@ class SimulationParams:
     def with_tau_gi(self, tau_gi_ms: float) -> "SimulationParams":
         return replace(
             self,
-            lif_exc=replace(self.lif_exc, tau_gi_ms=tau_gi_ms),
-            lif_inh=replace(self.lif_inh, tau_gi_ms=tau_gi_ms),
+            lif_excitatory=replace(self.lif_excitatory, tau_gi_ms=tau_gi_ms),
+            lif_inhibitory=replace(self.lif_inhibitory, tau_gi_ms=tau_gi_ms),
         )
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite({"dt_ms": self.dt_ms, "weight_norm_target": self.weight_norm_target,
                         "weight_init_max": self.weight_init_max})
         if self.dt_ms <= 0:
@@ -182,11 +182,6 @@ class SimulationParams:
             raise ConfigError("weight_norm_target must be > 0")
         if self.weight_init_max < 0:
             raise ConfigError("weight_init_max must be >= 0")
-        self.lif_exc.validate()
-        self.lif_inh.validate()
-        self.homeostasis.validate()
-        self.stdp.validate()
-        self.wiring.validate()
 
 
 class LayerState:
@@ -493,8 +488,6 @@ class ExpertNetwork:
 
         ``group`` marks a learning group's stack (``learning_group``).
         """
-        params.validate()
-        encoding.validate()
         self.syn = syn
         self.params = params
         self.encoding = encoding
@@ -502,8 +495,8 @@ class ExpertNetwork:
         shape = (syn.w.shape[0], syn.w.shape[2]) if group else syn.w.shape[1:]
         if images is not None:
             shape = (images,) + shape
-        self.exc = LayerState.resting(shape, params.lif_exc, theta)
-        self.inh = LayerState.inhibitory(shape, params.lif_inh)
+        self.exc = LayerState.resting(shape, params.lif_excitatory, theta)
+        self.inh = LayerState.inhibitory(shape, params.lif_inhibitory)
 
     @classmethod
     def learning_group(
@@ -587,11 +580,11 @@ class ExpertNetwork:
                     first, last = t * n_img, (t + 1) * n_img
                     if offsets[last] > offsets[first]:
                         apply_input_spikes(exc, syn, spike_idx, offsets[first:last + 1])
-            exc_spiked = lif_step(exc, p.lif_exc, dt, homeo)
+            exc_spiked = lif_step(exc, p.lif_excitatory, dt, homeo)
             fired = exc_spiked.any()
             if fired and learn:
                 stdp_on_post_spike(plastic, p.stdp, np.nonzero(exc_spiked))
-            inh_spiked = lif_step(inh, p.lif_inh, dt, None)
+            inh_spiked = lif_step(inh, p.lif_inhibitory, dt, None)
             if fired or inh_spiked.any():
                 apply_lateral_inhibition(exc_spiked, inh_spiked, p.wiring, exc, inh)
             if learn:

@@ -11,9 +11,11 @@ atomic rename.  An overwrite first moves the old archive aside to
 place, loading ``path`` falls back to that copy.  A save replaces only
 directories that hold nothing but archive files.  The config block is written and
 read by ``config``'s JSON codec.  Loading rejects, with ``ArchiveError``,
-manifests with a missing or wrongly typed key (or an unknown config key)
-and archives whose experts do not tile the place set or disagree on their
-shapes.
+manifests with a missing or wrongly typed key (an unknown config key or a
+config value that breaks its invariant included), payload names other
+than ``expert_NNNN.bin``, and archives whose experts do not tile the place
+set, disagree on their shapes, hold non-finite thresholds or weights, or
+assign a neuron outside their own places.
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ import numpy as np
 from .config import from_json, to_json
 from .ensemble import EnsembleModel, flags_for_theta
 from .errors import ArchiveError, ConfigError, IngestError
-from .expert import ExpertConfig, ExpertModel
+from .expert import UNASSIGNED, ExpertConfig, ExpertModel
 from .imaging import EncodingConfig, PatchNormConfig
 from .network import SimulationParams
 
 FORMAT_VERSION = 1
 _IMAGE_SUFFIXES = (".pgm", ".png", ".jpg", ".jpeg", ".bmp", ".tif", ".tiff")
-_ARCHIVE_FILE = re.compile(r"manifest\.json|expert_\d{4,}\.bin")
+_PAYLOAD_FILE = re.compile(r"expert_\d{4,}\.bin")
+_ARCHIVE_FILE = re.compile(rf"manifest\.json|{_PAYLOAD_FILE.pattern}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,6 +231,10 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
     sim = {key: value for key, value in cfg.items() if key not in ("encoding", "patch", "expert")}
     experts = []
     for meta in manifest["experts"]:
+        if not (isinstance(meta["file"], str) and _PAYLOAD_FILE.fullmatch(meta["file"])):
+            raise ArchiveError(
+                f"archive {path!r}: payload name {meta['file']!r} is not expert_NNNN.bin"
+            )
         payload_path = os.path.join(path, meta["file"])
         expected = meta["n_inputs"] * meta["n_excitatory"] * 4
         try:
@@ -272,14 +279,12 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
 def _check_consistent(model: EnsembleModel, path: str) -> None:
     """Reject archives whose experts cannot serve one query together.
 
-    The stored configs and theta must pass the same checks as fresh ones.
+    The stored configs were checked as they were decoded; the stored theta
+    must pass the same check as a fresh one.  Each expert's per-neuron lists
+    must match its neuron count, its thresholds and weights must be finite,
+    and each assignment must be a local place of that expert or unassigned.
     """
     model.validate_tiling()
-    model.sim.validate()
-    model.encoding.validate()
-    model.patch.validate()
-    if model.expert_config is not None:
-        model.expert_config.validate()
     flags_for_theta((), model.theta)
     sizes = sorted({ex.n_excitatory for ex in model.experts})
     if len(sizes) > 1:
@@ -297,3 +302,12 @@ def _check_consistent(model: EnsembleModel, path: str) -> None:
                     f"archive {path!r}: expert {i} lists {name} of shape "
                     f"{getattr(ex, name).shape}, expected ({ex.n_excitatory},)"
                 )
+        if not (np.isfinite(ex.theta).all() and np.isfinite(ex.weights).all()):
+            raise ArchiveError(
+                f"archive {path!r}: expert {i} holds non-finite thresholds or weights"
+            )
+        if ((ex.assignments < UNASSIGNED) | (ex.assignments >= ex.n_places)).any():
+            raise ArchiveError(
+                f"archive {path!r}: expert {i} assigns a neuron outside its places "
+                f"[{UNASSIGNED}, {ex.n_places})"
+            )

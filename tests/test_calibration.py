@@ -30,21 +30,21 @@ from tests.conftest import (
 class TestPlan:
     def test_empty_grids_rejected(self):
         with pytest.raises(ConfigError):
-            CalibrationPlan(tau_gi_grid=(), theta_grid=(100.0,)).validate()
+            CalibrationPlan(tau_gi_grid=(), theta_grid=(100.0,))
         with pytest.raises(ConfigError):
-            CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=()).validate()
+            CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=())
 
     def test_empty_place_range_rejected(self):
         with pytest.raises(ConfigError):
-            CalibrationPlan(cal_start=5, cal_stop=5).validate()
+            CalibrationPlan(cal_start=5, cal_stop=5)
 
     @pytest.mark.parametrize("bad", [-5.0, float("nan"), "abc", True, None])
     def test_invalid_theta_in_grid_rejected(self, bad):
         with pytest.raises(ConfigError, match="theta"):
-            CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=(20.0, bad)).validate()
+            CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=(20.0, bad))
 
     def test_zero_theta_is_a_valid_cell(self):
-        CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=(0.0, 20.0)).validate()
+        CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=(0.0, 20.0))
 
 
 class TestSelectTheta:

@@ -329,6 +329,19 @@ class TestMatch:
         assert rc == 2
         assert_one_error_line(capsys, "config")
 
+    def test_assignment_past_the_place_count_exits_2(self, world, trained_archive, tmp_path,
+                                                     capsys):
+        root, cfg, ref, _ = world
+        broken = tmp_path / "far_place"
+        shutil.copytree(trained_archive, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["experts"][0]["assignments"][0] = 50
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["match", "--model", str(broken),
+                   "--image", os.path.join(ref, "place_002.pgm")])
+        assert rc == 2
+        assert_one_error_line(capsys, "assigns a neuron outside")
+
 
 class TestCalibrate:
     def test_tiny_grid_end_to_end(self, world):
@@ -356,7 +369,7 @@ class TestCalibrate:
         assert main(["train", "--config", os.path.join(out_dir, "config.json"),
                      "--ref-dirs", ref, "--out", model]) == 0
         sim = load_ensemble(model).sim
-        assert sim.lif_exc.tau_gi_ms == sim.lif_inh.tau_gi_ms == 2.0
+        assert sim.lif_excitatory.tau_gi_ms == sim.lif_inhibitory.tau_gi_ms == 2.0
 
 
 class TestCalibrationSplitHygiene:
@@ -411,7 +424,7 @@ class TestConfig:
         assert cfg.encoding.presentation_ms == 350.0
         assert cfg.encoding.rest_ms == 150.0
         assert cfg.encoding.max_rate_hz == 63.75
-        assert cfg.simulation.lif_exc.tau_ms == 100.0
+        assert cfg.simulation.lif_excitatory.tau_ms == 100.0
         assert cfg.simulation.weight_norm_target == 78.0
         assert cfg.expert.places_per_expert == 25
 
@@ -432,8 +445,9 @@ class TestConfig:
         path.write_text(json.dumps({"simulation": {"lif_excitatory": {"tau_ms": 50.0}}}))
         cfg = load_config(str(path))
         defaults = RunConfig().simulation
-        assert cfg.simulation.lif_exc == dataclasses.replace(defaults.lif_exc, tau_ms=50.0)
-        assert cfg.simulation == dataclasses.replace(defaults, lif_exc=cfg.simulation.lif_exc)
+        lif = cfg.simulation.lif_excitatory
+        assert lif == dataclasses.replace(defaults.lif_excitatory, tau_ms=50.0)
+        assert cfg.simulation == dataclasses.replace(defaults, lif_excitatory=lif)
 
     def test_round_trip(self, world):
         for cfg in (RunConfig(), load_config(world[1])):
@@ -448,7 +462,7 @@ class TestConfig:
         for path in leaves:
             for value in (math.inf, -math.inf):
                 try:
-                    from_json(RunConfig, with_leaf(defaults, path, value), "config").validate()
+                    from_json(RunConfig, with_leaf(defaults, path, value), "config")
                 except ConfigError:
                     continue
                 accepted.append((path, value))

@@ -56,9 +56,9 @@ class TestDefaults:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
-            ExpertConfig(n_excitatory=10, places_per_expert=25).validate()
+            ExpertConfig(n_excitatory=10, places_per_expert=25)
         with pytest.raises(ConfigError):
-            ExpertConfig(epochs=5, record_last_epochs=6).validate()
+            ExpertConfig(epochs=5, record_last_epochs=6)
 
 
 class TestTraining:

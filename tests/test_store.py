@@ -262,6 +262,52 @@ class TestCorruption:
         with pytest.raises(ArchiveError, match="theta"):
             load_ensemble(path)
 
+    @pytest.mark.parametrize("place", [2, 7, 50, -2, -3])
+    def test_assignment_outside_the_experts_places_rejected(self, trained_model, tmp_path,
+                                                            place):
+        model, _ = trained_model
+
+        def reassign(manifest):
+            manifest["experts"][0]["assignments"][0] = place
+
+        path = self._edit_manifest(model, tmp_path, reassign)
+        with pytest.raises(ArchiveError, match="assigns a neuron outside"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("name", ["../outside.bin", "expert_1.bin", "manifest.json", 0])
+    def test_payload_name_must_be_an_expert_file(self, trained_model, tmp_path, name):
+        model, _ = trained_model
+        # A payload of the right size just outside the archive.
+        (tmp_path / "outside.bin").write_bytes(
+            model.experts[0].weights.astype("<f4").tobytes()
+        )
+        path = self._edit_manifest(
+            model, tmp_path, lambda m: m["experts"][0].update(file=name)
+        )
+        with pytest.raises(ArchiveError, match="payload name"):
+            load_ensemble(path)
+
+    def test_non_finite_threshold_rejected(self, trained_model, tmp_path):
+        model, _ = trained_model
+
+        def silence_a_neuron(manifest):
+            manifest["experts"][1]["theta_adapt_mv"][0] = float("nan")
+
+        path = self._edit_manifest(model, tmp_path, silence_a_neuron)
+        assert "NaN" in (path / "manifest.json").read_text()
+        with pytest.raises(ArchiveError, match="non-finite"):
+            load_ensemble(path)
+
+    def test_non_finite_weight_rejected(self, trained_model, tmp_path):
+        model, _ = trained_model
+        save_ensemble(model, tmp_path / "arch")
+        payload = tmp_path / "arch" / "expert_0001.bin"
+        weights = np.frombuffer(payload.read_bytes(), dtype="<f4").copy()
+        weights[3] = np.nan
+        payload.write_bytes(weights.tobytes())
+        with pytest.raises(ArchiveError, match="non-finite"):
+            load_ensemble(tmp_path / "arch")
+
     def test_missing_manifest(self, tmp_path):
         os.makedirs(tmp_path / "empty")
         with pytest.raises(ArchiveError):
