@@ -66,6 +66,16 @@ def _decode(hint, value, where: str):
     return value
 
 
+def check_presentation_steps(encoding: EncodingConfig, simulation: SimulationParams) -> None:
+    """A presentation must last at least one step: round(presentation_ms / dt_ms) >= 1."""
+    # Compared, not rounded: the ratio of two finite numbers can overflow to inf.
+    if not encoding.presentation_ms / simulation.dt_ms > 0.5:
+        raise ConfigError(
+            f"encoding.presentation_ms ({encoding.presentation_ms}) must last at least one "
+            f"step of simulation.dt_ms ({simulation.dt_ms})"
+        )
+
+
 @dataclasses.dataclass(frozen=True)
 class ImageConfig:
     """Size every input image is resized to before encoding."""
@@ -108,3 +118,4 @@ class RunConfig:
             raise ConfigError("image dimensions must be multiples of the patch size")
         if self.expert.n_inputs != width * height:
             raise ConfigError("expert.n_inputs must equal image.width * image.height")
+        check_presentation_steps(self.encoding, self.simulation)

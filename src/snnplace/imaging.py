@@ -266,6 +266,14 @@ def poisson_encode(
     intensity_i * (max_rate_hz + rate_boost_hz) over the presentation
     window.  Per neuron, the spike count is Poisson(rate * duration) and
     times are uniform on [0, duration) — an exact Poisson process.
+
+    Spikes come out grouped by input in ascending order and ascending in
+    time within each input.  Two sorts put them there: numpy's default
+    argsort of the times, then a stable argsort of the input ids in the
+    smallest unsigned type that holds them, which numpy radix-sorts when
+    that type has at most 16 bits.  The result equals a lexsort on
+    (input, time) bit for bit: only equal (time, input) pairs can land in
+    another order, and swapping identical pairs changes no value.
     """
     intensities = np.clip(np.asarray(image, dtype=np.float64).ravel(), 0.0, None)
     rates_hz = intensities * (cfg.max_rate_hz + rate_boost_hz)
@@ -274,7 +282,9 @@ def poisson_encode(
     total = int(counts.sum())
     times = rng.uniform(0.0, cfg.presentation_ms, size=total)
     indices = np.repeat(np.arange(rates_hz.size, dtype=np.int64), counts)
-    order = np.lexsort((times, indices))
+    order = np.argsort(times)
+    order = order[np.argsort(indices[order].astype(np.min_scalar_type(rates_hz.size)),
+                             kind="stable")]
     return SpikeTrain(
         times=times[order],
         indices=indices[order],

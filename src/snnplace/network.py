@@ -327,14 +327,22 @@ class BinnedTrain(NamedTuple):
 
 
 def bin_train(train: SpikeTrain | BinnedTrain, dt_ms: float) -> BinnedTrain:
-    """Bin a train's spike times to steps of ``dt_ms``; a binned train passes through."""
+    """Bin a train's spike times to steps of ``dt_ms``; a binned train passes through.
+
+    Spikes are ordered by step with a stable argsort, so within a step they
+    keep the train's order.  The steps are sorted in the smallest unsigned
+    type that holds the last one, which numpy radix-sorts up to 16 bits; a
+    stable sort of equal keys is one permutation, whatever the key type.
+    """
     if isinstance(train, BinnedTrain):
         return train
     n_pres = int(round(train.duration_ms / dt_ms))
-    steps = np.minimum((train.times / dt_ms).astype(np.int64), max(n_pres - 1, 0))
+    last = max(n_pres - 1, 0)
+    steps = np.minimum((train.times / dt_ms).astype(np.int64), last)
     offsets = np.zeros(n_pres + 1, dtype=np.int64)
     np.cumsum(np.bincount(steps, minlength=n_pres), out=offsets[1:])
-    indices = train.indices[np.argsort(steps, kind="stable")].astype(np.int32)
+    order = np.argsort(steps.astype(np.min_scalar_type(last)), kind="stable")
+    indices = train.indices[order].astype(np.int32)
     return BinnedTrain(indices, offsets)
 
 
@@ -351,7 +359,7 @@ def _summed_rows(rows: np.ndarray) -> np.ndarray:
         # pairwise too, so every expert gets the conductance it gets alone.
         rows = np.asfortranarray(rows)
     # Summing float32 rows in float64 equals summing their float64 copies, bit for bit.
-    return rows.sum(axis=0, dtype=np.float64)
+    return np.add.reduce(rows, 0, np.float64)
 
 
 def apply_input_spikes(
@@ -401,12 +409,12 @@ def apply_lateral_inhibition(
     spiking inhibitory neuron inhibits every excitatory neuron of its own
     expert (the last axis) except its own partner.
     """
-    if inh_spiked.any():
+    if np.count_nonzero(inh_spiked):
         n_inh = inh_spiked.sum(axis=-1, keepdims=True)  # per expert
         g_i = exc_state.g_i
         g_i += wiring.w_inh_to_exc * n_inh
         np.subtract(g_i, wiring.w_inh_to_exc, out=g_i, where=inh_spiked)
-    if exc_spiked.any():
+    if np.count_nonzero(exc_spiked):
         np.add(inh_state.g_e, wiring.w_exc_to_inh, out=inh_state.g_e, where=exc_spiked)
 
 
@@ -581,11 +589,11 @@ class ExpertNetwork:
                     if offsets[last] > offsets[first]:
                         apply_input_spikes(exc, syn, spike_idx, offsets[first:last + 1])
             exc_spiked = lif_step(exc, p.lif_excitatory, dt, homeo)
-            fired = exc_spiked.any()
+            fired = np.count_nonzero(exc_spiked)
             if fired and learn:
                 stdp_on_post_spike(plastic, p.stdp, np.nonzero(exc_spiked))
             inh_spiked = lif_step(inh, p.lif_inhibitory, dt, None)
-            if fired or inh_spiked.any():
+            if fired or np.count_nonzero(inh_spiked):
                 apply_lateral_inhibition(exc_spiked, inh_spiked, p.wiring, exc, inh)
             if learn:
                 syn.pre_trace *= trace_decay

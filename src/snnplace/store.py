@@ -11,11 +11,12 @@ atomic rename.  An overwrite first moves the old archive aside to
 place, loading ``path`` falls back to that copy.  A save replaces only
 directories that hold nothing but archive files.  The config block is written and
 read by ``config``'s JSON codec.  Loading rejects, with ``ArchiveError``,
-manifests with a missing or wrongly typed key (an unknown config key or a
-config value that breaks its invariant included), payload names other
-than ``expert_NNNN.bin``, and archives whose experts do not tile the place
-set, disagree on their shapes, hold non-finite thresholds or weights, or
-assign a neuron outside their own places.
+manifests with a missing or wrongly typed key (an unknown config key, a
+config value that breaks its invariant and a per-neuron list element of the
+wrong type included), payload names other than ``expert_NNNN.bin``, a
+presentation shorter than one step, and archives whose experts do not tile
+the place set, disagree on their shapes, hold non-finite thresholds or
+weights, or assign a neuron outside their own places.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import tempfile
 
 import numpy as np
 
-from .config import from_json, to_json
+from .config import check_presentation_steps, from_json, to_json
 from .ensemble import EnsembleModel, flags_for_theta
 from .errors import ArchiveError, ConfigError, IngestError
 from .expert import UNASSIGNED, ExpertConfig, ExpertModel
@@ -40,6 +41,21 @@ FORMAT_VERSION = 1
 _IMAGE_SUFFIXES = (".pgm", ".png", ".jpg", ".jpeg", ".bmp", ".tif", ".tiff")
 _PAYLOAD_FILE = re.compile(r"expert_\d{4,}\.bin")
 _ARCHIVE_FILE = re.compile(rf"manifest\.json|{_PAYLOAD_FILE.pattern}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Per-neuron manifest lists: the array type and the test each element must pass
+# first, since numpy's cast would truncate 1.9 to 1 and read "no" as True.
+_PER_NEURON = {
+    "theta_adapt_mv": (np.float64, "numbers",
+                       lambda v: _is_int(v) or isinstance(v, float)),
+    "assignments": (np.int64, "integers", _is_int),
+    "reference_totals": (np.int64, "non-negative integers", lambda v: _is_int(v) and v >= 0),
+    "hyperactive": (bool, "true or false", lambda v: isinstance(v, bool)),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -250,14 +266,15 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
         weights = np.frombuffer(blob, dtype="<f4").reshape(
             meta["n_inputs"], meta["n_excitatory"]
         ).astype(np.float32)
+        where = f"archive {path!r}: expert {len(experts)}"
         experts.append(ExpertModel(
             weights=weights,
-            theta=np.array(meta["theta_adapt_mv"], dtype=np.float64),
-            assignments=np.array(meta["assignments"], dtype=np.int64),
+            theta=_per_neuron(meta, "theta_adapt_mv", where),
+            assignments=_per_neuron(meta, "assignments", where),
             global_start=meta["global_start"],
             n_places=meta["n_places"],
-            reference_totals=np.array(meta["reference_totals"], dtype=np.int64),
-            hyperactive=np.array(meta["hyperactive"], dtype=bool),
+            reference_totals=_per_neuron(meta, "reference_totals", where),
+            hyperactive=_per_neuron(meta, "hyperactive", where),
         ))
     return EnsembleModel(
         experts=experts,
@@ -276,15 +293,25 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
     )
 
 
+def _per_neuron(meta: dict, key: str, where: str) -> np.ndarray:
+    dtype, wanted, valid = _PER_NEURON[key]
+    values = meta[key]
+    if not (isinstance(values, list) and all(map(valid, values))):
+        raise ArchiveError(f"{where} {key} must be a list of {wanted}")
+    return np.array(values, dtype=dtype)
+
+
 def _check_consistent(model: EnsembleModel, path: str) -> None:
     """Reject archives whose experts cannot serve one query together.
 
-    The stored configs were checked as they were decoded; the stored theta
-    must pass the same check as a fresh one.  Each expert's per-neuron lists
+    The stored configs were checked as they were decoded; a presentation
+    must last at least one step, and the stored theta must pass the same
+    check as a fresh one.  Each expert's per-neuron lists
     must match its neuron count, its thresholds and weights must be finite,
     and each assignment must be a local place of that expert or unassigned.
     """
     model.validate_tiling()
+    check_presentation_steps(model.encoding, model.sim)
     flags_for_theta((), model.theta)
     sizes = sorted({ex.n_excitatory for ex in model.experts})
     if len(sizes) > 1:

@@ -479,6 +479,18 @@ class TestConfig:
         assert rc == 2
         assert_one_error_line(capsys, "presentation_ms")
 
+    def test_presentation_shorter_than_a_step_exits_2(self, world, tmp_path, capsys):
+        _, cfg, ref, _ = world
+        data = json.loads(open(cfg).read())
+        data["encoding"]["presentation_ms"] = 0.2  # round(0.2 / 0.5) == 0 steps
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        rc = main(["train", "--config", str(path), "--ref-dirs", ref,
+                   "--out", str(tmp_path / "never")])
+        assert rc == 2
+        assert_one_error_line(capsys, "presentation_ms", "dt_ms")
+        assert not (tmp_path / "never").exists()
+
     def test_decoder_is_strict(self):
         lif = to_json(LifParams.excitatory_defaults())
         assert from_json(LifParams, {**lif, "tau_ms": 100}, "lif").tau_ms == 100

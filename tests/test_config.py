@@ -18,7 +18,7 @@ from snnplace.network import (
 )
 
 # One valid config and one field that breaks it; the RunConfig rows break
-# its own fields and its two cross-field rules.
+# its own fields and its three cross-field rules.
 ONE_BAD_FIELD = [
     (LifParams.excitatory_defaults(), "tau_ms", 0.0),
     (LifParams.inhibitory_defaults(), "v_reset_mv", -30.0),
@@ -36,6 +36,7 @@ ONE_BAD_FIELD = [
     (RunConfig(), "seed", -1),
     (RunConfig(), "image", ImageConfig(width=14, height=14)),   # n_inputs != 14 * 14
     (RunConfig(), "patch", PatchNormConfig(patch_width=5)),     # 28 is not a multiple of 5
+    (RunConfig(), "encoding", EncodingConfig(presentation_ms=0.2)),  # 0 steps of 0.5 ms
 ]
 
 
@@ -52,3 +53,16 @@ def test_building_with_one_bad_field_raises(config, name, value):
 def test_with_tau_gi_is_checked():
     with pytest.raises(ConfigError, match="time constants"):
         SimulationParams.defaults().with_tau_gi(0.0)
+
+
+def test_presentation_lasts_at_least_one_step():
+    def run_config(presentation_ms, dt_ms):
+        return RunConfig(
+            encoding=EncodingConfig(presentation_ms=presentation_ms),
+            simulation=dataclasses.replace(SimulationParams.defaults(), dt_ms=dt_ms),
+        )
+
+    for presentation_ms, dt_ms in ((0.25, 0.5), (1e-300, 1e300)):  # round(0.5) == 0
+        with pytest.raises(ConfigError, match="at least one step"):
+            run_config(presentation_ms, dt_ms)
+    run_config(0.26, 0.5)  # round(0.52) == 1 step

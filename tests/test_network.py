@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snnplace.errors import ConfigError
@@ -19,6 +19,7 @@ from snnplace.network import (
     SynapseMatrix,
     apply_input_spikes,
     apply_lateral_inhibition,
+    bin_train,
     lif_step,
     normalize_columns,
     stdp_on_post_spike,
@@ -353,6 +354,100 @@ class TestStepOracle:
         assert member.g_i is None and member.theta is None
         member.v[0, 0] = 1.0
         assert inh.v[1, 0] == 1.0
+
+
+def oracle_poisson_encode(image, cfg, seed, rate_boost_hz=0.0):
+    """``poisson_encode`` as it was, ordering spikes with ``np.lexsort``."""
+    intensities = np.clip(np.asarray(image, dtype=np.float64).ravel(), 0.0, None)
+    rates_hz = intensities * (cfg.max_rate_hz + rate_boost_hz)
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(rates_hz * (cfg.presentation_ms / 1000.0))
+    total = int(counts.sum())
+    times = rng.uniform(0.0, cfg.presentation_ms, size=total)
+    indices = np.repeat(np.arange(rates_hz.size, dtype=np.int64), counts)
+    order = np.lexsort((times, indices))
+    return SpikeTrain(times[order], indices[order], rates_hz.size, cfg.presentation_ms)
+
+
+def oracle_bin_train(train, dt_ms):
+    """``bin_train`` as it was, with a stable argsort of int64 steps."""
+    n_pres = int(round(train.duration_ms / dt_ms))
+    steps = np.minimum((train.times / dt_ms).astype(np.int64), max(n_pres - 1, 0))
+    offsets = np.zeros(n_pres + 1, dtype=np.int64)
+    np.cumsum(np.bincount(steps, minlength=n_pres), out=offsets[1:])
+    return train.indices[np.argsort(steps, kind="stable")].astype(np.int32), offsets
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSpikeTrainOracle:
+    """``poisson_encode`` and ``bin_train`` match their lexsort and int64-sort bodies bit for bit.
+
+    The draws reach every key type: uint8, uint16 and uint32 input ids
+    (1, 256 and 65,537 inputs) and uint8 to uint32 steps (up to 80,000
+    steps of 0.5 ms), with windows that ``dt`` does not divide.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_inputs=st.sampled_from([1, 7, 256, 257, 784, 65_537]),
+        presentation_ms=st.sampled_from([0.3, 10.0, 350.0, 40_000.0]),
+        dt_ms=st.sampled_from([0.3, 0.5, 1.0]),
+        rate_boost_hz=st.sampled_from([0.0, 32.0, 640.0]),
+        brightness=st.sampled_from([0.0, 1e-4, 0.05, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(65_537, 40_000.0, 0.5, 640.0, 1.0, 3)   # uint32 ids and uint32 steps
+    @example(256, 350.0, 0.3, 32.0, 1.0, 4)          # uint16 ids; 0.3 does not divide 350
+    @example(1, 10.0, 1.0, 0.0, 1.0, 5)              # uint8 ids and steps
+    @example(784, 350.0, 0.5, 0.0, 0.0, 6)           # a zero image: no spikes
+    def test_encode_and_bin_match_pre_rewrite_bodies(
+        self, n_inputs, presentation_ms, dt_ms, rate_boost_hz, brightness, seed
+    ):
+        if round(presentation_ms / dt_ms) < 1:
+            return  # no config holds a window shorter than one step
+        rng = np.random.default_rng(seed)
+        image = rng.uniform(size=(1, n_inputs)) * brightness
+        cfg = EncodingConfig(presentation_ms=presentation_ms)
+        # a dim image keeps wide inputs and long windows to tens of thousands of spikes
+        expected = image.sum() * (cfg.max_rate_hz + rate_boost_hz) * presentation_ms / 1000.0
+        image *= min(1.0, 20_000.0 / max(expected, 1e-12))
+        got = poisson_encode(image, cfg, seed, rate_boost_hz)
+        want = oracle_poisson_encode(image, cfg, seed, rate_boost_hz)
+        assert_same_bytes(got.times, want.times)
+        assert_same_bytes(got.indices, want.indices)
+        assert (got.n_inputs, got.duration_ms) == (want.n_inputs, want.duration_ms)
+        indices, offsets = bin_train(got, dt_ms)
+        want_indices, want_offsets = oracle_bin_train(want, dt_ms)
+        assert_same_bytes(indices, want_indices)
+        assert_same_bytes(offsets, want_offsets)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_spikes=st.integers(0, 300),
+        n_inputs=st.sampled_from([1, 3, 300, 70_000]),
+        duration_ms=st.sampled_from([0.5, 2.0, 7.3, 40_000.0]),
+        dt_ms=st.sampled_from([0.3, 0.5, 1.0]),
+        distinct_times=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bin_matches_on_handmade_trains(
+        self, n_spikes, n_inputs, duration_ms, dt_ms, distinct_times, seed
+    ):
+        if round(duration_ms / dt_ms) < 1:
+            return
+        rng = np.random.default_rng(seed)
+        # few distinct times and few inputs repeat (step, input) pairs; times come unsorted
+        times = rng.choice(rng.uniform(0.0, duration_ms, distinct_times), n_spikes)
+        indices = rng.integers(0, n_inputs, n_spikes)
+        train = SpikeTrain(times, indices, n_inputs, duration_ms)
+        got_indices, got_offsets = bin_train(train, dt_ms)
+        want_indices, want_offsets = oracle_bin_train(train, dt_ms)
+        assert_same_bytes(got_indices, want_indices)
+        assert_same_bytes(got_offsets, want_offsets)
 
 
 class TestStdp:

@@ -308,6 +308,39 @@ class TestCorruption:
         with pytest.raises(ArchiveError, match="non-finite"):
             load_ensemble(tmp_path / "arch")
 
+    @pytest.mark.parametrize("key, value", [
+        ("assignments", 1.9),          # numpy's cast truncated it to place 1
+        ("assignments", True),
+        ("assignments", "1"),
+        ("reference_totals", -7),
+        ("reference_totals", 2.5),
+        ("hyperactive", "no"),         # any truthy value read as True
+        ("hyperactive", 1),
+        ("theta_adapt_mv", "1.5"),
+        ("theta_adapt_mv", False),
+    ])
+    def test_per_neuron_element_of_the_wrong_type_rejected(self, trained_model, tmp_path,
+                                                           key, value):
+        model, _ = trained_model
+
+        def retype(manifest):
+            manifest["experts"][1][key][0] = value
+
+        path = self._edit_manifest(model, tmp_path, retype)
+        with pytest.raises(ArchiveError, match=f"expert 1 {key} must be a list of"):
+            load_ensemble(path)
+
+    def test_presentation_shorter_than_a_step_rejected(self, trained_model, tmp_path):
+        model, _ = trained_model
+
+        def shorten(manifest):
+            manifest["config"]["encoding"]["presentation_ms"] = 0.2
+            manifest["config"]["dt_ms"] = 0.5
+
+        path = self._edit_manifest(model, tmp_path, shorten)
+        with pytest.raises(ArchiveError, match="at least one step"):
+            load_ensemble(path)
+
     def test_missing_manifest(self, tmp_path):
         os.makedirs(tmp_path / "empty")
         with pytest.raises(ArchiveError):
