@@ -30,12 +30,11 @@ partition = partition_reference(N_PLACES, PLACES_PER_EXPERT)
 print(f"partition: {partition.n_regions} regions -> {partition.ranges}")
 
 cfg = ExpertConfig(
-    n_inputs=784, n_excitatory=40, places_per_expert=PLACES_PER_EXPERT,
-    epochs=15, record_last_epochs=5,
+    n_excitatory=40, places_per_expert=PLACES_PER_EXPERT, epochs=15, record_last_epochs=5,
 )
 tick = time.perf_counter()
 model = train_ensemble(
-    reference, partition, cfg,
+    reference, cfg,
     SimulationParams.defaults(), EncodingConfig(), PatchNormConfig(),
     global_seed=1, workers=2,
 )

@@ -14,7 +14,6 @@ from snnplace import (
     PatchNormConfig,
     SimulationParams,
     detect_hyperactive,
-    partition_reference,
     train_ensemble,
 )
 from snnplace.calibration import select_theta, theta_sweep
@@ -33,10 +32,9 @@ reference = preprocess_stack(raw)[None]
 queries = preprocess_stack(corrupt_queries(raw, seed=12))
 truths = np.arange(N_PLACES)
 
-cfg = ExpertConfig(n_inputs=784, n_excitatory=60, places_per_expert=25,
-                   epochs=20, record_last_epochs=10)
+cfg = ExpertConfig(n_excitatory=60, places_per_expert=25, epochs=20, record_last_epochs=10)
 model = train_ensemble(
-    reference, partition_reference(N_PLACES, 25), cfg,
+    reference, cfg,
     SimulationParams.defaults(), EncodingConfig(), PatchNormConfig(),
     global_seed=5, workers=2,
 )

@@ -73,6 +73,7 @@ from .network import (
     SimulationParams,
     StdpParams,
     SynapseMatrix,
+    UninhibitedLifParams,
     apply_input_spikes,
     apply_lateral_inhibition,
     lif_step,

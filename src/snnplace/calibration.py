@@ -24,7 +24,6 @@ from .ensemble import (
     collect_query_responses,
     detect_hyperactive,
     flags_for_theta,
-    partition_reference,
     train_ensemble,
 )
 from .errors import ConfigError, require_finite
@@ -129,11 +128,9 @@ def run_grid_search(
     n_tau, n_theta = len(plan.tau_gi_grid), len(plan.theta_grid)
     scores = np.zeros((n_tau, n_theta))
     cell_seconds = np.zeros((n_tau, n_theta))
-    part = partition_reference(cal_reference.shape[1], expert_cfg.places_per_expert)
-
     for i, tau_gi in enumerate(plan.tau_gi_grid):
         model = train_ensemble(
-            cal_reference, part, expert_cfg, sim.with_tau_gi(tau_gi),
+            cal_reference, expert_cfg, sim.with_tau_gi(tau_gi),
             encoding, patch, derive_cal_seed(global_seed, tau_gi), workers,
         )
         detect_hyperactive(model, cal_reference, None, workers)

@@ -148,7 +148,7 @@ def cmd_train(args) -> int:
           f"({reference.shape[0]} traverse(s), workers={cfg.effective_workers()})")
     tick = time.perf_counter()
     model = ens.train_ensemble(
-        reference, partition, cfg.expert, cfg.simulation, cfg.encoding, cfg.patch,
+        reference, cfg.expert, cfg.simulation, cfg.encoding, cfg.patch,
         cfg.seed, cfg.effective_workers(),
         dataset_fingerprints={m.name: m.fingerprint for m in manifests},
     )

@@ -2,10 +2,10 @@
 
 The reference place set is cut into contiguous, non-overlapping regions of
 ``places_per_expert`` places (the last region may be short).  One expert is
-trained per region; experts share no state, so each worker trains a
-contiguous chunk of them, in groups that step through every presentation
-together (``train_experts``), and results are identical for any worker
-count or group size.
+trained per region, with the region's seed; experts share no state, so each
+worker trains a contiguous chunk of them, in groups that step through every
+presentation together (``train_experts``), and results are identical for
+any worker count or group size.
 
 After training, every expert is shown the *entire* reference set in
 inference mode.  A neuron whose cumulative spike count reaches the
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class Partition:
     """Contiguous, disjoint place ranges covering the full reference set."""
 
     ranges: tuple[tuple[int, int], ...]  # [start, stop) per region
-    places_per_expert: int
 
     @property
     def n_regions(self) -> int:
@@ -79,7 +78,7 @@ def partition_reference(place_count: int, places_per_expert: int) -> Partition:
         raise ConfigError("places_per_expert must be >= 1")
     starts = range(0, place_count, places_per_expert)
     ranges = tuple((s, min(s + places_per_expert, place_count)) for s in starts)
-    return Partition(ranges=ranges, places_per_expert=places_per_expert)
+    return Partition(ranges=ranges)
 
 
 @dataclass
@@ -143,7 +142,6 @@ def _train_chunk(job) -> list[ExpertModel]:
 
 def train_ensemble(
     reference: np.ndarray,
-    partition: Partition,
     expert_cfg: ExpertConfig,
     sim: SimulationParams,
     encoding: EncodingConfig,
@@ -155,28 +153,24 @@ def train_ensemble(
     """Train all region experts; returns a pre-regularization ensemble.
 
     ``reference`` holds the encoder-ready reference images with shape
-    (n_traverses, place_count, H, W).  Each expert derives its own seed
-    from (global_seed, region index), and workers train contiguous chunks
-    of experts in groups, so serial, parallel and grouped runs are
+    (n_traverses, place_count, H, W); its places are cut into regions of
+    ``expert_cfg.places_per_expert``.  Each region's seed derives from
+    (global_seed, region index), and workers train contiguous chunks of
+    experts in groups, so serial, parallel and grouped runs are
     bit-identical.
     """
     n_trav, place_count = reference.shape[0], reference.shape[1]
-    if partition.ranges[-1][1] != place_count:
-        raise ConfigError("partition does not match the reference place count")
-
-    regions, cfgs = [], []
-    for index, (start, stop) in enumerate(partition.ranges):
-        regions.append(RegionData(
+    partition = partition_reference(place_count, expert_cfg.places_per_expert)
+    regions = [
+        RegionData(
             images=reference[:, start:stop],
             image_ids=np.arange(n_trav)[:, None] * place_count + np.arange(start, stop),
             global_start=start,
-        ))
-        cfgs.append(replace(
-            expert_cfg,
-            places_per_expert=partition.places_per_expert,
             seed=derive_seed(global_seed, index),
-        ))
-    jobs = [(regions[part], cfgs[part], sim, encoding) for part in _chunks(len(regions), workers)]
+        )
+        for index, (start, stop) in enumerate(partition.ranges)
+    ]
+    jobs = [(regions[part], expert_cfg, sim, encoding) for part in _chunks(len(regions), workers)]
     experts = [expert for part in _ordered_map(_train_chunk, jobs, workers) for expert in part]
 
     model = EnsembleModel(

@@ -7,14 +7,15 @@ epochs, and then freezes the weights and adaptive thresholds.  Each neuron
 is afterwards assigned to the place it responded to most; neurons that
 never fired stay unassigned and are excluded from matching.
 
-Experts with the same region shape and schedule learn in groups that share
-one step loop (``train_experts``); each ends bit for bit as it would alone.
+Experts share one architecture and schedule; regions of the same shape learn
+in groups that share one step loop (``train_experts``), and each expert ends
+bit for bit as it would alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,18 +44,16 @@ GROUP_SIZE = 32
 
 @dataclass(frozen=True)
 class ExpertConfig:
-    """Architecture and schedule of one expert."""
+    """Architecture and schedule of every expert; its input count is the image's pixels."""
 
-    n_inputs: int = 784
     n_excitatory: int = 400
     places_per_expert: int = 25
     epochs: int = 60
     record_last_epochs: int = 10
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_inputs < 1 or self.n_excitatory < 1:
-            raise ConfigError("layer sizes must be >= 1")
+        if self.n_excitatory < 1:
+            raise ConfigError("n_excitatory must be >= 1")
         if self.n_excitatory < self.places_per_expert:
             raise ConfigError(
                 "n_excitatory must be >= places_per_expert "
@@ -66,25 +65,23 @@ class ExpertConfig:
 
 @dataclass
 class RegionData:
-    """Reference images of one region, ready for the encoder.
+    """Reference images of one region, ready for the encoder, and its seed.
 
     ``images`` has shape (n_traverses, n_places, H, W) with intensities in
     [0, 1] (already resized, patch-normalized, and unit-rescaled);
     ``image_ids`` are globally unique per (traverse, place) and seed the
-    encoder so that results do not depend on scheduling.
+    encoder so that results do not depend on scheduling.  ``seed`` seeds
+    the expert's initial weights and its training trains.
     """
 
     images: np.ndarray
     image_ids: np.ndarray
     global_start: int = 0
+    seed: int = 0
 
     @property
     def n_places(self) -> int:
         return self.images.shape[1]
-
-    @property
-    def n_traverses(self) -> int:
-        return self.images.shape[0]
 
 
 @dataclass
@@ -139,31 +136,27 @@ def train_expert(
     table S[e, l] sums neuron e's spike counts on place l over the trailing
     ``record_last_epochs`` epochs (recording piggybacks on training).
     """
-    return train_experts([region], [cfg], sim, encoding)[0]
+    return train_experts([region], cfg, sim, encoding)[0]
 
 
 def train_experts(
     regions: list[RegionData],
-    cfgs: list[ExpertConfig],
+    cfg: ExpertConfig,
     sim: SimulationParams,
     encoding: EncodingConfig,
 ) -> list[tuple[ExpertModel, np.ndarray]]:
     """Train every region's expert; each result equals ``train_expert``'s alone.
 
-    Consecutive experts with the same region shape and schedule learn in
-    groups of up to ``GROUP_SIZE`` (one-neuron experts alone) that step
-    through each presentation together.
+    Consecutive regions of the same shape learn in groups of up to
+    ``GROUP_SIZE`` (one-neuron experts alone) that step through each
+    presentation together.
     """
-    def schedule(member):
-        region, cfg = member
-        return region.images.shape, replace(cfg, seed=0)
-
+    size = GROUP_SIZE if cfg.n_excitatory > 1 else 1
     results = []
-    for _, run in itertools.groupby(zip(regions, cfgs), key=schedule):
+    for _, run in itertools.groupby(regions, key=lambda region: region.images.shape):
         run = list(run)
-        size = GROUP_SIZE if run[0][1].n_excitatory > 1 else 1
         for start in range(0, len(run), size):
-            results += _train_group(run[start:start + size], sim, encoding)
+            results += _train_group(run[start:start + size], cfg, sim, encoding)
     return results
 
 
@@ -179,47 +172,41 @@ def normalize_group(w: np.ndarray, n_inputs: int, sim: SimulationParams) -> None
 
 
 def _train_group(
-    members: list[tuple[RegionData, ExpertConfig]], sim: SimulationParams, encoding: EncodingConfig
+    regions: list[RegionData], cfg: ExpertConfig, sim: SimulationParams, encoding: EncodingConfig
 ) -> list[tuple[ExpertModel, np.ndarray]]:
-    """Train experts of one region shape and schedule through one step loop."""
-    for region, cfg in members:
-        if region.n_places == 0 or region.images.shape[0] == 0:
-            raise ConfigError("expert region has no reference images")
-        if region.images.shape[2] * region.images.shape[3] != cfg.n_inputs:
-            raise ConfigError(
-                f"image size {region.images.shape[2]}x{region.images.shape[3]} "
-                f"does not match n_inputs={cfg.n_inputs}"
-            )
-    cfg = members[0][1]  # the schedule every member shares
-    places, traverses = members[0][0].n_places, members[0][0].n_traverses
-    seeds = [derive_seed(c.seed, STREAM_WEIGHT_INIT) for _, c in members]
-    net = ExpertNetwork.learning_group(cfg.n_inputs, cfg.n_excitatory, seeds, sim, encoding)
-    tables = np.zeros((len(members), cfg.n_excitatory, places), dtype=np.int64)
+    """Train the experts of regions of one shape through one step loop."""
+    traverses, places, height, width = regions[0].images.shape  # every region's
+    if traverses == 0 or places == 0:
+        raise ConfigError("expert region has no reference images")
+    n_inputs = height * width
+    seeds = [derive_seed(region.seed, STREAM_WEIGHT_INIT) for region in regions]
+    net = ExpertNetwork.learning_group(n_inputs, cfg.n_excitatory, seeds, sim, encoding)
+    tables = np.zeros((len(regions), cfg.n_excitatory, places), dtype=np.int64)
     record_from = cfg.epochs - cfg.record_last_epochs
 
     for epoch in range(cfg.epochs):
         for place in range(places):
             for traverse in range(traverses):
                 counts = net.present_with_retry(
-                    [region.images[traverse, place] for region, _ in members],
-                    [(c.seed, STREAM_TRAINING, epoch, int(region.image_ids[traverse, place]))
-                     for region, c in members],
+                    [region.images[traverse, place] for region in regions],
+                    [(region.seed, STREAM_TRAINING, epoch, int(region.image_ids[traverse, place]))
+                     for region in regions],
                     learn=True,
                 )
                 if sim.weight_norm_enabled:
-                    normalize_group(net.syn.w, cfg.n_inputs, sim)
+                    normalize_group(net.syn.w, n_inputs, sim)
                 if epoch >= record_from:
                     tables[:, :, place] += counts
 
     return [
         (ExpertModel(
-            weights=net.syn.w[g, :cfg.n_inputs].astype(np.float32),
+            weights=net.syn.w[g, :n_inputs].astype(np.float32),
             theta=net.exc.theta[g].copy(),
             assignments=assign_neurons(tables[g]),
             global_start=region.global_start,
             n_places=region.n_places,
         ), tables[g])
-        for g, (region, _) in enumerate(members)
+        for g, region in enumerate(regions)
     ]
 
 

@@ -9,11 +9,11 @@ membrane follows conductance-based leaky integrate-and-fire dynamics,
 
 integrated with forward Euler at a fixed step, while both conductances
 decay exponentially between spikes.  The inhibitory layer is never
-inhibited and its threshold never adapts, so its state holds only ``v``,
-``g_e`` and the refractory countdown; the step skips the terms it lacks,
-which would only add exact zeros.  The countdown runs on every neuron and
-only its sign is read.  Plasticity is trace-based: every
-postsynaptic spike moves each afferent weight by
+inhibited and its threshold never adapts, so its constants have no
+``tau_gi_ms`` or ``e_inh_mv`` and its state holds only ``v``, ``g_e`` and
+the refractory countdown; the step skips the terms it lacks.  The countdown
+runs on every neuron and only its sign is read.  Plasticity is
+trace-based: every postsynaptic spike moves each afferent weight by
 
     dw = learning_rate * (pre_trace - trace_target) * (w_max - w) ** weight_exponent,
 
@@ -50,41 +50,51 @@ from .imaging import EncodingConfig, SpikeTrain, derive_seed, poisson_encode
 
 
 @dataclass(frozen=True)
-class LifParams:
-    """Leaky integrate-and-fire constants for one layer (mV / ms)."""
+class UninhibitedLifParams:
+    """Leaky integrate-and-fire constants of a layer nothing inhibits (mV / ms)."""
 
     tau_ms: float
     e_rest_mv: float
     e_exc_mv: float
-    e_inh_mv: float
     v_thresh_mv: float
     v_reset_mv: float
     refractory_ms: float
     tau_ge_ms: float
-    tau_gi_ms: float
 
     def __post_init__(self) -> None:
         require_finite(vars(self))
-        if min(self.tau_ms, self.tau_ge_ms, self.tau_gi_ms, self.refractory_ms) <= 0:
+        if min(self.tau_ms, self.tau_ge_ms, self.refractory_ms) <= 0:
             raise ConfigError("all LIF time constants must be > 0")
-        if not self.e_inh_mv < self.e_rest_mv < self.e_exc_mv:
-            raise ConfigError("reversal potentials must satisfy E_inh < E_rest < E_exc")
+        if not self.e_rest_mv < self.e_exc_mv:
+            raise ConfigError("reversal potentials must satisfy E_rest < E_exc")
         if self.v_reset_mv > self.v_thresh_mv:
             raise ConfigError("v_reset must not exceed the base threshold")
+
+    @staticmethod
+    def inhibitory_defaults() -> "UninhibitedLifParams":
+        return UninhibitedLifParams(
+            tau_ms=10.0, e_rest_mv=-60.0, e_exc_mv=0.0, v_thresh_mv=-40.0,
+            v_reset_mv=-45.0, refractory_ms=2.0, tau_ge_ms=1.0,
+        )
+
+
+@dataclass(frozen=True)
+class LifParams(UninhibitedLifParams):
+    """Leaky integrate-and-fire constants of the excitatory layer, which is inhibited."""
+
+    e_inh_mv: float
+    tau_gi_ms: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.tau_gi_ms <= 0 or not self.e_inh_mv < self.e_rest_mv:
+            raise ConfigError("LIF time constants must be > 0, and E_inh < E_rest")
 
     @staticmethod
     def excitatory_defaults(tau_gi_ms: float = 0.5) -> "LifParams":
         return LifParams(
             tau_ms=100.0, e_rest_mv=-65.0, e_exc_mv=0.0, e_inh_mv=-100.0,
             v_thresh_mv=-52.0, v_reset_mv=-65.0, refractory_ms=5.0,
-            tau_ge_ms=1.0, tau_gi_ms=tau_gi_ms,
-        )
-
-    @staticmethod
-    def inhibitory_defaults(tau_gi_ms: float = 0.5) -> "LifParams":
-        return LifParams(
-            tau_ms=10.0, e_rest_mv=-60.0, e_exc_mv=0.0, e_inh_mv=-85.0,
-            v_thresh_mv=-40.0, v_reset_mv=-45.0, refractory_ms=2.0,
             tau_ge_ms=1.0, tau_gi_ms=tau_gi_ms,
         )
 
@@ -147,7 +157,7 @@ class SimulationParams:
     """Everything needed to integrate one network, bundled for convenience."""
 
     lif_excitatory: LifParams
-    lif_inhibitory: LifParams
+    lif_inhibitory: UninhibitedLifParams
     homeostasis: HomeostasisParams
     stdp: StdpParams
     wiring: FixedWiring
@@ -160,18 +170,14 @@ class SimulationParams:
     def defaults(tau_gi_ms: float = 0.5) -> "SimulationParams":
         return SimulationParams(
             lif_excitatory=LifParams.excitatory_defaults(tau_gi_ms),
-            lif_inhibitory=LifParams.inhibitory_defaults(tau_gi_ms),
+            lif_inhibitory=UninhibitedLifParams.inhibitory_defaults(),
             homeostasis=HomeostasisParams(),
             stdp=StdpParams(),
             wiring=FixedWiring(),
         )
 
     def with_tau_gi(self, tau_gi_ms: float) -> "SimulationParams":
-        return replace(
-            self,
-            lif_excitatory=replace(self.lif_excitatory, tau_gi_ms=tau_gi_ms),
-            lif_inhibitory=replace(self.lif_inhibitory, tau_gi_ms=tau_gi_ms),
-        )
+        return replace(self, lif_excitatory=replace(self.lif_excitatory, tau_gi_ms=tau_gi_ms))
 
     def __post_init__(self) -> None:
         require_finite({"dt_ms": self.dt_ms, "weight_norm_target": self.weight_norm_target,
@@ -182,6 +188,8 @@ class SimulationParams:
             raise ConfigError("weight_norm_target must be > 0")
         if self.weight_init_max < 0:
             raise ConfigError("weight_init_max must be >= 0")
+        if isinstance(self.lif_inhibitory, LifParams):
+            raise ConfigError("lif_inhibitory takes no tau_gi_ms or e_inh_mv: nothing inhibits it")
 
 
 class LayerState:
@@ -218,7 +226,7 @@ class LayerState:
         )
 
     @staticmethod
-    def inhibitory(shape: int | tuple[int, ...], params: LifParams) -> "LayerState":
+    def inhibitory(shape: int | tuple[int, ...], params: UninhibitedLifParams) -> "LayerState":
         """A resting inhibitory layer, without ``g_i`` or ``theta``.
 
         Nothing inhibits it and its threshold never adapts.
@@ -268,7 +276,7 @@ def init_weights(n_inputs: int, n_excitatory: int, seed: int, w_init_max: float 
 
 def lif_step(
     state: LayerState,
-    params: LifParams,
+    params: UninhibitedLifParams,
     dt_ms: float,
     homeo: HomeostasisParams | None = None,
 ) -> np.ndarray:

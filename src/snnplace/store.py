@@ -10,11 +10,14 @@ atomic rename.  An overwrite first moves the old archive aside to
 ``<path>.snnplace-old``; if the process dies before the new one is in
 place, loading ``path`` falls back to that copy.  A save replaces only
 directories that hold nothing but archive files.  The config block is written and
-read by ``config``'s JSON codec.  Loading rejects, with ``ArchiveError``,
+read by ``config``'s JSON codec.  A save writes format 2; a format-1 archive
+loads with the four config keys format 2 dropped (``_FORMAT_1_KEYS``)
+removed first.  Loading rejects, with ``ArchiveError``,
 manifests with a missing or wrongly typed key (an unknown config key, a
 config value that breaks its invariant and a per-neuron list element of the
 wrong type included), payload names other than ``expert_NNNN.bin``, a
-presentation shorter than one step, and archives whose experts do not tile
+presentation shorter than one step or a window longer than
+``config.MAX_WINDOW_STEPS``, and archives whose experts do not tile
 the place set, disagree on their shapes, hold non-finite thresholds or
 weights, or assign a neuron outside their own places.
 """
@@ -37,7 +40,9 @@ from .expert import UNASSIGNED, ExpertConfig, ExpertModel
 from .imaging import EncodingConfig, PatchNormConfig
 from .network import SimulationParams
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Config keys of format 1 that format 2 dropped, by config block section.
+_FORMAT_1_KEYS = {"expert": ("n_inputs", "seed"), "lif_inhibitory": ("tau_gi_ms", "e_inh_mv")}
 _IMAGE_SUFFIXES = (".pgm", ".png", ".jpg", ".jpeg", ".bmp", ".tif", ".tiff")
 _PAYLOAD_FILE = re.compile(r"expert_\d{4,}\.bin")
 _ARCHIVE_FILE = re.compile(rf"manifest\.json|{_PAYLOAD_FILE.pattern}")
@@ -223,10 +228,10 @@ def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
     if not isinstance(manifest, dict):
         raise ArchiveError(f"manifest {manifest_path!r} is not a JSON object")
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    if not (_is_int(version) and version in (1, FORMAT_VERSION)):
         raise ArchiveError(
             f"unsupported archive version {version!r} in {path!r} "
-            f"(supported: {FORMAT_VERSION})"
+            f"(supported: 1, {FORMAT_VERSION})"
         )
     try:
         model = _model_from_manifest(manifest, path)
@@ -244,6 +249,10 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
     cfg = manifest["config"]
     if not isinstance(cfg, dict):
         raise ConfigError(f"'config' must be an object, got {cfg!r}")
+    if manifest["format_version"] == 1:
+        for section, keys in _FORMAT_1_KEYS.items():
+            if isinstance(cfg.get(section), dict):
+                cfg[section] = {k: v for k, v in cfg[section].items() if k not in keys}
     sim = {key: value for key, value in cfg.items() if key not in ("encoding", "patch", "expert")}
     experts = []
     for meta in manifest["experts"]:
@@ -305,7 +314,8 @@ def _check_consistent(model: EnsembleModel, path: str) -> None:
     """Reject archives whose experts cannot serve one query together.
 
     The stored configs were checked as they were decoded; a presentation
-    must last at least one step, and the stored theta must pass the same
+    must last at least one step and no window more than
+    ``MAX_WINDOW_STEPS``, and the stored theta must pass the same
     check as a fresh one.  Each expert's per-neuron lists
     must match its neuron count, its thresholds and weights must be finite,
     and each assignment must be a local place of that expert or unassigned.

@@ -23,10 +23,7 @@ def tiny_encoding(**overrides) -> EncodingConfig:
 
 
 def tiny_expert_cfg(**overrides) -> ExpertConfig:
-    base = dict(
-        n_inputs=64, n_excitatory=8, places_per_expert=2,
-        epochs=4, record_last_epochs=2, seed=0,
-    )
+    base = dict(n_excitatory=8, places_per_expert=2, epochs=4, record_last_epochs=2)
     base.update(overrides)
     return ExpertConfig(**base)
 
@@ -97,7 +94,7 @@ def two_pattern_expert():
     a[:4] = rng.uniform(size=(4, 8)) < 0.5
     b[4:] = rng.uniform(size=(4, 8)) < 0.5
     images = np.stack([a, b])[None]
-    region = RegionData(images=images, image_ids=np.array([[0, 1]]), global_start=0)
-    cfg = tiny_expert_cfg(n_excitatory=10, epochs=30, record_last_epochs=10, seed=3)
+    region = RegionData(images=images, image_ids=np.array([[0, 1]]), global_start=0, seed=3)
+    cfg = tiny_expert_cfg(n_excitatory=10, epochs=30, record_last_epochs=10)
     model, table = train_expert(region, cfg, tiny_sim(), tiny_encoding())
     return model, table, images

@@ -81,10 +81,10 @@ def desk_model(desk_world):
     """Trained + regularized four-expert model plus cached query responses."""
     reference, queries, truths = desk_world
     tick = time.perf_counter()
-    cfg = ExpertConfig(n_inputs=784, n_excitatory=100, places_per_expert=25,
+    cfg = ExpertConfig(n_excitatory=100, places_per_expert=25,
                        epochs=30, record_last_epochs=10)
     model = train_ensemble(
-        reference, partition_reference(100, 25), cfg,
+        reference, cfg,
         SimulationParams.defaults(), EncodingConfig(), PatchNormConfig(),
         global_seed=5, workers=WORKERS,
     )
@@ -330,7 +330,7 @@ def test_criterion_8_determinism_and_persistence(desk_world, desk_model, tmp_pat
     archives = {}
     for workers in (1, 8):
         model = train_ensemble(
-            textures, partition_reference(8, 2),
+            textures,
             tiny_expert_cfg(epochs=3, record_last_epochs=2),
             tiny_sim(), tiny_encoding(), PatchNormConfig(),
             global_seed=88, workers=workers,

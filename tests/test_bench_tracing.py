@@ -7,7 +7,6 @@ points on a small synthetic ensemble and the training of a small
 ensemble, and checks the rows of each.
 """
 
-import dataclasses
 import importlib.util
 import pathlib
 
@@ -65,7 +64,7 @@ def test_traced_training_counts_group_presentations_steps_and_spikes():
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
-        ensemble.train_ensemble(textures, partition, cfg, sim, encoding, PatchNormConfig(), global_seed=9)
+        ensemble.train_ensemble(textures, cfg, sim, encoding, PatchNormConfig(), global_seed=9)
     finally:
         tracer.uninstall()
     layer = {name: value for name, (value, _) in tracer.layer_metrics().items()}
@@ -80,8 +79,9 @@ def test_traced_training_counts_group_presentations_steps_and_spikes():
     # Every epoch is recorded and nothing retries, so the tables hold every output spike.
     tables = [
         train_expert(
-            RegionData(textures[:, start:stop], np.arange(start, stop)[None], start),
-            dataclasses.replace(cfg, seed=derive_seed(9, index)), sim, encoding,
+            RegionData(textures[:, start:stop], np.arange(start, stop)[None], start,
+                       seed=derive_seed(9, index)),
+            cfg, sim, encoding,
         )[1]
         for index, (start, stop) in enumerate(partition.ranges)
     ]

@@ -12,7 +12,6 @@ from snnplace.calibration import (
 from snnplace.ensemble import (
     collect_query_responses,
     detect_hyperactive,
-    partition_reference,
     train_ensemble,
 )
 from snnplace.errors import ConfigError
@@ -155,10 +154,9 @@ class TestGridSearchEndToEnd:
 
     def test_sweep_equals_fresh_detection_run(self, tiny_world):
         reference, queries = tiny_world
-        part = partition_reference(4, 2)
         cfg = tiny_expert_cfg(epochs=2, record_last_epochs=1)
         model = train_ensemble(
-            reference, part, cfg, tiny_sim(), tiny_encoding(), PatchNormConfig(),
+            reference, cfg, tiny_sim(), tiny_encoding(), PatchNormConfig(),
             global_seed=9,
         )
         detect_hyperactive(model, reference, None)
@@ -167,7 +165,7 @@ class TestGridSearchEndToEnd:
         curve = dict(theta_sweep(model, queries, np.arange(4), thetas=thetas, responses=responses))
         for theta in thetas:
             fresh = train_ensemble(
-                reference, part, cfg, tiny_sim(), tiny_encoding(), PatchNormConfig(),
+                reference, cfg, tiny_sim(), tiny_encoding(), PatchNormConfig(),
                 global_seed=9,
             )
             detect_hyperactive(fresh, reference, theta)

@@ -43,8 +43,7 @@ def world(tmp_path_factory):
         "encoding": {"min_output_spikes": 0},
         "simulation": {"weight_norm_target": 20.0},
         "expert": {
-            "n_inputs": 64, "n_excitatory": 8, "places_per_expert": 2,
-            "epochs": 8, "record_last_epochs": 4,
+            "n_excitatory": 8, "places_per_expert": 2, "epochs": 8, "record_last_epochs": 4,
         },
     }
     cfg_path = root / "config.json"
@@ -368,8 +367,7 @@ class TestCalibrate:
         model = str(tmp_path / "model")
         assert main(["train", "--config", os.path.join(out_dir, "config.json"),
                      "--ref-dirs", ref, "--out", model]) == 0
-        sim = load_ensemble(model).sim
-        assert sim.lif_excitatory.tau_gi_ms == sim.lif_inhibitory.tau_gi_ms == 2.0
+        assert load_ensemble(model).sim.lif_excitatory.tau_gi_ms == 2.0
 
 
 class TestCalibrationSplitHygiene:
@@ -408,7 +406,6 @@ class TestConfig:
         bad.write_text(json.dumps({
             "image": {"width": 8, "height": 8},
             "patch": {"patch_width": 4, "patch_height": 4},
-            "expert": {"n_inputs": 64},
             "simulation": {"lif_excitatory": {
                 "tau_ms": -1.0, "e_rest_mv": -65.0, "e_exc_mv": 0.0,
                 "e_inh_mv": -100.0, "v_thresh_mv": -52.0, "v_reset_mv": -65.0,
@@ -427,6 +424,36 @@ class TestConfig:
         assert cfg.simulation.lif_excitatory.tau_ms == 100.0
         assert cfg.simulation.weight_norm_target == 78.0
         assert cfg.expert.places_per_expert == 25
+
+    def test_dt_too_small_for_a_window_exits_2(self, world, tmp_path, capsys):
+        # 350 / 1e-308 steps overflow to inf; training used to end in an OverflowError.
+        _, cfg, ref, _ = world
+        data = json.loads(open(cfg).read())
+        data["simulation"]["dt_ms"] = 1e-308
+        path = tmp_path / "tiny_dt.json"
+        path.write_text(json.dumps(data))
+        rc = main(["train", "--config", str(path), "--ref-dirs", ref,
+                   "--out", str(tmp_path / "never")])
+        assert rc == 2
+        assert_one_error_line(capsys, "presentation_ms", "at most 1000000 steps")
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        (("expert",), "n_inputs"), (("expert",), "seed"),
+        (("simulation", "lif_inhibitory"), "tau_gi_ms"),
+        (("simulation", "lif_inhibitory"), "e_inh_mv"),
+    ])
+    def test_a_dropped_key_exits_2_naming_it(self, tmp_path, capsys, section, key):
+        data = to_json(RunConfig())
+        owner = data
+        for name in section:
+            owner = owner[name]
+        owner[key] = 1.0
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        argv = config_commands(tmp_path)["train"] + ["--config", str(path)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys, "unknown keys", key)
 
     def test_theta_key_rejected_and_named(self, tmp_path):
         path = tmp_path / "theta.json"

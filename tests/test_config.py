@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from snnplace.calibration import CalibrationGrids, CalibrationPlan
-from snnplace.config import ImageConfig, RunConfig
+from snnplace.config import ImageConfig, RunConfig, to_json
 from snnplace.errors import ConfigError
 from snnplace.expert import ExpertConfig
 from snnplace.imaging import EncodingConfig, PatchNormConfig
@@ -15,13 +15,14 @@ from snnplace.network import (
     LifParams,
     SimulationParams,
     StdpParams,
+    UninhibitedLifParams,
 )
 
 # One valid config and one field that breaks it; the RunConfig rows break
-# its own fields and its three cross-field rules.
+# its own fields and its two cross-field rules.
 ONE_BAD_FIELD = [
     (LifParams.excitatory_defaults(), "tau_ms", 0.0),
-    (LifParams.inhibitory_defaults(), "v_reset_mv", -30.0),
+    (UninhibitedLifParams.inhibitory_defaults(), "v_reset_mv", -30.0),
     (HomeostasisParams(), "theta_plus_mv", -0.05),
     (StdpParams(), "w_max", 0.0),
     (FixedWiring(), "w_inh_to_exc", -1.0),
@@ -34,7 +35,7 @@ ONE_BAD_FIELD = [
     (CalibrationPlan(), "theta_grid", (-5.0,)),
     (CalibrationPlan(), "cal_stop", 0),
     (RunConfig(), "seed", -1),
-    (RunConfig(), "image", ImageConfig(width=14, height=14)),   # n_inputs != 14 * 14
+    (RunConfig(), "image", ImageConfig(width=30, height=28)),   # 30 is not a multiple of 7
     (RunConfig(), "patch", PatchNormConfig(patch_width=5)),     # 28 is not a multiple of 5
     (RunConfig(), "encoding", EncodingConfig(presentation_ms=0.2)),  # 0 steps of 0.5 ms
 ]
@@ -66,3 +67,81 @@ def test_presentation_lasts_at_least_one_step():
         with pytest.raises(ConfigError, match="at least one step"):
             run_config(presentation_ms, dt_ms)
     run_config(0.26, 0.5)  # round(0.52) == 1 step
+
+
+def test_a_window_lasts_at_most_max_window_steps():
+    # Each would loop or allocate per step: 2e300 rest steps, 3.5e8 presentation steps.
+    defaults = SimulationParams.defaults()
+    with pytest.raises(ConfigError, match="rest_ms"):
+        RunConfig(encoding=EncodingConfig(rest_ms=1e300))
+    with pytest.raises(ConfigError, match="presentation_ms"):
+        RunConfig(simulation=dataclasses.replace(defaults, dt_ms=1e-6))
+
+
+def test_the_step_cap_is_inclusive():
+    from snnplace.config import MAX_WINDOW_STEPS
+
+    window = MAX_WINDOW_STEPS * 0.5  # dt_ms 0.5 divides it exactly
+    RunConfig(encoding=EncodingConfig(presentation_ms=window, rest_ms=window))
+    for name in ("presentation_ms", "rest_ms"):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(encoding=EncodingConfig(**{name: window + 0.5}))
+
+
+def test_input_count_follows_the_image():
+    assert RunConfig(image=ImageConfig(width=14, height=14)).image_size == (14, 14)
+
+
+def test_inhibitory_layer_takes_no_g_i_constants():
+    with pytest.raises(ConfigError, match="lif_inhibitory"):
+        dataclasses.replace(
+            SimulationParams.defaults(), lif_inhibitory=LifParams.excitatory_defaults()
+        )
+    sim = SimulationParams.defaults().with_tau_gi(2.0)
+    assert sim.lif_excitatory.tau_gi_ms == 2.0
+    assert sim.lif_inhibitory == UninhibitedLifParams.inhibitory_defaults()
+
+
+# Every key of the config file, as a dotted path.  Adding or removing one is a
+# change to the file format: update the README's config paragraph with it.
+CONFIG_KEYS = [
+    "calibration.tau_gi_grid", "calibration.theta_grid",
+    "encoding.max_rate_hz", "encoding.max_retries", "encoding.min_output_spikes",
+    "encoding.presentation_ms", "encoding.rest_ms", "encoding.retry_boost_hz",
+    "expert.epochs", "expert.n_excitatory", "expert.places_per_expert",
+    "expert.record_last_epochs",
+    "image.height", "image.width",
+    "patch.epsilon", "patch.patch_height", "patch.patch_width",
+    "seed",
+    "simulation.dt_ms",
+    "simulation.homeostasis.theta_decay_ms", "simulation.homeostasis.theta_plus_mv",
+    "simulation.lif_excitatory.e_exc_mv", "simulation.lif_excitatory.e_inh_mv",
+    "simulation.lif_excitatory.e_rest_mv", "simulation.lif_excitatory.refractory_ms",
+    "simulation.lif_excitatory.tau_ge_ms", "simulation.lif_excitatory.tau_gi_ms",
+    "simulation.lif_excitatory.tau_ms", "simulation.lif_excitatory.v_reset_mv",
+    "simulation.lif_excitatory.v_thresh_mv",
+    "simulation.lif_inhibitory.e_exc_mv", "simulation.lif_inhibitory.e_rest_mv",
+    "simulation.lif_inhibitory.refractory_ms", "simulation.lif_inhibitory.tau_ge_ms",
+    "simulation.lif_inhibitory.tau_ms", "simulation.lif_inhibitory.v_reset_mv",
+    "simulation.lif_inhibitory.v_thresh_mv",
+    "simulation.stdp.learning_rate", "simulation.stdp.trace_target",
+    "simulation.stdp.trace_tau_ms", "simulation.stdp.w_max", "simulation.stdp.weight_exponent",
+    "simulation.weight_init_max", "simulation.weight_norm_enabled",
+    "simulation.weight_norm_target",
+    "simulation.wiring.w_exc_to_inh", "simulation.wiring.w_inh_to_exc",
+    "workers",
+]
+
+
+def key_paths(node, prefix=""):
+    """Dotted paths to every non-object value of a JSON object."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from key_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_config_file_schema_is_pinned():
+    assert len(CONFIG_KEYS) == 48
+    assert sorted(key_paths(to_json(RunConfig()))) == CONFIG_KEYS

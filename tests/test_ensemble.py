@@ -266,10 +266,9 @@ class TestFuse:
 class TestTrainEnsemble:
     def _train(self, workers):
         textures = tiny_textures(4, seed=20)[None]
-        part = partition_reference(4, 2)
         cfg = tiny_expert_cfg(n_excitatory=6, epochs=2, record_last_epochs=1)
         return train_ensemble(
-            textures, part, cfg, tiny_sim(), tiny_encoding(), PatchNormConfig(),
+            textures, cfg, tiny_sim(), tiny_encoding(), PatchNormConfig(),
             global_seed=7, workers=workers,
         )
 
@@ -290,9 +289,9 @@ class TestTrainEnsemble:
             sizes = []
             monkeypatch.setattr(expert, "GROUP_SIZE", size)
             monkeypatch.setattr(expert, "_train_group",
-                                lambda members, *a: sizes.append(len(members)) or train_group(members, *a))
+                                lambda regions, *a: sizes.append(len(regions)) or train_group(regions, *a))
             model = train_ensemble(
-                textures, partition_reference(7, 3), cfg, tiny_sim(), tiny_encoding(),
+                textures, cfg, tiny_sim(), tiny_encoding(),
                 PatchNormConfig(), global_seed=5,
             )
             path = tmp_path / f"size{size}"

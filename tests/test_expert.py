@@ -48,7 +48,6 @@ class TestAssignNeurons:
 class TestDefaults:
     def test_reference_architecture_constants(self):
         cfg = ExpertConfig()
-        assert cfg.n_inputs == 784
         assert cfg.n_excitatory == 400
         assert cfg.places_per_expert == 25
         assert cfg.epochs == 60
@@ -110,12 +109,10 @@ class TestTraining:
 
     def test_different_seeds_differ_but_both_satisfy_argmax(self):
         images = tiny_textures(2, seed=3)[None]
-        region = RegionData(images=images, image_ids=np.arange(2)[None], global_start=0)
         models = []
         for seed in (1, 2):
-            model, table = train_expert(
-                region, tiny_expert_cfg(seed=seed), tiny_sim(), tiny_encoding()
-            )
+            region = RegionData(images=images, image_ids=np.arange(2)[None], seed=seed)
+            model, table = train_expert(region, tiny_expert_cfg(), tiny_sim(), tiny_encoding())
             for e, place in enumerate(model.assignments):
                 if place != UNASSIGNED:
                     assert table[e, place] == table[e].max()
@@ -162,21 +159,21 @@ class TestGroups:
             max_rate_hz=max_rate_hz, presentation_ms=60.0, rest_ms=20.0,
             min_output_spikes=10**6 if retries else 0, max_retries=2,
         )
-        regions, cfgs = [], []
+        cfg = tiny_expert_cfg(
+            n_excitatory=n_excitatory, places_per_expert=1, epochs=2, record_last_epochs=1,
+        )
+        regions = []
         for g in range(n_experts):
             places = 1 if short_last and g == n_experts - 1 else 2
             regions.append(RegionData(
                 images=rng.uniform(size=(traverses, places, 8, 8)),
                 image_ids=np.arange(traverses * places).reshape(traverses, places) + 10 * g,
                 global_start=2 * g,
-            ))
-            cfgs.append(tiny_expert_cfg(
-                n_excitatory=n_excitatory, places_per_expert=1, epochs=2, record_last_epochs=1,
                 seed=seed + g,
             ))
-        together = train_experts(regions, cfgs, sim, encoding)
+        together = train_experts(regions, cfg, sim, encoding)
         assert len(together) == n_experts
-        for (model, table), region, cfg in zip(together, regions, cfgs):
+        for (model, table), region in zip(together, regions):
             alone, alone_table = train_expert(region, cfg, sim, encoding)
             for a, b in ((model.weights, alone.weights), (model.theta, alone.theta),
                          (table, alone_table)):

@@ -17,6 +17,7 @@ from snnplace.network import (
     LifParams,
     StdpParams,
     SynapseMatrix,
+    UninhibitedLifParams,
     apply_input_spikes,
     apply_lateral_inhibition,
     bin_train,
@@ -208,7 +209,7 @@ class TestLateralInhibition:
     def setup_method(self):
         self.wiring = FixedWiring(w_exc_to_inh=10.4, w_inh_to_exc=17.0)
         self.exc = fresh_state(n=3)
-        self.inh = LayerState.inhibitory(3, LifParams.inhibitory_defaults())
+        self.inh = LayerState.inhibitory(3, UninhibitedLifParams.inhibitory_defaults())
 
     def test_no_spikes_no_drive(self):
         off = np.zeros(3, dtype=bool)
@@ -232,7 +233,7 @@ class TestLateralInhibition:
 
     def test_stacked_experts_inhibit_only_their_own_block(self):
         exc = fresh_state(n=(2, 3))
-        inh = LayerState.inhibitory((2, 3), LifParams.inhibitory_defaults())
+        inh = LayerState.inhibitory((2, 3), UninhibitedLifParams.inhibitory_defaults())
         inh_spiked = np.array([[True, False, True], [False, False, False]])
         exc_spiked = np.array([[False, False, False], [False, True, False]])
         apply_lateral_inhibition(exc_spiked, inh_spiked, self.wiring, exc, inh)
@@ -312,16 +313,18 @@ class TestStepOracle:
         import dataclasses
 
         rng = np.random.default_rng(seed)
-        exc_p, inh_p = EXC, LifParams.inhibitory_defaults()
+        exc_p, inh_p = EXC, UninhibitedLifParams.inhibitory_defaults()
         if reset_at_threshold:  # a held neuron sits at threshold, so only the mask stops it
             exc_p = dataclasses.replace(exc_p, v_reset_mv=exc_p.v_thresh_mv)
             inh_p = dataclasses.replace(inh_p, v_reset_mv=inh_p.v_thresh_mv)
+        # A full inhibitory state (zero g_i) needs the g_i constants its layer lacks.
+        full_inh_p = LifParams(**vars(inh_p), e_inh_mv=-85.0, tau_gi_ms=0.5)
         wiring = FixedWiring()
         homeo = HomeostasisParams(theta_plus_mv=0.5, theta_decay_ms=50.0) if learn else None
         # frozen experts answering a block read one (N, K) theta for every image
         theta_shape = shape[1:] if broadcast_theta and not learn and len(shape) == 3 else shape
         ref_exc = random_layer(rng, shape, exc_p, theta_shape)
-        ref_inh = random_layer(rng, shape, inh_p)
+        ref_inh = random_layer(rng, shape, full_inh_p)
         ref_inh.g_i[:] = 0.0
         ref_inh.theta[:] = 0.0
         exc, inh = copy_layer(ref_exc), copy_layer(ref_inh, minimal=minimal_inh)
@@ -330,8 +333,9 @@ class TestStepOracle:
             ref_exc.g_e += drive
             exc.g_e += drive
             want = (oracle_lif_step(ref_exc, exc_p, 0.5, homeo),
-                    oracle_lif_step(ref_inh, inh_p, 0.5))
-            got = lif_step(exc, exc_p, 0.5, homeo), lif_step(inh, inh_p, 0.5)
+                    oracle_lif_step(ref_inh, full_inh_p, 0.5))
+            got = (lif_step(exc, exc_p, 0.5, homeo),
+                   lif_step(inh, inh_p if minimal_inh else full_inh_p, 0.5))
             oracle_lateral_inhibition(*want, wiring, ref_exc, ref_inh)
             apply_lateral_inhibition(*got, wiring, exc, inh)
             for w, g in zip(want, got):
@@ -349,7 +353,7 @@ class TestStepOracle:
                 assert new.refractory[held].tobytes() == ref.refractory[held].tobytes()
 
     def test_minimal_state_indexes_to_views(self):
-        inh = LayerState.inhibitory((2, 3), LifParams.inhibitory_defaults())
+        inh = LayerState.inhibitory((2, 3), UninhibitedLifParams.inhibitory_defaults())
         member = inh[1:2]
         assert member.g_i is None and member.theta is None
         member.v[0, 0] = 1.0

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import pathlib
 import shutil
 
 import numpy as np
@@ -13,22 +14,22 @@ from hypothesis import strategies as st
 from snnplace.ensemble import (
     detect_hyperactive,
     match_query,
-    partition_reference,
     train_ensemble,
 )
+from snnplace.cli import main
 from snnplace.errors import ArchiveError, IngestError
 from snnplace.imaging import PatchNormConfig, write_pgm
 from snnplace.store import FORMAT_VERSION, load_ensemble, save_ensemble, scan_traverse
 from snnplace.synthetic import synthetic_ensemble
 from tests.conftest import tiny_encoding, tiny_expert_cfg, tiny_sim, tiny_textures
+from tests.test_config import CONFIG_KEYS, key_paths
 
 
 @pytest.fixture(scope="module")
 def trained_model():
     reference = tiny_textures(4, seed=40)[None]
     model = train_ensemble(
-        reference, partition_reference(4, 2),
-        tiny_expert_cfg(epochs=3, record_last_epochs=2),
+        reference, tiny_expert_cfg(epochs=3, record_last_epochs=2),
         tiny_sim(), tiny_encoding(), PatchNormConfig(),
         global_seed=17,
     )
@@ -341,6 +342,44 @@ class TestCorruption:
         with pytest.raises(ArchiveError, match="at least one step"):
             load_ensemble(path)
 
+    def test_window_longer_than_the_step_cap_rejected(self, trained_model, tmp_path):
+        model, _ = trained_model
+        path = self._edit_manifest(
+            model, tmp_path, lambda m: m["config"]["encoding"].update(rest_ms=1e300)
+        )
+        with pytest.raises(ArchiveError, match="rest_ms"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0])  # each compares equal to 1
+    def test_version_must_be_an_integer(self, trained_model, tmp_path, version):
+        model, _ = trained_model
+        path = self._edit_manifest(model, tmp_path, lambda m: m.update(format_version=version))
+        with pytest.raises(ArchiveError, match="version"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("expert", "n_inputs", 64), ("expert", "seed", 0),
+        ("lif_inhibitory", "tau_gi_ms", 0.5), ("lif_inhibitory", "e_inh_mv", -85.0),
+    ])
+    def test_format_2_rejects_the_keys_format_1_held(self, trained_model, tmp_path,
+                                                      section, key, value):
+        model, _ = trained_model
+        path = self._edit_manifest(
+            model, tmp_path, lambda m: m["config"][section].update({key: value})
+        )
+        with pytest.raises(ArchiveError, match=f"unknown keys .*{key}"):
+            load_ensemble(path)
+
+    def test_config_block_holds_the_run_configs_model_keys(self, trained_model, tmp_path):
+        """The simulation's keys at the top, then the encoding, patch and expert sections."""
+        save_ensemble(trained_model[0], tmp_path / "arch")
+        manifest = json.loads((tmp_path / "arch" / "manifest.json").read_text())
+        sections = ("simulation.", "encoding.", "patch.", "expert.")
+        expected = sorted(
+            key.removeprefix("simulation.") for key in CONFIG_KEYS if key.startswith(sections)
+        )
+        assert sorted(key_paths(manifest["config"])) == expected
+
     def test_missing_manifest(self, tmp_path):
         os.makedirs(tmp_path / "empty")
         with pytest.raises(ArchiveError):
@@ -436,3 +475,82 @@ class TestManifests:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(IngestError):
             scan_traverse(tmp_path, role="query")
+
+
+V1 = pathlib.Path(__file__).parent / "data" / "v1"
+
+
+class TestFormat1Archive:
+    """A format-1 archive still loads, answers as it did, and re-saves as format 2.
+
+    ``tests/data/v1`` was written by commit faa3525, the last to write format
+    1, with ``PYTHONPATH=src``.  The world: ``rng = np.random.default_rng(15)``,
+    ``textures = rng.uniform(size=(4, 8, 8))``, then for k in 0..3
+    ``write_pgm(f"ref/place_{k:03d}.pgm", textures[k])`` and
+    ``write_pgm(f"query/place_{k:03d}.pgm", np.clip(textures[k] +
+    rng.normal(0, 0.03, (8, 8)), 0, 1))``; ``query.pgm`` is
+    ``query/place_002.pgm``.  The config file (format 1 still required
+    ``expert.n_inputs``)::
+
+        {"seed": 9, "workers": 1, "image": {"width": 8, "height": 8},
+         "patch": {"patch_width": 4, "patch_height": 4},
+         "encoding": {"min_output_spikes": 0},
+         "simulation": {"weight_norm_target": 20.0},
+         "expert": {"n_inputs": 64, "n_excitatory": 4, "places_per_expert": 2,
+                    "epochs": 2, "record_last_epochs": 1}}
+
+    The commands::
+
+        python3 -m snnplace.cli train --config config.json --ref-dirs ref --out model
+        python3 -m snnplace.cli regularize --config config.json --model model \\
+            --ref-dirs ref --theta 20
+        python3 -m snnplace.cli match --model model --image query/place_002.pgm \\
+            --top 3 > match_top3.jsonl
+    """
+
+    def test_loads_as_its_manifest_lists(self):
+        manifest = json.loads((V1 / "model" / "manifest.json").read_text())
+        assert manifest["format_version"] == 1
+        model = load_ensemble(V1 / "model")
+        assert (model.place_count, model.theta, model.regularized, list(model.image_size)) == (
+            manifest["place_count"], manifest["theta"], manifest["regularized"],
+            manifest["image_size"],
+        )
+        assert len(model.experts) == len(manifest["experts"]) == 2
+        for ex, meta in zip(model.experts, manifest["experts"]):
+            blob = (V1 / "model" / meta["file"]).read_bytes()
+            assert ex.weights.shape == (meta["n_inputs"], meta["n_excitatory"])
+            assert ex.weights.tobytes() == np.frombuffer(blob, "<f4").tobytes()
+            assert ex.theta.tolist() == meta["theta_adapt_mv"]
+            assert ex.assignments.tolist() == meta["assignments"]
+            assert ex.reference_totals.tolist() == meta["reference_totals"]
+            assert ex.hyperactive.tolist() == meta["hyperactive"]
+            assert (ex.global_start, ex.n_places) == (meta["global_start"], meta["n_places"])
+        assert sum(int(ex.hyperactive.sum()) for ex in model.experts) == 3
+
+    def test_match_prints_the_lines_it_printed_at_format_1(self, capsys):
+        argv = ["match", "--model", str(V1 / "model"), "--image", str(V1 / "query.pgm"),
+                "--top", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (V1 / "match_top3.jsonl").read_text()
+
+    def test_resave_writes_format_2_without_the_dropped_keys(self, tmp_path):
+        model = load_ensemble(V1 / "model")
+        save_ensemble(model, tmp_path / "v2")
+        expected = json.loads((V1 / "model" / "manifest.json").read_text())
+        expected["format_version"] = 2
+        for section, key in (("expert", "n_inputs"), ("expert", "seed"),
+                             ("lif_inhibitory", "tau_gi_ms"), ("lif_inhibitory", "e_inh_mv")):
+            del expected["config"][section][key]
+        assert json.loads((tmp_path / "v2" / "manifest.json").read_text()) == expected
+        for meta in expected["experts"]:
+            name = meta["file"]
+            assert (tmp_path / "v2" / name).read_bytes() == (V1 / "model" / name).read_bytes()
+
+        again = load_ensemble(tmp_path / "v2")
+        for field in ("place_count", "sim", "encoding", "patch", "image_size", "global_seed",
+                      "theta", "regularized", "expert_config", "dataset_fingerprints"):
+            assert getattr(again, field) == getattr(model, field), field
+        for a, b in zip(model.experts, again.experts):
+            for field in ("weights", "theta", "assignments", "reference_totals", "hyperactive"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
