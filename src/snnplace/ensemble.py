@@ -12,6 +12,12 @@ inference mode.  A neuron whose cumulative spike count reaches the
 threshold responds to places far outside its own region and is flagged
 hyperactive; flagged neurons are ignored when queries are matched.
 
+Every ensemble keeps its experts' weights in one (inputs, N, K) float32
+stack, ``EnsembleModel.weights``; each expert's weights are a view of its
+column, so inference reads the stack as it is and an edit of an expert's
+weights is what inference sees.  Training copies each finished group into
+the stack, and loading reads each payload into its column.
+
 Replaying the reference set and answering queries are one computation:
 each image is encoded once and binned to simulation steps, and blocks of
 images are fanned out to every expert; all (image, expert) pairs start from
@@ -26,8 +32,10 @@ score order (ties toward the lowest place id).
 
 from __future__ import annotations
 
+import copy
 import numbers
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -35,6 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, StateError
 from .expert import (
+    GROUP_SIZE,
     UNASSIGNED,
     ExpertConfig,
     ExpertModel,
@@ -83,7 +92,15 @@ def partition_reference(place_count: int, places_per_expert: int) -> Partition:
 
 @dataclass
 class EnsembleModel:
-    """Ordered experts plus the global place index and config snapshot."""
+    """Ordered experts plus the global place index and config snapshot.
+
+    ``weights`` is the (inputs, N, K) float32 stack whose column i expert i's
+    weights view.  Builders fill it in place and pass it.  When it is not
+    given, or the experts do not view its columns in order, the experts'
+    weights are copied into a new stack, and the model holds copies of
+    those ``ExpertModel`` objects that view it.  A pickle carries the stack
+    once and its copy rebuilds the views.
+    """
 
     experts: list[ExpertModel]
     place_count: int
@@ -96,6 +113,28 @@ class EnsembleModel:
     regularized: bool = False            # reference totals computed
     expert_config: ExpertConfig | None = None
     dataset_fingerprints: dict = field(default_factory=dict)
+    weights: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not _views_columns(self.experts, self.weights):
+            n_inputs, n_excitatory = self.experts[0].weights.shape if self.experts else (0, 0)
+            self.weights = np.empty((n_inputs, len(self.experts), n_excitatory), np.float32)
+            self.experts = [copy.copy(ex) for ex in self.experts]
+            for i, ex in enumerate(self.experts):
+                self.weights[:, i] = ex.weights
+                ex.weights = self.weights[:, i]
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state["experts"] = [copy.copy(ex) for ex in self.experts]
+        for ex in state["experts"]:
+            ex.weights = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        for i, ex in enumerate(self.experts):
+            ex.weights = self.weights[:, i]
 
     def validate_tiling(self) -> None:
         expected = 0
@@ -107,6 +146,16 @@ class EnsembleModel:
             raise ConfigError(
                 f"experts cover {expected} places, expected {self.place_count}"
             )
+
+
+def _views_columns(experts: list[ExpertModel], stack: np.ndarray | None) -> bool:
+    """Whether ``stack`` is float32 (inputs, N, K) and expert i's weights are ``stack[:, i]``."""
+    return (
+        isinstance(stack, np.ndarray) and stack.dtype == np.float32 and stack.ndim == 3
+        and stack.shape[1] == len(experts)
+        and all(ex.weights.__array_interface__ == stack[:, i].__array_interface__
+                for i, ex in enumerate(experts))
+    )
 
 
 @dataclass(frozen=True)
@@ -157,7 +206,8 @@ def train_ensemble(
     ``expert_cfg.places_per_expert``.  Each region's seed derives from
     (global_seed, region index), and workers train contiguous chunks of
     experts in groups, so serial, parallel and grouped runs are
-    bit-identical.
+    bit-identical.  Each chunk (one group when serial) is copied into the
+    ensemble's weight stack as it arrives, and its own arrays are freed.
     """
     n_trav, place_count = reference.shape[0], reference.shape[1]
     partition = partition_reference(place_count, expert_cfg.places_per_expert)
@@ -170,11 +220,21 @@ def train_ensemble(
         )
         for index, (start, stop) in enumerate(partition.ranges)
     ]
-    jobs = [(regions[part], expert_cfg, sim, encoding) for part in _chunks(len(regions), workers)]
-    experts = [expert for part in _ordered_map(_train_chunk, jobs, workers) for expert in part]
+    parts = _chunks(len(regions), workers) if workers > 1 else _slices(len(regions), GROUP_SIZE)
+    jobs = [(regions[part], expert_cfg, sim, encoding) for part in parts]
+    weights, experts = None, []
+    for chunk in _ordered_map(_train_chunk, jobs, workers):
+        if weights is None:  # only now, so that it never meets the first group's learning state
+            shape = (chunk[0].n_inputs, len(regions), expert_cfg.n_excitatory)
+            weights = np.empty(shape, dtype=np.float32)
+        for expert in chunk:
+            weights[:, len(experts)] = expert.weights
+            expert.weights = weights[:, len(experts)]
+            experts.append(expert)
 
     model = EnsembleModel(
         experts=experts,
+        weights=weights,
         place_count=place_count,
         sim=sim,
         encoding=encoding,
@@ -218,7 +278,7 @@ def detect_hyperactive(
     """
     flags_for_theta((), theta)  # reject a bad theta before the replay
     images = reference.reshape((-1,) + reference.shape[2:])
-    totals = np.zeros((len(model.experts), model.experts[0].n_excitatory), dtype=np.int64)
+    totals = np.zeros(model.weights.shape[1:], dtype=np.int64)
     for part in _map_image_chunks(_chunk_totals, model, images, STREAM_REFERENCE, 0, workers):
         totals += part
     for expert, row in zip(model.experts, totals):
@@ -265,7 +325,9 @@ def fuse_scores(
 
 def collect_expert_responses(model: EnsembleModel, train: SpikeTrain) -> np.ndarray:
     """Present one train to every expert, as a block of one; rows are per-expert counts."""
-    return expert_respond(model.experts, [train], model.sim, model.encoding)[0]
+    return expert_respond(
+        model.weights, _thresholds(model), [train], model.sim, model.encoding
+    )[0]
 
 
 def match_spike_train(model: EnsembleModel, train: SpikeTrain) -> MatchResult:
@@ -295,6 +357,7 @@ def _image_responses(model: EnsembleModel, images: np.ndarray, stream: int, firs
     for its block.
     """
     block = max(1, BLOCK_STATE // (len(model.experts) * model.experts[0].n_excitatory))
+    theta = _thresholds(model)
     for start in range(0, len(images), block):
         trains = [
             bin_train(poisson_encode(
@@ -302,7 +365,12 @@ def _image_responses(model: EnsembleModel, images: np.ndarray, stream: int, firs
             ), model.sim.dt_ms)
             for k, image in enumerate(images[start:start + block], start)
         ]
-        yield expert_respond(model.experts, trains, model.sim, model.encoding)
+        yield expert_respond(model.weights, theta, trains, model.sim, model.encoding)
+
+
+def _thresholds(model: EnsembleModel) -> np.ndarray:
+    """The experts' adaptive thresholds as one (N, K) array."""
+    return np.stack([ex.theta for ex in model.experts])
 
 
 def _chunk_rows(args) -> np.ndarray:
@@ -313,21 +381,26 @@ def _chunk_totals(args) -> np.ndarray:
     return sum(rows.sum(axis=0) for rows in _image_responses(*args))
 
 
-def _ordered_map(fn, jobs: list, workers: int) -> list:
-    """``[fn(job) for job in jobs]``, over a process pool when workers > 1."""
+def _ordered_map(fn, jobs: list, workers: int) -> Iterator:
+    """``fn(job)`` for each job, lazily and in order, over a process pool when workers > 1."""
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+            yield from pool.map(fn, jobs)
+    else:
+        yield from map(fn, jobs)
+
+
+def _slices(n: int, size: int) -> list[slice]:
+    """``size``-long contiguous slices that cover range(n) in order."""
+    return [slice(s, s + size) for s in range(0, n, size)]
 
 
 def _chunks(n: int, workers: int) -> list[slice]:
     """ceil(n / workers)-sized contiguous slices that cover range(n) in order."""
-    size = max(1, -(-n // max(workers, 1)))
-    return [slice(s, s + size) for s in range(0, n, size)]
+    return _slices(n, max(1, -(-n // max(workers, 1))))
 
 
-def _map_image_chunks(reduce_chunk, model, images, stream, first_id, workers) -> list:
+def _map_image_chunks(reduce_chunk, model, images, stream, first_id, workers) -> Iterator:
     """Apply ``reduce_chunk`` to ceil(n / workers) contiguous image chunks, in order."""
     jobs = [
         (model, images[part], stream, first_id + part.start)
@@ -351,6 +424,6 @@ def collect_query_responses(
     from the cache without re-simulating.
     """
     if queries.shape[0] == 0:
-        return np.zeros((0, len(model.experts), model.experts[0].n_excitatory), dtype=np.int64)
+        return np.zeros((0,) + model.weights.shape[1:], dtype=np.int64)
     parts = _map_image_chunks(_chunk_rows, model, queries, STREAM_QUERY, query_id_base, workers)
-    return np.concatenate(parts)
+    return np.concatenate(list(parts))

@@ -88,7 +88,8 @@ class RegionData:
 class ExpertModel:
     """One trained, frozen region expert."""
 
-    weights: np.ndarray            # (n_inputs, n_excitatory) float32, frozen
+    weights: np.ndarray            # (n_inputs, n_excitatory) float32, frozen; in an
+                                   # ensemble, a view of its column of the weight stack
     theta: np.ndarray              # adaptive-threshold snapshot, mV
     assignments: np.ndarray        # local place id per neuron, UNASSIGNED if silent
     global_start: int              # first global place id of the region
@@ -223,23 +224,23 @@ def assign_neurons(spike_counts: np.ndarray) -> np.ndarray:
 
 
 def expert_respond(
-    experts: list[ExpertModel],
+    weights: np.ndarray,
+    theta: np.ndarray,
     trains: list[SpikeTrain | BinnedTrain],
     sim: SimulationParams,
     encoding: EncodingConfig,
 ) -> np.ndarray:
-    """Per-neuron spike counts of frozen experts for a block of B trains: (B, N, K).
+    """Per-neuron spike counts of N frozen experts for a block of B trains: (B, N, K).
 
-    All experts run in lockstep on all trains in one network whose weights
-    are stacked once per block as (inputs, N, K), in their stored float32,
-    and whose state is (B, N, K).  Each (train, expert) pair starts from the
-    canonical rest state with plasticity and threshold adaptation frozen, so
-    row [b, i] equals what ``experts[i].build_network`` answers to
-    ``trains[b]`` alone and depends on nothing else.
+    ``weights`` is the experts' (inputs, N, K) float32 stack, used as it is
+    (an ensemble keeps one, ``EnsembleModel.weights``), and ``theta`` their
+    (N, K) thresholds.  All experts run in lockstep on all trains in one
+    network whose state is (B, N, K).  Each (train, expert) pair starts from
+    the canonical rest state with plasticity and threshold adaptation
+    frozen, so row [b, i] equals what expert i's ``build_network`` answers
+    to ``trains[b]`` alone and depends on nothing else.
     """
-    syn = SynapseMatrix(np.stack([ex.weights for ex in experts], axis=1))
-    theta = np.stack([ex.theta for ex in experts])
-    net = ExpertNetwork(syn, sim, encoding, theta=theta, images=len(trains))
+    net = ExpertNetwork(SynapseMatrix(weights), sim, encoding, theta=theta, images=len(trains))
     return net.present(list(trains), learn=False, run_rest=False)
 
 

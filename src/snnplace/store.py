@@ -6,7 +6,10 @@ n_excitatory]).  Everything else — assignments, adaptive thresholds,
 reference totals, hyperactive flags, full config — lives in the manifest.
 Python's JSON writer emits shortest round-trip float representations, so
 save/load is bit-exact; saves go through a temporary name and a final
-atomic rename.  An overwrite first moves the old archive aside to
+atomic rename.  A save writes one expert's payload at a time from its
+column of the ensemble's weight stack; a load checks every payload's size
+and the experts' shared shape before it allocates the stack, then reads
+each payload into its column.  An overwrite first moves the old archive aside to
 ``<path>.snnplace-old``; if the process dies before the new one is in
 place, loading ``path`` falls back to that copy.  A save replaces only
 directories that hold nothing but archive files.  The config block is written and
@@ -18,8 +21,9 @@ config value that breaks its invariant and a per-neuron list element of the
 wrong type included), payload names other than ``expert_NNNN.bin``, a
 presentation shorter than one step or a window longer than
 ``config.MAX_WINDOW_STEPS``, and archives whose experts do not tile
-the place set, disagree on their shapes, hold non-finite thresholds or
-weights, or assign a neuron outside their own places.
+the place set, hold no experts, disagree on their shapes or with
+``image_size``, hold non-finite thresholds or weights, or assign a neuron
+outside their own places.
 """
 
 from __future__ import annotations
@@ -108,51 +112,23 @@ def scan_traverse(directory: str | os.PathLike, role: str, note: str = "") -> Da
 
 
 def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool = False) -> None:
-    """Write the model as a directory archive (atomic rename on completion)."""
+    """Write the model as a directory archive (atomic rename on completion).
+
+    Payloads are written one expert at a time, each from a little-endian,
+    row-major copy of that expert's column of the weight stack alone.
+    """
     path = os.fspath(path)
     parent = os.path.dirname(os.path.abspath(path)) or "."
-    experts_meta = []
-    payloads = []
-    for i, ex in enumerate(model.experts):
-        fname = f"expert_{i:04d}.bin"
-        payloads.append((fname, ex.weights.astype("<f4").tobytes(order="C")))
-        experts_meta.append({
-            "file": fname,
-            "n_inputs": ex.n_inputs,
-            "n_excitatory": ex.n_excitatory,
-            "global_start": ex.global_start,
-            "n_places": ex.n_places,
-            "theta_adapt_mv": [float(t) for t in ex.theta],
-            "assignments": [int(a) for a in ex.assignments],
-            "reference_totals": [int(t) for t in ex.reference_totals],
-            "hyperactive": [bool(h) for h in ex.hyperactive],
-        })
-    # The simulation's keys, plus one key per other config section.
-    config = {**to_json(model.sim), "encoding": to_json(model.encoding),
-              "patch": to_json(model.patch)}
-    if model.expert_config is not None:
-        config["expert"] = to_json(model.expert_config)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "place_count": model.place_count,
-        "global_seed": model.global_seed,
-        "theta": model.theta,
-        "regularized": model.regularized,
-        "image_size": list(model.image_size),
-        "dataset_fingerprints": model.dataset_fingerprints,
-        "config": config,
-        "experts": experts_meta,
-    }
-
-    tmp = tempfile.mkdtemp(prefix=".snnplace_save_", dir=parent)
+    tmp = None
     try:
-        for fname, blob in payloads:
-            with open(os.path.join(tmp, fname), "wb") as fh:
-                fh.write(blob)
+        tmp = tempfile.mkdtemp(prefix=".snnplace_save_", dir=parent)
+        for i, ex in enumerate(model.experts):
+            with open(os.path.join(tmp, _payload_name(i)), "wb") as fh:
+                fh.write(np.ascontiguousarray(ex.weights, dtype="<f4"))
                 fh.flush()
                 os.fsync(fh.fileno())
         with open(os.path.join(tmp, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
+            json.dump(_manifest(model), fh, indent=1, sort_keys=True)
             fh.flush()
             os.fsync(fh.fileno())
         stale = _moved_aside(path)
@@ -175,7 +151,45 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
     except OSError as exc:
         raise ArchiveError(f"cannot write archive {path!r}: {exc}") from exc
     finally:
-        _remove_flat_dir(tmp)
+        if tmp is not None:
+            _remove_flat_dir(tmp)
+
+
+def _payload_name(index: int) -> str:
+    return f"expert_{index:04d}.bin"
+
+
+def _manifest(model: EnsembleModel) -> dict:
+    experts_meta = [
+        {
+            "file": _payload_name(i),
+            "n_inputs": ex.n_inputs,
+            "n_excitatory": ex.n_excitatory,
+            "global_start": ex.global_start,
+            "n_places": ex.n_places,
+            "theta_adapt_mv": [float(t) for t in ex.theta],
+            "assignments": [int(a) for a in ex.assignments],
+            "reference_totals": [int(t) for t in ex.reference_totals],
+            "hyperactive": [bool(h) for h in ex.hyperactive],
+        }
+        for i, ex in enumerate(model.experts)
+    ]
+    # The simulation's keys, plus one key per other config section.
+    config = {**to_json(model.sim), "encoding": to_json(model.encoding),
+              "patch": to_json(model.patch)}
+    if model.expert_config is not None:
+        config["expert"] = to_json(model.expert_config)
+    return {
+        "format_version": FORMAT_VERSION,
+        "place_count": model.place_count,
+        "global_seed": model.global_seed,
+        "theta": model.theta,
+        "regularized": model.regularized,
+        "image_size": list(model.image_size),
+        "dataset_fingerprints": model.dataset_fingerprints,
+        "config": config,
+        "experts": experts_meta,
+    }
 
 
 def _moved_aside(path: str) -> str:
@@ -254,30 +268,18 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
             if isinstance(cfg.get(section), dict):
                 cfg[section] = {k: v for k, v in cfg[section].items() if k not in keys}
     sim = {key: value for key, value in cfg.items() if key not in ("encoding", "patch", "expert")}
+    metas = manifest["experts"]
+    n_inputs, n_excitatory = _weight_shape(manifest, path)
+    payloads = [_payload_path(meta, path, n_inputs * n_excitatory * 4) for meta in metas]
+    weights = np.empty((n_inputs, len(metas), n_excitatory), dtype=np.float32)
+    payload = np.empty((n_inputs, n_excitatory), dtype="<f4")
     experts = []
-    for meta in manifest["experts"]:
-        if not (isinstance(meta["file"], str) and _PAYLOAD_FILE.fullmatch(meta["file"])):
-            raise ArchiveError(
-                f"archive {path!r}: payload name {meta['file']!r} is not expert_NNNN.bin"
-            )
-        payload_path = os.path.join(path, meta["file"])
-        expected = meta["n_inputs"] * meta["n_excitatory"] * 4
-        try:
-            with open(payload_path, "rb") as fh:
-                blob = fh.read()
-        except OSError as exc:
-            raise ArchiveError(f"cannot read payload {payload_path!r}: {exc}") from exc
-        if len(blob) != expected:
-            raise ArchiveError(
-                f"payload {payload_path!r} holds {len(blob)} bytes, "
-                f"expected {expected}"
-            )
-        weights = np.frombuffer(blob, dtype="<f4").reshape(
-            meta["n_inputs"], meta["n_excitatory"]
-        ).astype(np.float32)
-        where = f"archive {path!r}: expert {len(experts)}"
+    for i, (meta, payload_path) in enumerate(zip(metas, payloads)):
+        _read_payload(payload_path, payload)
+        weights[:, i] = payload
+        where = f"archive {path!r}: expert {i}"
         experts.append(ExpertModel(
-            weights=weights,
+            weights=weights[:, i],
             theta=_per_neuron(meta, "theta_adapt_mv", where),
             assignments=_per_neuron(meta, "assignments", where),
             global_start=meta["global_start"],
@@ -287,6 +289,7 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
         ))
     return EnsembleModel(
         experts=experts,
+        weights=weights,
         place_count=manifest["place_count"],
         sim=from_json(SimulationParams, sim, "config"),
         encoding=from_json(EncodingConfig, cfg["encoding"], "config.encoding"),
@@ -300,6 +303,59 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
         ),
         dataset_fingerprints=dict(manifest["dataset_fingerprints"]),
     )
+
+
+def _weight_shape(manifest: dict, path: str) -> tuple[int, int]:
+    """(n_inputs, n_excitatory) every expert must share, checked before any payload is read."""
+    size = manifest["image_size"]
+    if not (isinstance(size, list) and len(size) == 2
+            and all(_is_int(n) and n >= 1 for n in size)):
+        raise ArchiveError(f"archive {path!r}: image_size must be two positive integers")
+    width, height = size
+    metas = manifest["experts"]
+    if not (isinstance(metas, list) and metas):
+        raise ArchiveError(f"archive {path!r}: 'experts' must be a non-empty list")
+    sizes = sorted({meta["n_excitatory"] for meta in metas})
+    if len(sizes) > 1:
+        raise ArchiveError(f"archive {path!r}: experts differ in n_excitatory {sizes}")
+    if not (_is_int(sizes[0]) and sizes[0] >= 1):
+        raise ArchiveError(f"archive {path!r}: n_excitatory must be a positive integer")
+    for i, meta in enumerate(metas):
+        if meta["n_inputs"] != width * height:
+            raise ArchiveError(
+                f"archive {path!r}: expert {i} has n_inputs={meta['n_inputs']}, "
+                f"image size {width}x{height} needs {width * height}"
+            )
+    return width * height, sizes[0]
+
+
+def _payload_path(meta: dict, path: str, expected: int) -> str:
+    """The payload file of one expert, which must hold ``expected`` bytes."""
+    if not (isinstance(meta["file"], str) and _PAYLOAD_FILE.fullmatch(meta["file"])):
+        raise ArchiveError(
+            f"archive {path!r}: payload name {meta['file']!r} is not expert_NNNN.bin"
+        )
+    payload_path = os.path.join(path, meta["file"])
+    try:
+        size = os.stat(payload_path).st_size
+    except OSError as exc:
+        raise ArchiveError(f"cannot read payload {payload_path!r}: {exc}") from exc
+    _check_payload_size(payload_path, size, expected)
+    return payload_path
+
+
+def _read_payload(payload_path: str, out: np.ndarray) -> None:
+    try:
+        with open(payload_path, "rb") as fh:
+            size = fh.readinto(out)
+    except OSError as exc:
+        raise ArchiveError(f"cannot read payload {payload_path!r}: {exc}") from exc
+    _check_payload_size(payload_path, size, out.nbytes)
+
+
+def _check_payload_size(payload_path: str, size: int, expected: int) -> None:
+    if size != expected:
+        raise ArchiveError(f"payload {payload_path!r} holds {size} bytes, expected {expected}")
 
 
 def _per_neuron(meta: dict, key: str, where: str) -> np.ndarray:
@@ -323,16 +379,7 @@ def _check_consistent(model: EnsembleModel, path: str) -> None:
     model.validate_tiling()
     check_presentation_steps(model.encoding, model.sim)
     flags_for_theta((), model.theta)
-    sizes = sorted({ex.n_excitatory for ex in model.experts})
-    if len(sizes) > 1:
-        raise ArchiveError(f"archive {path!r}: experts differ in n_excitatory {sizes}")
-    width, height = model.image_size
     for i, ex in enumerate(model.experts):
-        if ex.n_inputs != width * height:
-            raise ArchiveError(
-                f"archive {path!r}: expert {i} has n_inputs={ex.n_inputs}, "
-                f"image size {width}x{height} needs {width * height}"
-            )
         for name in ("theta", "assignments", "reference_totals", "hyperactive"):
             if getattr(ex, name).shape != (ex.n_excitatory,):
                 raise ArchiveError(

@@ -74,21 +74,24 @@ def synthetic_ensemble(
 ) -> EnsembleModel:
     """Frozen random ensemble for latency benchmarks (no training).
 
-    Weights are random with realistic per-neuron column sums; assignments
+    Weights are random with realistic per-neuron column sums, drawn one
+    expert at a time into the ensemble's float32 stack; assignments
     cycle through each region's places so fused matching has real work to
     do.  The model is marked regularized with the filter disabled.
     """
     sim = sim or SimulationParams.defaults()
     encoding = encoding or EncodingConfig(min_output_spikes=0)
     n_inputs = image_size[0] * image_size[1]
+    weights = np.empty((n_inputs, n_experts, n_excitatory), dtype=np.float32)
     experts = []
     for i in range(n_experts):
         rng = np.random.default_rng(derive_seed(seed, i))
         w = rng.uniform(0.0, sim.weight_init_max, size=(n_inputs, n_excitatory))
         w *= sim.weight_norm_target / w.sum(axis=0)
         np.clip(w, 0.0, sim.stdp.w_max, out=w)
+        weights[:, i] = w
         experts.append(ExpertModel(
-            weights=w.astype(np.float32),
+            weights=weights[:, i],
             theta=np.zeros(n_excitatory),
             assignments=np.arange(n_excitatory, dtype=np.int64) % places_per_expert,
             global_start=i * places_per_expert,
@@ -96,6 +99,7 @@ def synthetic_ensemble(
         ))
     model = EnsembleModel(
         experts=experts,
+        weights=weights,
         place_count=n_experts * places_per_expert,
         sim=sim,
         encoding=encoding,

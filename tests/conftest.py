@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from snnplace.ensemble import EnsembleModel
-from snnplace.expert import ExpertConfig, ExpertModel
+from snnplace.expert import ExpertConfig, ExpertModel, expert_respond
 from snnplace.imaging import EncodingConfig, PatchNormConfig
 from snnplace.network import SimulationParams
 
@@ -32,6 +32,12 @@ def tiny_textures(n_places: int, seed: int = 0, size: int = 8) -> np.ndarray:
     """Unit-intensity random textures usable directly as encoder input."""
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 1.0, size=(n_places, size, size))
+
+
+def respond_stacked(experts, trains, sim, encoding) -> np.ndarray:
+    """``expert_respond`` on experts built apart, stacked as an ensemble keeps them."""
+    weights = np.stack([ex.weights for ex in experts], axis=1)
+    return expert_respond(weights, np.stack([ex.theta for ex in experts]), trains, sim, encoding)
 
 
 def handmade_ensemble(

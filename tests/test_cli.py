@@ -86,6 +86,15 @@ class TestTrain:
         assert rc == 2
         assert "no/such/traverse" in capsys.readouterr().err
 
+    def test_out_into_a_missing_directory_exits_2(self, world, tmp_path, capsys):
+        _, cfg, ref, _ = world
+        out = tmp_path / "missing" / "parent" / "model"
+        assert main(["train", "--config", cfg, "--ref-dirs", ref, "--places", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write archive") and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_places_flag_limits_partitioning(self, world):
         root, cfg, ref, _ = world
         out = str(root / "model_2p")

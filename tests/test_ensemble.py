@@ -1,6 +1,8 @@
 """Partitioning, fused matching, hyperactivity flags, and the oracle check."""
 
+import copy
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -24,13 +26,14 @@ from snnplace.ensemble import (
     train_ensemble,
 )
 from snnplace.errors import ConfigError, StateError
-from snnplace.expert import UNASSIGNED, ExpertModel, expert_respond, query_seed
+from snnplace.expert import UNASSIGNED, ExpertModel, query_seed
 from snnplace.imaging import STREAM_REFERENCE, PatchNormConfig, derive_seed, poisson_encode
 from snnplace.metrics import neuron_precision_analysis
-from snnplace.store import save_ensemble
-from snnplace.synthetic import make_textures, synthetic_ensemble
+from snnplace.store import load_ensemble, save_ensemble
+from snnplace.synthetic import inject_cross_region_responders, make_textures, synthetic_ensemble
 from tests.conftest import (
     handmade_ensemble,
+    respond_stacked,
     tiny_encoding,
     tiny_expert_cfg,
     tiny_sim,
@@ -432,7 +435,7 @@ class TestLockstep:
             for i in range(n_experts)
         ]
         train = poisson_encode(rng.uniform(size=(4, 4)), encoding, seed)
-        rows = expert_respond(experts, [train], sim, encoding)[0]
+        rows = respond_stacked(experts, [train], sim, encoding)[0]
         assert rows.shape == (n_experts, n_excitatory)
         for row, expert in zip(rows, experts):
             alone = expert.build_network(sim, encoding)
@@ -453,6 +456,90 @@ class TestLockstep:
             finally:
                 tracemalloc.stop()
             assert peak < one_float64_copy
+
+
+class TestWeightStack:
+    """Every ensemble keeps its experts' weights as views of one float32 stack."""
+
+    @staticmethod
+    def assert_views_of_one_stack(model):
+        n_inputs, n_excitatory = model.experts[0].weights.shape
+        assert model.weights.dtype == np.float32
+        assert model.weights.shape == (n_inputs, len(model.experts), n_excitatory)
+        for i, ex in enumerate(model.experts):
+            assert np.shares_memory(ex.weights, model.weights)
+            assert ex.weights.__array_interface__ == model.weights[:, i].__array_interface__
+
+    def test_every_builder_gives_views_of_one_stack(self, tmp_path):
+        synthetic = synthetic_ensemble(3, n_excitatory=5, places_per_expert=2, seed=1)
+        textures = tiny_textures(4, seed=20)[None]
+        cfg = tiny_expert_cfg(n_excitatory=6, epochs=2, record_last_epochs=1)
+        trained = [
+            train_ensemble(textures, cfg, tiny_sim(), tiny_encoding(), PatchNormConfig(),
+                           global_seed=7, workers=workers)
+            for workers in (1, 2)
+        ]
+        save_ensemble(trained[1], tmp_path / "arch")
+        handmade = handmade_ensemble([np.zeros(2)] * 2, [[0, 1], [1, 0]], places_per_expert=2)
+        for model in (synthetic, *trained, load_ensemble(tmp_path / "arch"), handmade):
+            self.assert_views_of_one_stack(model)
+        assert trained[0].weights.tobytes() == trained[1].weights.tobytes()
+
+    def test_a_permuted_copy_gets_its_own_stack(self):
+        model = synthetic_ensemble(3, n_excitatory=5, places_per_expert=2, seed=1)
+        before = model.weights.copy()
+        shuffled = dataclasses.replace(model, experts=model.experts[::-1])
+        self.assert_views_of_one_stack(shuffled)
+        self.assert_views_of_one_stack(model)
+        assert not np.shares_memory(shuffled.weights, model.weights)
+        np.testing.assert_array_equal(shuffled.weights, before[:, ::-1])
+        np.testing.assert_array_equal(model.weights, before)
+        same = dataclasses.replace(model, theta=None)
+        assert same.weights is model.weights
+
+    def test_pickle_ships_the_stack_once(self):
+        model = synthetic_ensemble(4, n_excitatory=400, seed=0)
+        blob = pickle.dumps(model)
+        assert len(blob) < 1.1 * model.weights.nbytes
+        again = pickle.loads(blob)
+        self.assert_views_of_one_stack(again)
+        assert dataclasses.replace(again, theta=None).weights is again.weights
+        assert again.weights.tobytes() == model.weights.tobytes()
+        copied = copy.deepcopy(model)
+        self.assert_views_of_one_stack(copied)
+        assert not np.shares_memory(copied.weights, model.weights)
+
+    def test_inference_sees_an_in_place_injection(self):
+        model = synthetic_ensemble(3, n_excitatory=20, places_per_expert=4, seed=2)
+        detect_hyperactive(model, make_textures(12, (28, 28), 8)[None], None)
+        before = model.weights.copy()
+        injected, pairs = inject_cross_region_responders(model, fraction=0.2, seed=3)
+        assert pairs
+        self.assert_views_of_one_stack(injected)
+        np.testing.assert_array_equal(model.weights, before)
+        for i, e in pairs:
+            np.testing.assert_array_equal(injected.weights[:, i, e], injected.experts[i].weights[:, e])
+        assert not np.array_equal(injected.weights, before)
+        train = poisson_encode(make_textures(1, (28, 28), 9)[0], injected.encoding, 4)
+        rows = collect_expert_responses(injected, train)
+        for row, ex in zip(rows, injected.experts):
+            alone = ex.build_network(injected.sim, injected.encoding)
+            np.testing.assert_array_equal(row, alone.present(train, learn=False, run_rest=False))
+
+    def test_inference_holds_no_float32_copy_of_the_weights(self):
+        model = synthetic_ensemble(4, n_excitatory=400, seed=0)
+        images = make_textures(12, (28, 28), 5)
+        train = poisson_encode(images[0], model.encoding, 1)
+        one_float32_copy = sum(ex.weights.nbytes for ex in model.experts)   # 4.79 MiB
+        for respond in (lambda: collect_expert_responses(model, train),
+                        lambda: collect_query_responses(model, images)):
+            tracemalloc.start()
+            try:
+                respond()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < one_float32_copy
 
 
 class TestBlocks:
@@ -489,10 +576,10 @@ class TestBlocks:
         trains = [
             poisson_encode(rng.uniform(size=(8, 8)), encoding, seed + b) for b in range(n_images)
         ]
-        rows = expert_respond(experts, trains, sim, encoding)
+        rows = respond_stacked(experts, trains, sim, encoding)
         assert rows.shape == (n_images, n_experts, n_excitatory)
         for row, train in zip(rows, trains):
-            np.testing.assert_array_equal(row, expert_respond(experts, [train], sim, encoding)[0])
+            np.testing.assert_array_equal(row, respond_stacked(experts, [train], sim, encoding)[0])
             for counts, expert in zip(row, experts):
                 alone = expert.build_network(sim, encoding)
                 np.testing.assert_array_equal(
@@ -508,9 +595,9 @@ class TestBlocks:
         for block_state in (1, 10**9):
             blocks = []
 
-            def counting_respond(experts, trains, *args):
+            def counting_respond(weights, theta, trains, *args):
                 blocks.append(len(trains))
-                return respond(experts, trains, *args)
+                return respond(weights, theta, trains, *args)
 
             monkeypatch.setattr(ensemble, "BLOCK_STATE", block_state)
             monkeypatch.setattr(ensemble, "expert_respond", counting_respond)

@@ -11,14 +11,19 @@ from snnplace.expert import (
     ExpertConfig,
     RegionData,
     assign_neurons,
-    expert_respond,
     normalize_group,
     train_expert,
     train_experts,
 )
 from snnplace.imaging import STREAM_QUERY, EncodingConfig, derive_seed, poisson_encode
 from snnplace.network import ExpertNetwork, StdpParams, normalize_columns
-from tests.conftest import tiny_encoding, tiny_expert_cfg, tiny_sim, tiny_textures
+from tests.conftest import (
+    respond_stacked,
+    tiny_encoding,
+    tiny_expert_cfg,
+    tiny_sim,
+    tiny_textures,
+)
 
 
 class TestAssignNeurons:
@@ -206,7 +211,7 @@ class TestRespond:
     def test_empty_query_yields_zeros(self, two_pattern_expert):
         model, _, _ = two_pattern_expert
         train = poisson_encode(np.zeros((8, 8)), tiny_encoding(), seed=0)
-        counts = expert_respond([model], [train], tiny_sim(), tiny_encoding())[0, 0]
+        counts = respond_stacked([model], [train], tiny_sim(), tiny_encoding())[0, 0]
         assert not counts.any()
 
     def test_training_image_matches_its_own_place(self, two_pattern_expert):
@@ -215,7 +220,7 @@ class TestRespond:
             train = poisson_encode(
                 images[0, place], tiny_encoding(), derive_seed(99, STREAM_QUERY, place)
             )
-            counts = expert_respond([model], [train], tiny_sim(), tiny_encoding())[0, 0]
+            counts = respond_stacked([model], [train], tiny_sim(), tiny_encoding())[0, 0]
             scores = [
                 counts[model.assignments == candidate].sum() for candidate in (0, 1)
             ]
@@ -224,6 +229,6 @@ class TestRespond:
     def test_identical_query_identical_counts(self, two_pattern_expert):
         model, _, images = two_pattern_expert
         train = poisson_encode(images[0, 0], tiny_encoding(), seed=123)
-        first = expert_respond([model], [train], tiny_sim(), tiny_encoding())[0, 0]
-        second = expert_respond([model], [train], tiny_sim(), tiny_encoding())[0, 0]
+        first = respond_stacked([model], [train], tiny_sim(), tiny_encoding())[0, 0]
+        second = respond_stacked([model], [train], tiny_sim(), tiny_encoding())[0, 0]
         np.testing.assert_array_equal(first, second)

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,45 @@ class TestRoundTrip:
             save_ensemble(model, folder, overwrite=True)
         assert sorted(p.name for p in folder.iterdir()) == ["manifest.json", "sub"]
         assert sorted(os.listdir(tmp_path)) == ["arch", "arch.snnplace-old", "folder"]
+
+
+class TestPayloadsOneAtATime:
+    """A save holds one expert's payload at a time; a load checks sizes before it allocates."""
+
+    def test_save_holds_one_payload_and_the_manifest(self, tmp_path):
+        model = synthetic_ensemble(4, n_excitatory=400, seed=0)
+        tracemalloc.start()
+        try:
+            save_ensemble(model, tmp_path / "arch")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = model.experts[0].weights.nbytes
+        assert peak < payload + (tmp_path / "arch" / "manifest.json").stat().st_size
+        loaded = load_ensemble(tmp_path / "arch")
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+
+    def test_claimed_neuron_count_is_checked_before_the_stack_is_allocated(self, tmp_path):
+        model = synthetic_ensemble(1, n_excitatory=400, seed=0)
+        save_ensemble(model, tmp_path / "arch")
+        manifest_path = tmp_path / "arch" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["experts"][0]["n_excitatory"] = 10**9
+        manifest_path.write_text(json.dumps(manifest))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArchiveError, match="expert_0000.bin.? holds 1254400 bytes"):
+                load_ensemble(tmp_path / "arch")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.experts[0].weights.nbytes
+
+    def test_save_into_a_missing_parent_is_an_archive_error(self, tmp_path):
+        model = synthetic_ensemble(1, n_excitatory=2, image_size=(4, 4))
+        with pytest.raises(ArchiveError, match="cannot write archive"):
+            save_ensemble(model, tmp_path / "missing" / "parent" / "model")
+        assert os.listdir(tmp_path) == []
 
 
 class TestCorruption:
