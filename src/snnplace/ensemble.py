@@ -15,7 +15,7 @@ hyperactive; flagged neurons are ignored when queries are matched.
 Every ensemble keeps its experts' weights in one (inputs, N, K) float32
 stack, ``EnsembleModel.weights``; each expert's weights are a view of its
 column, so inference reads the stack as it is and an edit of an expert's
-weights is what inference sees.  Training copies each finished group into
+weights is what inference sees.  Training copies each trained expert into
 the stack, and loading reads each payload into its column.
 
 Replaying the reference set and answering queries are one computation:
@@ -35,7 +35,6 @@ from __future__ import annotations
 import copy
 import numbers
 import sys
-from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,7 +42,6 @@ import numpy as np
 
 from .errors import ConfigError, StateError
 from .expert import (
-    GROUP_SIZE,
     UNASSIGNED,
     ExpertConfig,
     ExpertModel,
@@ -95,14 +93,13 @@ class EnsembleModel:
     """Ordered experts plus the global place index and config snapshot.
 
     ``weights`` is the (inputs, N, K) float32 stack whose column i expert i's
-    weights view.  Builders fill it in place and pass it.  When it is not
-    given, or the experts do not view its columns in order, the experts'
-    weights are copied into a new stack, and the model holds copies of
-    those ``ExpertModel`` objects that view it.  A pickle carries the stack
-    once and its copy rebuilds the views.
+    weights view; builders fill it in place and pass it, and a model whose
+    experts do not view its columns in order is refused.  A pickle carries
+    the stack once and its copy rebuilds the views.
     """
 
     experts: list[ExpertModel]
+    weights: np.ndarray = field(repr=False, compare=False)
     place_count: int
     sim: SimulationParams
     encoding: EncodingConfig
@@ -113,16 +110,12 @@ class EnsembleModel:
     regularized: bool = False            # reference totals computed
     expert_config: ExpertConfig | None = None
     dataset_fingerprints: dict = field(default_factory=dict)
-    weights: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _views_columns(self.experts, self.weights):
-            n_inputs, n_excitatory = self.experts[0].weights.shape if self.experts else (0, 0)
-            self.weights = np.empty((n_inputs, len(self.experts), n_excitatory), np.float32)
-            self.experts = [copy.copy(ex) for ex in self.experts]
-            for i, ex in enumerate(self.experts):
-                self.weights[:, i] = ex.weights
-                ex.weights = self.weights[:, i]
+            raise ValueError(
+                "expert i's weights must be column i of the (inputs, N, K) float32 stack"
+            )
 
     def __getstate__(self) -> dict:
         state = dict(vars(self))
@@ -148,7 +141,7 @@ class EnsembleModel:
             )
 
 
-def _views_columns(experts: list[ExpertModel], stack: np.ndarray | None) -> bool:
+def _views_columns(experts: list[ExpertModel], stack: np.ndarray) -> bool:
     """Whether ``stack`` is float32 (inputs, N, K) and expert i's weights are ``stack[:, i]``."""
     return (
         isinstance(stack, np.ndarray) and stack.dtype == np.float32 and stack.ndim == 3
@@ -206,8 +199,8 @@ def train_ensemble(
     ``expert_cfg.places_per_expert``.  Each region's seed derives from
     (global_seed, region index), and workers train contiguous chunks of
     experts in groups, so serial, parallel and grouped runs are
-    bit-identical.  Each chunk (one group when serial) is copied into the
-    ensemble's weight stack as it arrives, and its own arrays are freed.
+    bit-identical.  Each expert's weights are then copied into the
+    ensemble's weight stack, and its own array is freed.
     """
     n_trav, place_count = reference.shape[0], reference.shape[1]
     partition = partition_reference(place_count, expert_cfg.places_per_expert)
@@ -220,17 +213,12 @@ def train_ensemble(
         )
         for index, (start, stop) in enumerate(partition.ranges)
     ]
-    parts = _chunks(len(regions), workers) if workers > 1 else _slices(len(regions), GROUP_SIZE)
-    jobs = [(regions[part], expert_cfg, sim, encoding) for part in parts]
-    weights, experts = None, []
-    for chunk in _ordered_map(_train_chunk, jobs, workers):
-        if weights is None:  # only now, so that it never meets the first group's learning state
-            shape = (chunk[0].n_inputs, len(regions), expert_cfg.n_excitatory)
-            weights = np.empty(shape, dtype=np.float32)
-        for expert in chunk:
-            weights[:, len(experts)] = expert.weights
-            expert.weights = weights[:, len(experts)]
-            experts.append(expert)
+    jobs = [(regions[part], expert_cfg, sim, encoding) for part in _chunks(len(regions), workers)]
+    experts = [expert for part in _ordered_map(_train_chunk, jobs, workers) for expert in part]
+    weights = np.empty((experts[0].n_inputs, len(experts), expert_cfg.n_excitatory), np.float32)
+    for i, expert in enumerate(experts):
+        weights[:, i] = expert.weights
+        expert.weights = weights[:, i]
 
     model = EnsembleModel(
         experts=experts,
@@ -381,26 +369,21 @@ def _chunk_totals(args) -> np.ndarray:
     return sum(rows.sum(axis=0) for rows in _image_responses(*args))
 
 
-def _ordered_map(fn, jobs: list, workers: int) -> Iterator:
-    """``fn(job)`` for each job, lazily and in order, over a process pool when workers > 1."""
+def _ordered_map(fn, jobs: list, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, over a process pool when workers > 1."""
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            yield from pool.map(fn, jobs)
-    else:
-        yield from map(fn, jobs)
-
-
-def _slices(n: int, size: int) -> list[slice]:
-    """``size``-long contiguous slices that cover range(n) in order."""
-    return [slice(s, s + size) for s in range(0, n, size)]
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _chunks(n: int, workers: int) -> list[slice]:
     """ceil(n / workers)-sized contiguous slices that cover range(n) in order."""
-    return _slices(n, max(1, -(-n // max(workers, 1))))
+    size = max(1, -(-n // max(workers, 1)))
+    return [slice(s, s + size) for s in range(0, n, size)]
 
 
-def _map_image_chunks(reduce_chunk, model, images, stream, first_id, workers) -> Iterator:
+def _map_image_chunks(reduce_chunk, model, images, stream, first_id, workers) -> list:
     """Apply ``reduce_chunk`` to ceil(n / workers) contiguous image chunks, in order."""
     jobs = [
         (model, images[part], stream, first_id + part.start)
@@ -426,4 +409,4 @@ def collect_query_responses(
     if queries.shape[0] == 0:
         return np.zeros((0,) + model.weights.shape[1:], dtype=np.int64)
     parts = _map_image_chunks(_chunk_rows, model, queries, STREAM_QUERY, query_id_base, workers)
-    return np.concatenate(list(parts))
+    return np.concatenate(parts)

@@ -18,9 +18,9 @@ loads with the four config keys format 2 dropped (``_FORMAT_1_KEYS``)
 removed first.  Loading rejects, with ``ArchiveError``,
 manifests with a missing or wrongly typed key (an unknown config key, a
 config value that breaks its invariant and a per-neuron list element of the
-wrong type included), payload names other than ``expert_NNNN.bin``, a
-presentation shorter than one step or a window longer than
-``config.MAX_WINDOW_STEPS``, and archives whose experts do not tile
+wrong type included), a payload name other than expert i's own
+``expert_NNNN.bin``, a presentation shorter than one step or a window
+longer than ``config.MAX_WINDOW_STEPS``, and archives whose experts do not tile
 the place set, hold no experts, disagree on their shapes or with
 ``image_size``, hold non-finite thresholds or weights, or assign a neuron
 outside their own places.
@@ -270,7 +270,9 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
     sim = {key: value for key, value in cfg.items() if key not in ("encoding", "patch", "expert")}
     metas = manifest["experts"]
     n_inputs, n_excitatory = _weight_shape(manifest, path)
-    payloads = [_payload_path(meta, path, n_inputs * n_excitatory * 4) for meta in metas]
+    payloads = [
+        _payload_path(meta, i, path, n_inputs * n_excitatory * 4) for i, meta in enumerate(metas)
+    ]
     weights = np.empty((n_inputs, len(metas), n_excitatory), dtype=np.float32)
     payload = np.empty((n_inputs, n_excitatory), dtype="<f4")
     experts = []
@@ -329,11 +331,17 @@ def _weight_shape(manifest: dict, path: str) -> tuple[int, int]:
     return width * height, sizes[0]
 
 
-def _payload_path(meta: dict, path: str, expected: int) -> str:
-    """The payload file of one expert, which must hold ``expected`` bytes."""
-    if not (isinstance(meta["file"], str) and _PAYLOAD_FILE.fullmatch(meta["file"])):
+def _payload_path(meta: dict, index: int, path: str, expected: int) -> str:
+    """Expert ``index``'s payload file, which must hold ``expected`` bytes.
+
+    Every save names it ``_payload_name(index)``; no other name is read, so
+    no two experts share a file and the stack is no larger than the
+    payloads on disk.
+    """
+    if meta["file"] != _payload_name(index):
         raise ArchiveError(
-            f"archive {path!r}: payload name {meta['file']!r} is not expert_NNNN.bin"
+            f"archive {path!r}: expert {index}'s payload name {meta['file']!r} "
+            f"is not {_payload_name(index)!r}"
         )
     payload_path = os.path.join(path, meta["file"])
     try:

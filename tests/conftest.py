@@ -51,18 +51,20 @@ def handmade_ensemble(
     """A fully synthetic ensemble whose experts never simulate anything.
 
     Only the matching-side fields matter: assignments, reference totals,
-    and hyperactive flags.  Weights are zeros of a minimal shape.
+    and hyperactive flags.  Weights are a zero stack of a minimal shape,
+    whose columns the experts view, as every builder makes it.
     """
+    n = len(assignments_per_expert[0])
+    weights = np.zeros((4, len(assignments_per_expert), n), dtype=np.float32)
     experts = []
     for i, assignments in enumerate(assignments_per_expert):
-        n = len(assignments)
         totals = (
             np.zeros(n, dtype=np.int64)
             if totals_per_expert is None
             else np.asarray(totals_per_expert[i], dtype=np.int64)
         )
         experts.append(ExpertModel(
-            weights=np.zeros((4, n), dtype=np.float32),
+            weights=weights[:, i],
             theta=np.zeros(n),
             assignments=np.asarray(assignments, dtype=np.int64),
             global_start=i * places_per_expert,
@@ -71,6 +73,7 @@ def handmade_ensemble(
         ))
     model = EnsembleModel(
         experts=experts,
+        weights=weights,
         place_count=place_count or places_per_expert * len(experts),
         sim=SimulationParams.defaults(),
         encoding=tiny_encoding(),

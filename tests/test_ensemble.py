@@ -205,9 +205,11 @@ class TestFuse:
             if len(model.experts) < 2:
                 continue
             perm = rng.permutation(len(model.experts))
-            shuffled = dataclasses.replace(
-                model, experts=[model.experts[i] for i in perm]
-            )
+            stack = model.weights[:, perm]
+            shuffled = dataclasses.replace(model, weights=stack, experts=[
+                dataclasses.replace(model.experts[i], weights=stack[:, j])
+                for j, i in enumerate(perm)
+            ])
             base = fuse_scores(model, counts)
             other = fuse_scores(shuffled, [counts[i] for i in perm])
             np.testing.assert_array_equal(base.place_ids, other.place_ids)
@@ -485,17 +487,16 @@ class TestWeightStack:
             self.assert_views_of_one_stack(model)
         assert trained[0].weights.tobytes() == trained[1].weights.tobytes()
 
-    def test_a_permuted_copy_gets_its_own_stack(self):
+    def test_experts_that_do_not_view_the_stack_in_order_are_refused(self):
         model = synthetic_ensemble(3, n_excitatory=5, places_per_expert=2, seed=1)
-        before = model.weights.copy()
-        shuffled = dataclasses.replace(model, experts=model.experts[::-1])
-        self.assert_views_of_one_stack(shuffled)
-        self.assert_views_of_one_stack(model)
-        assert not np.shares_memory(shuffled.weights, model.weights)
-        np.testing.assert_array_equal(shuffled.weights, before[:, ::-1])
-        np.testing.assert_array_equal(model.weights, before)
+        for changes in (dict(experts=model.experts[::-1]),
+                        dict(weights=model.weights.copy()),
+                        dict(weights=model.weights.astype(np.float64))):
+            with pytest.raises(ValueError, match="column i of the"):
+                dataclasses.replace(model, **changes)
         same = dataclasses.replace(model, theta=None)
         assert same.weights is model.weights
+        self.assert_views_of_one_stack(same)
 
     def test_pickle_ships_the_stack_once(self):
         model = synthetic_ensemble(4, n_excitatory=400, seed=0)

@@ -328,6 +328,14 @@ class TestCorruption:
         with pytest.raises(ArchiveError, match="payload name"):
             load_ensemble(path)
 
+    def test_two_experts_cannot_share_a_payload(self, trained_model, tmp_path):
+        model, _ = trained_model
+        path = self._edit_manifest(
+            model, tmp_path, lambda m: m["experts"][1].update(file="expert_0000.bin")
+        )
+        with pytest.raises(ArchiveError, match="expert 1's payload name 'expert_0000.bin'"):
+            load_ensemble(path)
+
     def test_non_finite_threshold_rejected(self, trained_model, tmp_path):
         model, _ = trained_model
 
