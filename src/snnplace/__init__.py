@@ -23,7 +23,6 @@ from .ensemble import (
     detect_hyperactive,
     fuse_scores,
     match_query,
-    match_spike_train,
     partition_reference,
     train_ensemble,
 )

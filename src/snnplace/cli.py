@@ -137,10 +137,23 @@ def _check_fingerprints(model: ens.EnsembleModel, manifests) -> None:
             )
 
 
+def _check_output_dir(path: str) -> None:
+    """Refuse, before any work, a directory that ``os.makedirs`` could not make.
+
+    It is made only when there is something to write, so a failed command leaves none.
+    """
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"cannot make directory {path!r}: {existing!r} is not a directory")
+
+
 def cmd_train(args) -> int:
     cfg = _run_config(args)
     if args.places is not None and args.places < 1:
         raise ConfigError(f"--places must be >= 1, got {args.places}")
+    store.check_archive_target(args.out, overwrite=args.force)
     place_range = None if args.places is None else (0, args.places)
     reference, manifests, _ = _load_traverses(args.ref_dirs, "reference", cfg, place_range)
     partition = ens.partition_reference(reference.shape[1], cfg.expert.places_per_expert)
@@ -160,13 +173,15 @@ def cmd_train(args) -> int:
 
 def cmd_regularize(args) -> int:
     cfg = _run_config(args)
+    out = args.out or args.model
+    store.check_archive_target(out, overwrite=True)
     model = store.load_ensemble(args.model)
     reference, manifests, _ = _load_traverses(
         args.ref_dirs, "reference", model, (0, model.place_count)
     )
     _check_fingerprints(model, manifests)
     ens.detect_hyperactive(model, reference, args.theta, cfg.effective_workers())
-    store.save_ensemble(model, args.out or args.model, overwrite=True)
+    store.save_ensemble(model, out, overwrite=True)
     flagged = sum(int(ex.hyperactive.sum()) for ex in model.experts)
     print(f"reference totals stored; theta={model.theta or 'disabled'}; {flagged} neurons flagged")
     return 0
@@ -181,6 +196,7 @@ def cmd_calibrate(args) -> int:
         cal_start=start,
         cal_stop=stop,
     )
+    _check_output_dir(args.out_dir)
     cal_ref, _, _ = _load_traverses(args.ref_dirs, "calibration", cfg, (start, stop))
     cal_query, _, _ = _load_traverses([args.query_dir], "calibration", cfg, (start, stop))
     report = cal.run_grid_search(
@@ -202,6 +218,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _run_config(args)
+    _check_output_dir(args.report_dir)
     model = store.load_ensemble(args.model)
     if not model.regularized:
         raise ConfigError("model has no reference totals: run `regularize` first")

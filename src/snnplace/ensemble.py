@@ -21,13 +21,13 @@ the stack, and loading reads each payload into its column.
 Replaying the reference set and answering queries are one computation:
 each image is encoded once and binned to simulation steps, and blocks of
 images are fanned out to every expert; all (image, expert) pairs start from
-rest and step in lockstep through one network (``expert_respond``).  A
-block holds ``max(1, BLOCK_STATE // (N * K))`` images, so its state stays
-small; at paper scale it is one image.  Batches run in parallel over
-contiguous image chunks, so results never depend on the worker count or
-the block size.  Each place's score is the summed response of the
-non-hyperactive neurons assigned to it, and the ranking is the descending
-score order (ties toward the lowest place id).
+rest and step in lockstep through one network (``expert_respond``), and a
+single query is a batch of one image.  A block holds ``max(1, BLOCK_STATE
+// (N * K))`` images, so its state stays small; at paper scale it is one
+image.  Batches run in parallel over contiguous image chunks, so results
+never depend on the worker count or the block size.  Each place's score is
+the summed response of the non-hyperactive neurons assigned to it, and the
+ranking is the descending score order (ties toward the lowest place id).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .expert import (
     ExpertModel,
     RegionData,
     expert_respond,
-    query_seed,
     train_expert,  # noqa: F401  (bench/tracing.py looks up and wraps this name)
     train_experts,
 )
@@ -56,7 +55,6 @@ from .imaging import (
     STREAM_REFERENCE,
     EncodingConfig,
     PatchNormConfig,
-    SpikeTrain,
     derive_seed,
     poisson_encode,
 )
@@ -311,29 +309,17 @@ def fuse_scores(
     return MatchResult(place_ids=order.astype(np.int64), scores=scores[order])
 
 
-def collect_expert_responses(model: EnsembleModel, train: SpikeTrain) -> np.ndarray:
-    """Present one train to every expert, as a block of one; rows are per-expert counts."""
-    return expert_respond(
-        model.weights, _thresholds(model), [train], model.sim, model.encoding
-    )[0]
-
-
-def match_spike_train(model: EnsembleModel, train: SpikeTrain) -> MatchResult:
-    if not model.regularized:
-        raise StateError("model is not regularized: run detect_hyperactive first")
-    return fuse_scores(model, collect_expert_responses(model, train))
-
-
 def match_query(model: EnsembleModel, query_unit: np.ndarray, query_id: int = 0) -> MatchResult:
     """Match one encoder-ready query image against the reference map.
 
-    The query is encoded once with a seed derived from (global_seed,
-    query_id) and fanned out to all experts.
+    The query is a batch of one image: it is encoded once, with
+    derive_seed(global_seed, STREAM_QUERY, query_id), and every expert
+    answers it from rest, exactly as in ``collect_query_responses``.
     """
-    train = poisson_encode(
-        query_unit, model.encoding, query_seed(model.global_seed, query_id)
-    )
-    return match_spike_train(model, train)
+    if not model.regularized:
+        raise StateError("model is not regularized: run detect_hyperactive first")
+    (rows,) = _image_responses(model, np.asarray(query_unit)[None], STREAM_QUERY, query_id)
+    return fuse_scores(model, rows[0])
 
 
 def _image_responses(model: EnsembleModel, images: np.ndarray, stream: int, first_id: int):
@@ -345,7 +331,7 @@ def _image_responses(model: EnsembleModel, images: np.ndarray, stream: int, firs
     for its block.
     """
     block = max(1, BLOCK_STATE // (len(model.experts) * model.experts[0].n_excitatory))
-    theta = _thresholds(model)
+    theta = np.stack([ex.theta for ex in model.experts])
     for start in range(0, len(images), block):
         trains = [
             bin_train(poisson_encode(
@@ -354,11 +340,6 @@ def _image_responses(model: EnsembleModel, images: np.ndarray, stream: int, firs
             for k, image in enumerate(images[start:start + block], start)
         ]
         yield expert_respond(model.weights, theta, trains, model.sim, model.encoding)
-
-
-def _thresholds(model: EnsembleModel) -> np.ndarray:
-    """The experts' adaptive thresholds as one (N, K) array."""
-    return np.stack([ex.theta for ex in model.experts])
 
 
 def _chunk_rows(args) -> np.ndarray:
@@ -400,9 +381,9 @@ def collect_query_responses(
 ) -> np.ndarray:
     """Raw per-neuron responses for a query batch: (n_queries, n_experts, K_E).
 
-    Query k is encoded once, with ``query_seed(global_seed, query_id_base +
-    k)``, and every expert answers it from rest, exactly as ``match_query``
-    does; workers take contiguous chunks of queries.  This is the expensive
+    Query k is encoded once, with derive_seed(global_seed, STREAM_QUERY,
+    query_id_base + k), and every expert answers it from rest, as in
+    ``match_query``; workers take contiguous chunks of queries.  This is the expensive
     half of evaluation; rankings for any threshold can then be recomputed
     from the cache without re-simulating.
     """

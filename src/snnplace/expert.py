@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .imaging import (
-    STREAM_QUERY,
     STREAM_TRAINING,
     STREAM_WEIGHT_INIT,
     EncodingConfig,
@@ -192,7 +191,6 @@ def _train_group(
                     [region.images[traverse, place] for region in regions],
                     [(region.seed, STREAM_TRAINING, epoch, int(region.image_ids[traverse, place]))
                      for region in regions],
-                    learn=True,
                 )
                 if sim.weight_norm_enabled:
                     normalize_group(net.syn.w, n_inputs, sim)
@@ -242,8 +240,3 @@ def expert_respond(
     """
     net = ExpertNetwork(SynapseMatrix(weights), sim, encoding, theta=theta, images=len(trains))
     return net.present(list(trains), learn=False, run_rest=False)
-
-
-def query_seed(global_seed: int, query_id: int) -> int:
-    """Encoder seed for query image ``query_id`` (shared by all experts)."""
-    return derive_seed(global_seed, STREAM_QUERY, query_id)

@@ -24,12 +24,12 @@ Experts that share nothing can share one step loop.  A learning group of
 G experts stacks its weights as (G, inputs + 1, K), each with an all-zero
 pad row, and its state as (G, K): every step delivers one padded block of
 spike indices, one per expert, and STDP acts on the spiking (expert,
-column) pairs; each expert ends bit for bit where it would alone.  One
-expert learns as a group of one.  Frozen experts run in lockstep on a
-block of images: with weights stacked as (inputs, N, K) and B images,
-every state array takes the shape (B, N, K) and one step loop advances all
-N experts on all B images, each (image, expert) pair with its own
-winner-take-all circuit.
+column) pairs; each expert ends bit for bit where it would alone, and
+only a group learns: one expert is a group of one.  Frozen experts run in
+lockstep on a block of images: with weights stacked as (inputs, N, K) and
+B images, every state array takes the shape (B, N, K) and one step loop
+advances all N experts on all B images, each (image, expert) pair with its
+own winner-take-all circuit; one frozen expert alone is their reference.
 
 There is no randomness anywhere in this module; all stochasticity lives in
 the spike encoder.  One network instance is single-threaded mutable state,
@@ -195,7 +195,7 @@ class SimulationParams:
 class LayerState:
     """Per-neuron dynamic variables of one layer.
 
-    Shaped (K,) for one expert, (G, K) for a learning group, or (B images,
+    Shaped (G, K) for a learning group, (K,) for one frozen expert, or (B images,
     N experts, K) for frozen experts answering a block; a frozen ``theta``
     may be (N, K) and broadcast over the images.  The inhibitory layer's
     state (``inhibitory``) has ``g_i = theta = None``.  ``refractory`` is
@@ -248,13 +248,13 @@ class LayerState:
 class SynapseMatrix:
     """Plastic input->excitatory weights plus per-input presynaptic traces.
 
-    ``w`` is (inputs, K) with (inputs,) traces for one expert; (G, inputs
-    + 1, K) with (G, inputs + 1) traces for a learning group, whose row
-    ``inputs`` is each expert's all-zero pad row; or (inputs, N, K) for
-    frozen experts in lockstep.  Float32 weights stay float32 (frozen
-    experts); anything else becomes float64.  Float64 arrays are kept as
-    given, views included: learning writes through views of a group's
-    stack.  Only learning reads or writes ``pre_trace``.
+    ``w`` is (G, inputs + 1, K) with (G, inputs + 1) traces for a learning
+    group, whose row ``inputs`` is each expert's all-zero pad row; (inputs,
+    N, K) for frozen experts in lockstep; or (inputs, K) for one frozen
+    expert.  Float32 weights stay float32 (frozen experts); anything else
+    becomes float64.  Float64 arrays are kept as given, views included:
+    learning writes through views of a group's stack.  Only learning reads
+    or writes ``pre_trace``.
     """
 
     __slots__ = ("w", "pre_trace")
@@ -375,25 +375,17 @@ def apply_input_spikes(
 ) -> None:
     """Deliver one step's input spikes to the excitatory conductance.
 
-    Without ``splits``, ``indices`` pick the rows of ``syn.w`` that drive
-    the state, and they bump the presynaptic traces that STDP reads.  One
-    train's spikes are checked against the input count here.  A learning
-    group passes its stack flattened to (G * rows, K), an (m, G) block
-    whose column g holds expert g's rows (padded with its all-zero row),
-    and ``trace_at``, the trace positions of the real spikes; ``present``
-    checked those trains once, before padding.  Frozen inference passes a
-    block: image b's spikes are ``indices[splits[b]:splits[b + 1]]`` and
-    drive ``state.g_e[b]`` (a state without an image axis is a block of
-    one).  ``present`` checked those indices once for the whole train, and
-    the traces stay untouched.
+    A learning group passes ``trace_at``: its stack flattened to (G * rows,
+    K), an (m, G) block of ``indices`` whose column g holds expert g's rows
+    (padded with its all-zero row), and the trace positions of the real
+    spikes, which bump the presynaptic traces that STDP reads.  Frozen
+    inference passes ``splits`` instead: image b's spikes are
+    ``indices[splits[b]:splits[b + 1]]`` and drive ``state.g_e[b]`` (a
+    state without an image axis is a block of one), and the traces stay
+    untouched.  ``present`` checks every train against the input count
+    once, before a group's padding makes each pad row a valid index.
     """
-    if splits is None:
-        if len(indices) == 0:
-            return
-        indices = np.asarray(indices)
-        if trace_at is None:
-            _check_indices(indices, syn.w.shape[0])
-            trace_at = indices
+    if trace_at is not None:
         state.g_e += _summed_rows(syn.w[indices])
         np.add.at(syn.pre_trace, trace_at, 1.0)
         return
@@ -487,8 +479,9 @@ def _pad_group(trains: list[BinnedTrain], n_inputs: int, rows: int):
 class ExpertNetwork:
     """One simulated network: state, synapses, and the presentation loop.
 
-    It holds one expert, a learning group (``group``) or frozen experts in
-    lockstep on a block of ``images``; ``SynapseMatrix`` gives the layouts.
+    It holds a learning group (``group``), frozen experts in lockstep on a
+    block of ``images`` or one frozen expert; ``SynapseMatrix`` gives the
+    layouts.
     """
 
     def __init__(
@@ -545,10 +538,12 @@ class ExpertNetwork:
         one per expert of a learning group, or one per image of a frozen
         block, all stepped together.  Counts cover the presentation window
         only; the optional rest window just lets the dynamic variables
-        relax.  In learn mode the plasticity rule fires on every
-        postsynaptic spike and the adaptive threshold evolves; otherwise
-        both are frozen.
+        relax.  Only a learning group presents with ``learn``: the
+        plasticity rule fires on every postsynaptic spike and the adaptive
+        threshold evolves.  Frozen experts keep both fixed.
         """
+        if learn != self.group:
+            raise ValueError("a learning group learns and frozen experts do not")
         p = self.params
         dt = p.dt_ms
         trains = [bin_train(t, dt) for t in (train if isinstance(train, list) else [train])]
@@ -556,15 +551,11 @@ class ExpertNetwork:
         n_rest = int(round(self.encoding.rest_ms / dt)) if run_rest else 0
         exc, inh, syn = self.exc, self.inh, self.syn
         if learn:
-            n_inputs = syn.w.shape[1] - 1 if self.group else syn.w.shape[0]
+            rows, k = syn.w.shape[1:]
+            n_inputs = rows - 1
             for tr in trains:  # before padding makes every pad row a valid index
                 _check_indices(tr.indices, n_inputs)
-            if self.group:  # the contiguous stack flattens to a view
-                rows, k = syn.w.shape[1:]
-                flat = SynapseMatrix(syn.w.reshape(-1, k), syn.pre_trace.reshape(-1))
-            else:  # one expert learns as a group of one
-                rows, flat = n_inputs, syn
-                exc, inh, syn = exc[None], inh[None], SynapseMatrix(syn.w[None], syn.pre_trace[None])
+            flat = SynapseMatrix(syn.w.reshape(-1, k), syn.pre_trace.reshape(-1))  # a view
             block, starts, trace_at, trace_starts = _pad_group(trains, n_inputs, rows)
             plastic = SynapseMatrix(syn.w[:, :n_inputs], syn.pre_trace[:, :n_inputs])
         else:
@@ -607,35 +598,31 @@ class ExpertNetwork:
                 syn.pre_trace *= trace_decay
             if t < n_pres and fired:
                 counts += exc_spiked
-        return counts.reshape(self.exc.v.shape)
+        return counts
 
-    def present_with_retry(self, image_unit, seed_words, learn: bool) -> np.ndarray:
-        """Encode and present, boosting rates until the output-spike floor is met.
+    def present_with_retry(self, images, seed_words) -> np.ndarray:
+        """Encode and learn, boosting rates until the output-spike floor is met.
 
-        ``seed_words`` identify the presentation; the retry attempt index is
-        appended so every attempt draws an independent, reproducible train.
-        A learning group takes lists, one image and one ``seed_words`` per
-        expert, and presents them together; an expert that misses the floor
-        re-presents alone, on views of its own state.  Returns the counts of
-        each expert's final attempt.
+        A learning group takes one image and one ``seed_words`` per expert
+        and presents them together; the retry attempt index is appended to
+        the words, so every attempt draws an independent, reproducible
+        train.  An expert that misses the floor re-presents alone, on views
+        of its own state.  Returns the (G, K) counts of each expert's final
+        attempt.
         """
         enc = self.encoding
-        images, words = (image_unit, seed_words) if self.group else ([image_unit], [seed_words])
 
         def encode(g: int, attempt: int) -> SpikeTrain:
             return poisson_encode(
-                images[g], enc, derive_seed(*words[g], attempt),
+                images[g], enc, derive_seed(*seed_words[g], attempt),
                 rate_boost_hz=enc.retry_boost_hz * attempt,
             )
 
-        first = [encode(g, 0) for g in range(len(images))]
-        counts = self.present(first if self.group else first[0], learn=learn)
-        per_expert = counts if self.group else counts[None]
+        counts = self.present([encode(g, 0) for g in range(len(images))], learn=True)
         for g, image in enumerate(images):
             attempt = 0
-            while (attempt < enc.max_retries and per_expert[g].sum() < enc.min_output_spikes
+            while (attempt < enc.max_retries and counts[g].sum() < enc.min_output_spikes
                    and image.any()):
                 attempt += 1
-                member = self._member(g) if self.group else self
-                per_expert[g] = member.present(encode(g, attempt), learn=learn)
+                counts[g] = self._member(g).present(encode(g, attempt), learn=True)
         return counts

@@ -118,6 +118,7 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
     row-major copy of that expert's column of the weight stack alone.
     """
     path = os.fspath(path)
+    check_archive_target(path, overwrite)
     parent = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
@@ -132,11 +133,6 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
             fh.flush()
             os.fsync(fh.fileno())
         stale = _moved_aside(path)
-        for existing in (path, stale):
-            if os.path.isdir(existing):
-                if not overwrite:
-                    raise ArchiveError(f"refusing to overwrite existing archive {existing!r}")
-                _check_archive_files(existing)
         if os.path.isdir(path):
             _remove_flat_dir(stale)  # left by an interrupted overwrite; path is complete
             os.rename(path, stale)
@@ -153,6 +149,24 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
     finally:
         if tmp is not None:
             _remove_flat_dir(tmp)
+
+
+def check_archive_target(path: str | os.PathLike, overwrite: bool = False) -> None:
+    """Refuse a save to ``path`` that cannot complete; commands check it before any work.
+
+    The parent must be a directory.  ``path`` and ``<path>.snnplace-old``
+    are refused if they exist, unless ``overwrite`` is set and each is an
+    archive (a directory of archive files only).
+    """
+    path = os.fspath(path)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ArchiveError(f"cannot write archive {path!r}: {parent!r} is not a directory")
+    for existing in (path, _moved_aside(path)):
+        if os.path.lexists(existing):
+            if not overwrite:
+                raise ArchiveError(f"refusing to overwrite {existing!r}")
+            _check_archive_files(existing)
 
 
 def _payload_name(index: int) -> str:
@@ -203,7 +217,11 @@ def _moved_aside(path: str) -> str:
 
 def _check_archive_files(directory: str) -> None:
     """Refuse, before anything is moved or deleted, to replace a non-archive."""
-    for name in os.listdir(directory):
+    try:
+        names = os.listdir(directory)
+    except OSError as exc:  # a file, or a directory this process cannot read
+        raise ArchiveError(f"refusing to replace {directory!r}: {exc}") from exc
+    for name in names:
         if not (
             _ARCHIVE_FILE.fullmatch(name) and os.path.isfile(os.path.join(directory, name))
         ):

@@ -8,7 +8,7 @@ import pytest
 from snnplace.ensemble import EnsembleModel
 from snnplace.expert import ExpertConfig, ExpertModel, expert_respond
 from snnplace.imaging import EncodingConfig, PatchNormConfig
-from snnplace.network import SimulationParams
+from snnplace.network import ExpertNetwork, SimulationParams, SynapseMatrix
 
 
 def tiny_sim(**overrides) -> SimulationParams:
@@ -32,6 +32,18 @@ def tiny_textures(n_places: int, seed: int = 0, size: int = 8) -> np.ndarray:
     """Unit-intensity random textures usable directly as encoder input."""
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 1.0, size=(n_places, size, size))
+
+
+def learning_group_of_one(w, sim, encoding) -> ExpertNetwork:
+    """A learning group of one expert whose weights are the hand-set (inputs, K) ``w``.
+
+    ``net.syn.w[0, :-1]`` is that expert's (inputs, K) view; row ``inputs``
+    is its all-zero pad row.
+    """
+    padded = np.zeros((1, len(w) + 1, w.shape[1]))
+    padded[0, :-1] = w
+    return ExpertNetwork(SynapseMatrix(padded, np.zeros(padded.shape[:2])), sim, encoding,
+                         group=True)
 
 
 def respond_stacked(experts, trains, sim, encoding) -> np.ndarray:

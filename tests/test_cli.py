@@ -169,6 +169,77 @@ def assert_one_error_line(capsys, *fragments):
         assert fragment in lines[0]
 
 
+def never_called(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a function that fails the test when called."""
+    monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail(f"{name} was called"))
+
+
+class TestOutputsCheckedFirst:
+    """Every output a command writes is checked before the command does any work."""
+
+    def test_train_into_a_missing_parent(self, world, tmp_path, monkeypatch, capsys):
+        import snnplace.ensemble as ens
+
+        _, cfg, ref, _ = world
+        never_called(monkeypatch, ens, "train_ensemble")
+        out = tmp_path / "missing" / "model"
+        assert main(["train", "--config", cfg, "--ref-dirs", ref, "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "cannot write archive", "missing")
+        assert os.listdir(tmp_path) == []
+
+    def test_train_onto_an_archive_without_force(self, world, trained_archive, tmp_path,
+                                                 monkeypatch, capsys):
+        import snnplace.ensemble as ens
+
+        _, cfg, ref, _ = world
+        out = tmp_path / "model"
+        shutil.copytree(trained_archive, out)
+        never_called(monkeypatch, ens, "train_ensemble")
+        assert main(["train", "--config", cfg, "--ref-dirs", ref, "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "refusing to overwrite")
+        assert read_archive_bytes(out) == read_archive_bytes(trained_archive)
+
+    def test_regularize_into_a_missing_parent(self, world, trained_archive, tmp_path,
+                                              monkeypatch, capsys):
+        import snnplace.ensemble as ens
+
+        _, cfg, ref, _ = world
+        never_called(monkeypatch, ens, "detect_hyperactive")
+        out = tmp_path / "missing" / "model"
+        assert main(["regularize", "--config", cfg, "--model", trained_archive,
+                     "--ref-dirs", ref, "--theta", "5", "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "cannot write archive", "missing")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("below", [(), ("reports",)], ids=["a file", "under a file"])
+    def test_evaluate_report_dir_on_a_file(self, world, trained_archive, tmp_path,
+                                           monkeypatch, capsys, below):
+        import snnplace.store as store
+
+        _, cfg, _, query = world
+        (tmp_path / "taken").write_text("mine")
+        never_called(monkeypatch, store, "load_ensemble")
+        reports = os.path.join(tmp_path, "taken", *below)
+        assert main(["evaluate", "--config", cfg, "--model", trained_archive,
+                     "--query-dir", query, "--report-dir", reports]) == 2
+        assert_one_error_line(capsys, "taken", "not a directory")
+        assert (tmp_path / "taken").read_text() == "mine"
+
+    @pytest.mark.parametrize("below", [(), ("cal",)], ids=["a file", "under a file"])
+    def test_calibrate_out_dir_on_a_file(self, world, tmp_path, monkeypatch, capsys, below):
+        import snnplace.calibration as cal
+
+        _, cfg, ref, query = world
+        (tmp_path / "taken").write_text("mine")
+        never_called(monkeypatch, cal, "train_ensemble")
+        out_dir = os.path.join(tmp_path, "taken", *below)
+        assert main(["calibrate", "--config", cfg, "--ref-dirs", ref, "--query-dir", query,
+                     "--cal-range", "0:2", "--tau-gi-grid", "0.5", "--theta-grid", "5",
+                     "--out-dir", out_dir]) == 2
+        assert_one_error_line(capsys, "taken", "not a directory")
+        assert (tmp_path / "taken").read_text() == "mine"
+
+
 class TestArchiveGeometry:
     """Commands that load an archive preprocess with its size and patch, not the config's."""
 

@@ -15,19 +15,23 @@ from snnplace import ensemble, expert
 from snnplace.ensemble import (
     EnsembleModel,
     apply_threshold,
-    collect_expert_responses,
     collect_query_responses,
     detect_hyperactive,
     flags_for_theta,
     fuse_scores,
     match_query,
-    match_spike_train,
     partition_reference,
     train_ensemble,
 )
 from snnplace.errors import ConfigError, StateError
-from snnplace.expert import UNASSIGNED, ExpertModel, query_seed
-from snnplace.imaging import STREAM_REFERENCE, PatchNormConfig, derive_seed, poisson_encode
+from snnplace.expert import UNASSIGNED, ExpertModel
+from snnplace.imaging import (
+    STREAM_QUERY,
+    STREAM_REFERENCE,
+    PatchNormConfig,
+    derive_seed,
+    poisson_encode,
+)
 from snnplace.metrics import neuron_precision_analysis
 from snnplace.store import load_ensemble, save_ensemble
 from snnplace.synthetic import inject_cross_region_responders, make_textures, synthetic_ensemble
@@ -263,9 +267,8 @@ class TestFuse:
             assignments_per_expert=[[0, 1]],
         )
         model.regularized = False
-        train = poisson_encode(np.zeros((2, 2)), tiny_encoding(), seed=0)
         with pytest.raises(StateError):
-            match_spike_train(model, train)
+            match_query(model, np.zeros((2, 2)))
 
 
 class TestTrainEnsemble:
@@ -332,9 +335,8 @@ class TestTrainEnsemble:
     def test_fan_out_matches_per_expert_responses(self):
         textures = tiny_textures(4, seed=20)[None]
         model = detect_hyperactive(self._train(1), textures, None, workers=1)
-        train = poisson_encode(textures[0, 1], tiny_encoding(), seed=33)
-        responses = collect_expert_responses(model, train)
-        result = match_spike_train(model, train)
+        responses = collect_query_responses(model, textures[0, 1:2], query_id_base=33)[0]
+        result = match_query(model, textures[0, 1], query_id=33)
         np.testing.assert_array_equal(
             result.scores, fuse_scores(model, responses).scores
         )
@@ -346,7 +348,7 @@ class TestSharedFanOut:
     The oracle encodes every image afresh for every expert with the
     documented seeds: reference image (t, p) with derive_seed(global_seed,
     STREAM_REFERENCE, t * place_count + p), query k with
-    query_seed(global_seed, query_id_base + k).
+    derive_seed(global_seed, STREAM_QUERY, query_id_base + k).
     """
 
     @settings(max_examples=5, deadline=None)
@@ -389,7 +391,8 @@ class TestSharedFanOut:
             for ex in model.experts
         ]
         expected_rows = np.array([
-            [respond(ex, query, query_seed(seed, query_id_base + k)) for ex in model.experts]
+            [respond(ex, query, derive_seed(seed, STREAM_QUERY, query_id_base + k))
+             for ex in model.experts]
             for k, query in enumerate(queries)
         ])
         for workers in (1, 2):
@@ -446,10 +449,9 @@ class TestLockstep:
     def test_replay_holds_no_float64_copy_of_the_weights(self):
         model = synthetic_ensemble(4, n_excitatory=400, seed=0)
         images = make_textures(12, (28, 28), 5)
-        train = poisson_encode(images[0], model.encoding, 1)
         one_float64_copy = sum(ex.weights.size for ex in model.experts) * 8
         assert ensemble.BLOCK_STATE // (4 * 400) == len(images)   # one block of 12
-        for respond in (lambda: collect_expert_responses(model, train),
+        for respond in (lambda: collect_query_responses(model, images[:1]),
                         lambda: collect_query_responses(model, images)):
             tracemalloc.start()
             try:
@@ -521,8 +523,10 @@ class TestWeightStack:
         for i, e in pairs:
             np.testing.assert_array_equal(injected.weights[:, i, e], injected.experts[i].weights[:, e])
         assert not np.array_equal(injected.weights, before)
-        train = poisson_encode(make_textures(1, (28, 28), 9)[0], injected.encoding, 4)
-        rows = collect_expert_responses(injected, train)
+        image = make_textures(1, (28, 28), 9)
+        seed = derive_seed(injected.global_seed, STREAM_QUERY, 4)
+        train = poisson_encode(image[0], injected.encoding, seed)
+        rows = collect_query_responses(injected, image, query_id_base=4)[0]
         for row, ex in zip(rows, injected.experts):
             alone = ex.build_network(injected.sim, injected.encoding)
             np.testing.assert_array_equal(row, alone.present(train, learn=False, run_rest=False))
@@ -530,9 +534,8 @@ class TestWeightStack:
     def test_inference_holds_no_float32_copy_of_the_weights(self):
         model = synthetic_ensemble(4, n_excitatory=400, seed=0)
         images = make_textures(12, (28, 28), 5)
-        train = poisson_encode(images[0], model.encoding, 1)
         one_float32_copy = sum(ex.weights.nbytes for ex in model.experts)   # 4.79 MiB
-        for respond in (lambda: collect_expert_responses(model, train),
+        for respond in (lambda: collect_query_responses(model, images[:1]),
                         lambda: collect_query_responses(model, images)):
             tracemalloc.start()
             try:

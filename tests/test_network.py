@@ -25,7 +25,7 @@ from snnplace.network import (
     normalize_columns,
     stdp_on_post_spike,
 )
-from tests.conftest import tiny_encoding, tiny_sim
+from tests.conftest import learning_group_of_one, tiny_encoding, tiny_sim
 
 EXC = LifParams.excitatory_defaults()
 
@@ -123,27 +123,40 @@ class TestLifStep:
             lif_step(fresh_state(), EXC, 0.0)
 
 
+def deliver_to_group_of_one(state, w, indices) -> SynapseMatrix:
+    """Deliver ``indices`` to a learning group of one with weights ``w``, as ``present`` does.
+
+    Returns the flattened (inputs + 1, K) synapses, whose traces the spikes bumped.
+    """
+    group = learning_group_of_one(w, tiny_sim(), tiny_encoding()).syn
+    flat = SynapseMatrix(group.w[0], group.pre_trace[0])
+    apply_input_spikes(state, flat, indices[:, None], trace_at=indices)
+    return flat
+
+
+def deliver_block_of_one(state, syn, indices) -> None:
+    """Deliver ``indices`` to frozen experts as a block of one image."""
+    apply_input_spikes(state, syn, indices, [0, len(indices)])
+
+
 class TestInputDelivery:
     def test_empty_spike_set_is_noop(self):
-        state = fresh_state(n=3)
-        syn = SynapseMatrix(np.full((4, 3), 0.2))
-        apply_input_spikes(state, syn, np.array([], dtype=np.int64))
+        state = fresh_state(n=(1, 3))
+        syn = deliver_to_group_of_one(state, np.full((4, 3), 0.2), np.array([], dtype=np.int64))
         assert not state.g_e.any() and not syn.pre_trace.any()
 
     def test_uniform_weight_single_spike(self):
-        state = fresh_state(n=3)
-        syn = SynapseMatrix(np.full((4, 3), 0.2))
-        apply_input_spikes(state, syn, np.array([1]))
+        state = fresh_state(n=(1, 3))
+        syn = deliver_to_group_of_one(state, np.full((4, 3), 0.2), np.array([1]))
         np.testing.assert_allclose(state.g_e, 0.2)
         assert syn.pre_trace[1] == 1.0
 
     def test_two_simultaneous_spikes_are_additive(self):
         rng = np.random.default_rng(0)
         w = rng.uniform(size=(5, 3))
-        state = fresh_state(n=3)
-        syn = SynapseMatrix(w.copy())
-        apply_input_spikes(state, syn, np.array([0, 4]))
-        np.testing.assert_allclose(state.g_e, w[0] + w[4])
+        state = fresh_state(n=(1, 3))
+        deliver_to_group_of_one(state, w.copy(), np.array([0, 4]))
+        np.testing.assert_allclose(state.g_e[0], w[0] + w[4])
 
     def test_float32_weights_give_the_float64_conductance(self):
         rng = np.random.default_rng(5)
@@ -155,8 +168,8 @@ class TestInputDelivery:
                 narrow, wide = fresh_state(n=shape, g_e=start), fresh_state(n=shape, g_e=start)
                 syn = SynapseMatrix(w)
                 assert syn.w.dtype == np.float32
-                apply_input_spikes(narrow, syn, idx)
-                apply_input_spikes(wide, SynapseMatrix(w.astype(np.float64)), idx)
+                deliver_block_of_one(narrow, syn, idx)
+                deliver_block_of_one(wide, SynapseMatrix(w.astype(np.float64)), idx)
                 np.testing.assert_array_equal(narrow.g_e, wide.g_e)
 
     def test_stacked_experts_each_get_their_own_conductance(self):
@@ -169,17 +182,12 @@ class TestInputDelivery:
                     w = (2.0 ** rng.uniform(-60, 1, size=(50, n_experts, k))).astype(np.float32)
                     idx = rng.integers(0, 50, size=m)
                     stacked = fresh_state(n=(n_experts, k))
-                    apply_input_spikes(stacked, SynapseMatrix(w), idx)
+                    deliver_block_of_one(stacked, SynapseMatrix(w), idx)
                     for i in range(n_experts):
                         alone = fresh_state(n=k)
-                        apply_input_spikes(alone, SynapseMatrix(w[:, i].astype(np.float64)), idx)
+                        alone_syn = SynapseMatrix(w[:, i].astype(np.float64))
+                        deliver_block_of_one(alone, alone_syn, idx)
                         np.testing.assert_array_equal(stacked.g_e[i], alone.g_e)
-
-    def test_out_of_range_index_is_internal_error(self):
-        state = fresh_state(n=2)
-        syn = SynapseMatrix(np.zeros((4, 2)))
-        with pytest.raises(AssertionError):
-            apply_input_spikes(state, syn, np.array([4]))
 
     def test_block_images_each_get_their_own_conductance(self):
         # A block delivers every image's step spikes in one call; each
@@ -201,7 +209,8 @@ class TestInputDelivery:
                     for b, idx in enumerate(per_image):
                         for i in range(n_experts):
                             alone = fresh_state(n=k, g_e=start[b, i])
-                            apply_input_spikes(alone, SynapseMatrix(w[:, i].astype(np.float64)), idx)
+                            alone_syn = SynapseMatrix(w[:, i].astype(np.float64))
+                            deliver_block_of_one(alone, alone_syn, idx)
                             np.testing.assert_array_equal(block.g_e[b, i], alone.g_e)
 
 
@@ -527,8 +536,8 @@ class TestPresentation:
         train = poisson_encode(rng.uniform(size=(8, 8)), tiny_encoding(), seed=11)
         results = []
         for _ in range(2):
-            net = ExpertNetwork(SynapseMatrix(w.copy()), tiny_sim(), tiny_encoding())
-            results.append(net.present(train, learn=True))
+            net = learning_group_of_one(w.copy(), tiny_sim(), tiny_encoding())
+            results.append(net.present([train], learn=True))
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_simultaneous_pre_and_post_spike_ordering(self):
@@ -541,12 +550,12 @@ class TestPresentation:
                           weight_exponent=1.0)
         sim = dataclasses.replace(tiny_sim(), stdp=stdp, weight_norm_enabled=False)
         w0 = 50.0  # drives dv = 0.005 * 50 * 65 > 16 mV: fires in one step
-        net = ExpertNetwork(SynapseMatrix(np.full((1, 1), w0)), sim, tiny_encoding())
+        net = learning_group_of_one(np.full((1, 1), w0), sim, tiny_encoding())
         train = SpikeTrain(np.array([0.1]), np.array([0], dtype=np.int64), 1, 350.0)
-        counts = net.present(train, learn=True)
+        counts = net.present([train], learn=True)[0]
         assert counts[0] >= 1
         expected_dw = 0.1 * (1.0 - 0.4) * (100.0 - w0)
-        assert abs(net.syn.w[0, 0] - (w0 + expected_dw)) < 1e-9
+        assert abs(net.syn.w[0, 0, 0] - (w0 + expected_dw)) < 1e-9
 
     def test_retry_boost_until_spike_floor(self):
         # A dim image misses the 5-spike floor at the base rate; boosted
@@ -555,20 +564,20 @@ class TestPresentation:
         w = rng.uniform(0, 0.5, size=(64, 6))
         image = np.full((8, 8), 0.05)
         enc_off = tiny_encoding()
-        net = ExpertNetwork(SynapseMatrix(w.copy()), tiny_sim(), enc_off)
-        quiet = net.present_with_retry(image, (1, 2, 3), learn=False)
+        net = learning_group_of_one(w.copy(), tiny_sim(), enc_off)
+        quiet = net.present_with_retry([image], [(1, 2, 3)])
         assert quiet.sum() < 5
 
         enc_retry = EncodingConfig(min_output_spikes=5, retry_boost_hz=64.0,
                                    max_retries=30)
-        net = ExpertNetwork(SynapseMatrix(w.copy()), tiny_sim(), enc_retry)
-        boosted = net.present_with_retry(image, (1, 2, 3), learn=False)
+        net = learning_group_of_one(w.copy(), tiny_sim(), enc_retry)
+        boosted = net.present_with_retry([image], [(1, 2, 3)])
         assert boosted.sum() >= 5
 
     def test_retry_gives_up_on_black_image(self):
         enc_retry = EncodingConfig(min_output_spikes=5, max_retries=10)
-        net = ExpertNetwork(SynapseMatrix(np.full((4, 2), 0.3)), tiny_sim(), enc_retry)
-        counts = net.present_with_retry(np.zeros((2, 2)), (0,), learn=False)
+        net = learning_group_of_one(np.full((4, 2), 0.3), tiny_sim(), enc_retry)
+        counts = net.present_with_retry([np.zeros((2, 2))], [(0,)])
         assert not counts.any()
 
     def test_inference_leaves_the_presynaptic_traces_alone(self):
@@ -598,7 +607,8 @@ class TestPresentation:
             group.present([good, bad], learn=True)
         np.testing.assert_array_equal(group.syn.w, before)
         with pytest.raises(AssertionError):
-            ExpertNetwork(SynapseMatrix(np.full((4, 2), 0.5)), tiny_sim(), tiny_encoding()).present(bad, learn=True)
+            alone = learning_group_of_one(np.full((4, 2), 0.5), tiny_sim(), tiny_encoding())
+            alone.present([bad], learn=True)
 
     def test_learning_changes_weights_inference_does_not(self):
         rng = np.random.default_rng(4)
@@ -607,5 +617,15 @@ class TestPresentation:
         net = ExpertNetwork(SynapseMatrix(w.copy()), tiny_sim(), tiny_encoding())
         net.present(train, learn=False, run_rest=False)
         np.testing.assert_array_equal(net.syn.w, w)
-        net.present(train, learn=True)
-        assert not np.array_equal(net.syn.w, w)
+        net = learning_group_of_one(w.copy(), tiny_sim(), tiny_encoding())
+        net.present([train], learn=True)
+        assert not np.array_equal(net.syn.w[0, :-1], w)
+
+    def test_only_a_learning_group_learns(self):
+        train = SpikeTrain(np.array([0.1]), np.array([3], dtype=np.int64), 4, 350.0)
+        frozen = ExpertNetwork(SynapseMatrix(np.full((4, 2), 0.5)), tiny_sim(), tiny_encoding())
+        group = learning_group_of_one(np.full((4, 2), 0.5), tiny_sim(), tiny_encoding())
+        with pytest.raises(ValueError, match="learning group"):
+            frozen.present(train, learn=True)
+        with pytest.raises(ValueError, match="learning group"):
+            group.present([train], learn=False)

@@ -87,6 +87,17 @@ class TestRoundTrip:
             save_ensemble(model, tmp_path / "arch")
         save_ensemble(model, tmp_path / "arch", overwrite=True)
 
+    def test_a_file_in_the_way_is_refused_before_writing(self, trained_model, tmp_path):
+        model, _ = trained_model
+        taken = tmp_path / "taken"
+        taken.write_text("mine")
+        for target, overwrite, reason in ((taken, False, "refusing to overwrite"),
+                                          (taken, True, "Not a directory"),
+                                          (taken / "arch", True, "taken' is not a directory")):
+            with pytest.raises(ArchiveError, match=reason):
+                save_ensemble(model, target, overwrite=overwrite)
+        assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "mine"
+
     def test_failed_swap_restores_the_old_archive(self, trained_model, tmp_path, monkeypatch):
         model, _ = trained_model
         save_ensemble(model, tmp_path / "arch")
