@@ -24,7 +24,10 @@ images are fanned out to every expert; all (image, expert) pairs start from
 rest and step in lockstep through one network (``expert_respond``), and a
 single query is a batch of one image.  A block holds ``max(1, BLOCK_STATE
 // (N * K))`` images, so its state stays small; at paper scale it is one
-image.  Batches run in parallel over contiguous image chunks, so results
+image.  A block of small experts (K > 1, N * K up to
+``network.PAD_BLOCK_CELLS``) gets each step's input spikes in one padded
+gather over its images, any other block image by image, with the same
+bits.  Batches run in parallel over contiguous image chunks, so results
 never depend on the worker count or the block size.  Each place's score is
 the summed response of the non-hyperactive neurons assigned to it, and the
 ranking is the descending score order (ties toward the lowest place id).
@@ -35,7 +38,6 @@ from __future__ import annotations
 import copy
 import numbers
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,8 +353,13 @@ def _chunk_totals(args) -> np.ndarray:
 
 
 def _ordered_map(fn, jobs: list, workers: int) -> list:
-    """``[fn(job) for job in jobs]``, over a process pool when workers > 1."""
+    """``[fn(job) for job in jobs]``, over a process pool when workers > 1.
+
+    The pool's modules are imported only then: a one-worker run never loads them.
+    """
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]

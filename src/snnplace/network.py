@@ -30,6 +30,10 @@ lockstep on a block of images: with weights stacked as (inputs, N, K) and
 B images, every state array takes the shape (B, N, K) and one step loop
 advances all N experts on all B images, each (image, expert) pair with its
 own winner-take-all circuit; one frozen expert alone is their reference.
+A small block (K > 1 and N * K <= ``PAD_BLOCK_CELLS``) gets its input
+spikes as a learning group does, one padded gather per step into a copy of
+the stack with an all-zero row; a larger block, or one of one-neuron
+experts, gets them image by image.
 
 There is no randomness anywhere in this module; all stochasticity lives in
 the spike encoder.  One network instance is single-threaded mutable state,
@@ -47,6 +51,14 @@ import numpy as np
 
 from .errors import ConfigError, require_finite
 from .imaging import EncodingConfig, SpikeTrain, derive_seed, poisson_encode
+
+# Largest N * K (experts x neurons) of a frozen block whose B images get their
+# input spikes in one padded gather per step.  A block's presentation time,
+# padded over per-image, at 784 inputs (2-core x86, numpy 2.4): 0.76 at
+# N * K = 200 (B = 16), 0.97 at 400 (B = 50), 1.06 at 800 (B = 25) and 1.25
+# at 1600 (B = 12); above the crossover the pad rows cost more arithmetic
+# than the per-image calls they save.
+PAD_BLOCK_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -375,19 +387,25 @@ def apply_input_spikes(
 ) -> None:
     """Deliver one step's input spikes to the excitatory conductance.
 
-    A learning group passes ``trace_at``: its stack flattened to (G * rows,
-    K), an (m, G) block of ``indices`` whose column g holds expert g's rows
-    (padded with its all-zero row), and the trace positions of the real
-    spikes, which bump the presynaptic traces that STDP reads.  Frozen
-    inference passes ``splits`` instead: image b's spikes are
+    Without ``splits``, ``indices`` is a padded (m, C) block whose column c
+    holds column c's rows of ``syn.w`` and then all-zero pad rows: one
+    gather and one sum give the (C, ...) conductance of every column.  A
+    learning group's columns are its G experts, on its stack flattened to
+    (G * rows, K), and it passes ``trace_at``, the trace positions of the
+    real spikes, which bump the presynaptic traces that STDP reads.  A small
+    frozen block's columns are its B images, on its (inputs + 1, N, K)
+    padded stack.  Padding appends +0.0 after each column's real rows, and
+    numpy sums the rows one by one, so every cell gets what its expert alone
+    gets.  With ``splits``, image b's spikes are
     ``indices[splits[b]:splits[b + 1]]`` and drive ``state.g_e[b]`` (a
-    state without an image axis is a block of one), and the traces stay
-    untouched.  ``present`` checks every train against the input count
-    once, before a group's padding makes each pad row a valid index.
+    state without an image axis is a block of one).  Frozen experts never
+    touch the traces.  ``present`` checks every train against the input
+    count once, before padding makes a pad row a valid index.
     """
-    if trace_at is not None:
+    if splits is None:
         state.g_e += _summed_rows(syn.w[indices])
-        np.add.at(syn.pre_trace, trace_at, 1.0)
+        if trace_at is not None:
+            np.add.at(syn.pre_trace, trace_at, 1.0)
         return
     g_e = state.g_e if state.g_e.ndim == syn.w.ndim else state.g_e[None]
     for b in range(len(splits) - 1):
@@ -453,24 +471,34 @@ def normalize_columns(w: np.ndarray, target_sum: float, w_max: float) -> None:
     np.clip(w, 0.0, w_max, out=w)
 
 
-def _pad_group(trains: list[BinnedTrain], n_inputs: int, rows: int):
-    """Lay out a learning group's binned trains as one padded block per step.
+def _pad_block(trains: list[BinnedTrain], n_inputs: int, rows: int = 0):
+    """Lay out binned trains as one padded (m, C) block of weight rows per step.
 
-    Expert g's input i is row ``g * rows + i`` of the flattened stack, and
-    ``g * rows + n_inputs`` is its all-zero pad row.  Step t delivers
-    ``block[starts[t]:starts[t + 1]]``, an (m, G) block whose column g
-    holds expert g's spikes and then padding, and bumps the traces at
-    ``trace_at[trace_starts[t]:trace_starts[t + 1]]``, its real spikes.
+    Train c's input i is row ``c * rows + i``, and ``c * rows + n_inputs``
+    is its all-zero pad row (with ``rows = 0`` every train reads the same
+    weights).  Step t delivers ``block[starts[t]:starts[t + 1]]``, whose
+    column c holds train c's spikes and then padding; ``per_step`` is the
+    (steps, C) count of real spikes.
     """
     per_step = np.stack([np.diff(tr.offsets) for tr in trains], axis=1)
     starts = np.zeros(len(per_step) + 1, dtype=np.int64)
     np.cumsum(per_step.max(axis=1), out=starts[1:])
-    pad = np.arange(len(trains), dtype=np.int32) * rows + n_inputs
     block = np.empty((starts[-1], len(trains)), dtype=np.int32)
-    block[:] = pad
-    for g, tr in enumerate(trains):
-        at = np.repeat(starts[:-1] - tr.offsets[:-1], per_step[:, g]) + np.arange(len(tr.indices))
-        block[at, g] = tr.indices + (pad[g] - n_inputs)
+    block[:] = np.arange(len(trains), dtype=np.int32) * rows + n_inputs
+    for c, tr in enumerate(trains):
+        at = np.repeat(starts[:-1] - tr.offsets[:-1], per_step[:, c]) + np.arange(len(tr.indices))
+        block[at, c] = tr.indices + c * rows
+    return block, starts, per_step
+
+
+def _pad_group(trains: list[BinnedTrain], n_inputs: int, rows: int):
+    """A learning group's ``_pad_block`` on its flattened stack, plus trace positions.
+
+    Step t also bumps the traces at ``trace_at[trace_starts[t]:trace_starts[t
+    + 1]]``, its real spikes.
+    """
+    block, starts, per_step = _pad_block(trains, n_inputs, rows)
+    pad = np.arange(len(trains), dtype=np.int32) * rows + n_inputs
     trace_starts = np.zeros_like(starts)
     np.cumsum(per_step.sum(axis=1), out=trace_starts[1:])
     return block, starts, block[block != pad], trace_starts
@@ -540,7 +568,11 @@ class ExpertNetwork:
         only; the optional rest window just lets the dynamic variables
         relax.  Only a learning group presents with ``learn``: the
         plasticity rule fires on every postsynaptic spike and the adaptive
-        threshold evolves.  Frozen experts keep both fixed.
+        threshold evolves.  Frozen experts keep both fixed.  A small frozen
+        block of B > 1 images (K > 1, N * K <= ``PAD_BLOCK_CELLS``) gets
+        each step's spikes in one padded (m, B) gather, as a learning group
+        does, from a copy of its stack with an all-zero row; any other block
+        gets them image by image.
         """
         if learn != self.group:
             raise ValueError("a learning group learns and frozen experts do not")
@@ -550,16 +582,21 @@ class ExpertNetwork:
         n_pres = len(trains[0].offsets) - 1
         n_rest = int(round(self.encoding.rest_ms / dt)) if run_rest else 0
         exc, inh, syn = self.exc, self.inh, self.syn
+        n_img = len(trains)
+        small = syn.w.shape[-1] > 1 and syn.w[0].size <= PAD_BLOCK_CELLS  # N * K of a frozen block
+        padded = not learn and n_img > 1 and small
+        n_inputs = syn.w.shape[1] - 1 if learn else syn.w.shape[0]
+        for tr in trains:  # before padding makes a pad row a valid index
+            _check_indices(tr.indices, n_inputs)
         if learn:
             rows, k = syn.w.shape[1:]
-            n_inputs = rows - 1
-            for tr in trains:  # before padding makes every pad row a valid index
-                _check_indices(tr.indices, n_inputs)
             flat = SynapseMatrix(syn.w.reshape(-1, k), syn.pre_trace.reshape(-1))  # a view
             block, starts, trace_at, trace_starts = _pad_group(trains, n_inputs, rows)
             plastic = SynapseMatrix(syn.w[:, :n_inputs], syn.pre_trace[:, :n_inputs])
+        elif padded:
+            flat = SynapseMatrix(np.concatenate([syn.w, np.zeros_like(syn.w[:1])]))
+            block, starts, _ = _pad_block(trains, n_inputs)
         else:
-            n_img = len(trains)
             spike_idx, offsets = trains[0]
             if n_img > 1:
                 # Interleave step-major: image b's step-t spikes become run t * n_img + b.
@@ -570,23 +607,22 @@ class ExpertNetwork:
                 for b, tr in enumerate(trains):
                     shift = np.repeat(offsets[b:-1:n_img] - tr.offsets[:-1], np.diff(tr.offsets))
                     spike_idx[shift + np.arange(shift.size)] = tr.indices
-            _check_indices(spike_idx, syn.w.shape[0])
+            starts = offsets[::n_img]  # step t's spikes are runs t * n_img onwards
 
         homeo = p.homeostasis if learn else None
         trace_decay = math.exp(-dt / p.stdp.trace_tau_ms)
         counts = np.zeros(exc.v.shape, dtype=np.int64)
         for t in range(n_pres + n_rest):
-            if t < n_pres:
+            if t < n_pres and starts[t + 1] > starts[t]:
                 if learn:
-                    if starts[t + 1] > starts[t]:
-                        apply_input_spikes(
-                            exc, flat, block[starts[t]:starts[t + 1]],
-                            trace_at=trace_at[trace_starts[t]:trace_starts[t + 1]],
-                        )
+                    apply_input_spikes(
+                        exc, flat, block[starts[t]:starts[t + 1]],
+                        trace_at=trace_at[trace_starts[t]:trace_starts[t + 1]],
+                    )
+                elif padded:
+                    apply_input_spikes(exc, flat, block[starts[t]:starts[t + 1]])
                 else:
-                    first, last = t * n_img, (t + 1) * n_img
-                    if offsets[last] > offsets[first]:
-                        apply_input_spikes(exc, syn, spike_idx, offsets[first:last + 1])
+                    apply_input_spikes(exc, syn, spike_idx, offsets[t * n_img:(t + 1) * n_img + 1])
             exc_spiked = lif_step(exc, p.lif_excitatory, dt, homeo)
             fired = np.count_nonzero(exc_spiked)
             if fired and learn:

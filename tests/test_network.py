@@ -7,9 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from snnplace import network
 from snnplace.errors import ConfigError
 from snnplace.imaging import EncodingConfig, SpikeTrain, poisson_encode
 from snnplace.network import (
+    PAD_BLOCK_CELLS,
+    BinnedTrain,
     ExpertNetwork,
     FixedWiring,
     HomeostasisParams,
@@ -150,6 +153,7 @@ class TestInputDelivery:
         syn = deliver_to_group_of_one(state, np.full((4, 3), 0.2), np.array([1]))
         np.testing.assert_allclose(state.g_e, 0.2)
         assert syn.pre_trace[1] == 1.0
+        np.testing.assert_array_equal(syn.pre_trace, [0.0, 1.0, 0.0, 0.0, 0.0])  # pad row last
 
     def test_two_simultaneous_spikes_are_additive(self):
         rng = np.random.default_rng(0)
@@ -190,11 +194,12 @@ class TestInputDelivery:
                         np.testing.assert_array_equal(stacked.g_e[i], alone.g_e)
 
     def test_block_images_each_get_their_own_conductance(self):
-        # A block delivers every image's step spikes in one call; each
-        # (image, expert) cell must get what that expert alone gets from
-        # that image's spikes, with weights spanning 60 binades.
+        # A block delivers every image's step spikes in one call, image by
+        # image or, for K > 1, as one padded (m, B) block on the stack with an
+        # all-zero row 50; each (image, expert) cell must get what that expert
+        # alone gets from that image's spikes, with weights spanning 60 binades.
         rng = np.random.default_rng(7)
-        for n_images in (1, 3):
+        for n_images in (1, 3, 6):
             for n_experts in (1, 2, 3):
                 for k in (1, 2, 7):
                     w = (2.0 ** rng.uniform(-60, 1, size=(50, n_experts, k))).astype(np.float32)
@@ -206,12 +211,23 @@ class TestInputDelivery:
                     syn = SynapseMatrix(w)
                     apply_input_spikes(block, syn, np.concatenate(per_image), splits.tolist())
                     assert not syn.pre_trace.any()
+                    if k > 1:
+                        padded = fresh_state(n=(n_images, n_experts, k), g_e=start)
+                        padded_syn = SynapseMatrix(np.concatenate([w, np.zeros_like(w[:1])]))
+                        assert padded_syn.w.dtype == np.float32
+                        rows = np.full((max(map(len, per_image)), n_images), 50)
+                        for b, idx in enumerate(per_image):
+                            rows[:len(idx), b] = idx
+                        apply_input_spikes(padded, padded_syn, rows)
+                        assert not padded_syn.pre_trace.any()
                     for b, idx in enumerate(per_image):
                         for i in range(n_experts):
                             alone = fresh_state(n=k, g_e=start[b, i])
                             alone_syn = SynapseMatrix(w[:, i].astype(np.float64))
                             deliver_block_of_one(alone, alone_syn, idx)
                             np.testing.assert_array_equal(block.g_e[b, i], alone.g_e)
+                            if k > 1:
+                                np.testing.assert_array_equal(padded.g_e[b, i], alone.g_e)
 
 
 class TestLateralInhibition:
@@ -609,6 +625,54 @@ class TestPresentation:
         with pytest.raises(AssertionError):
             alone = learning_group_of_one(np.full((4, 2), 0.5), tiny_sim(), tiny_encoding())
             alone.present([bad], learn=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_block_cells_equal_each_expert_alone(self, k):
+        # One step of large spike sets onto weights spanning 60 binades: a
+        # block of one-neuron experts must stay on the per-image path, since
+        # numpy sums a lone column pairwise and padding would change the sum.
+        rng = np.random.default_rng(10 + k)
+        n_experts, sizes = 3, (9, 40, 200, 131, 0)
+        w = (2.0 ** rng.uniform(-60, 1, size=(50, n_experts, k))).astype(np.float32)
+        trains = [BinnedTrain(rng.integers(0, 50, size=m).astype(np.int32), np.array([0, m]))
+                  for m in sizes]
+        block = ExpertNetwork(SynapseMatrix(w), tiny_sim(), tiny_encoding(), images=len(sizes))
+        block.present(trains, learn=False, run_rest=False)
+        for b, train in enumerate(trains):
+            for i in range(n_experts):
+                alone = ExpertNetwork(SynapseMatrix(w[:, i].astype(np.float64)), tiny_sim(),
+                                      tiny_encoding())
+                alone.present(train, learn=False, run_rest=False)
+                for name in ("v", "g_e", "g_i", "refractory"):
+                    np.testing.assert_array_equal(
+                        getattr(block.exc, name)[b, i], getattr(alone.exc, name)
+                    )
+
+    @pytest.mark.parametrize("n_experts, k, n_images, padded", [
+        (2, 5, 3, True),
+        (1, PAD_BLOCK_CELLS, 2, True),
+        (1, PAD_BLOCK_CELLS + 1, 2, False),
+        (4, 1, 3, False),
+        (2, 5, 1, False),
+    ])
+    def test_block_size_picks_the_delivery_path(self, monkeypatch, n_experts, k, n_images, padded):
+        # Small blocks of K > 1 get one padded (m, B) gather per step; larger
+        # blocks, blocks of one-neuron experts and single images get their
+        # spikes image by image.  Either way, one call per step with spikes.
+        deliver, calls = network.apply_input_spikes, []
+
+        def spy(state, syn, indices, splits=None, trace_at=None):
+            calls.append((indices.ndim, splits is None, syn.w.shape[0]))
+            deliver(state, syn, indices, splits, trace_at)
+
+        monkeypatch.setattr(network, "apply_input_spikes", spy)
+        # Steps 0 and 2 hold spikes of some image, step 1 none.
+        trains = [BinnedTrain(np.array([b % 8, 7 - b % 8], dtype=np.int32), np.array([0, 1, 1, 2]))
+                  for b in range(n_images)]
+        w = np.full((8, n_experts, k), 0.5, dtype=np.float32)
+        net = ExpertNetwork(SynapseMatrix(w), tiny_sim(), tiny_encoding(), images=n_images)
+        net.present(trains, learn=False, run_rest=False)
+        assert calls == [(2, True, 9) if padded else (1, False, 8)] * 2
 
     def test_learning_changes_weights_inference_does_not(self):
         rng = np.random.default_rng(4)
