@@ -8,7 +8,7 @@ out to all experts and the strongest summed response of the surviving
 """
 
 from .calibration import (
-    CalibrationPlan,
+    CalibrationGrids,
     CalibrationReport,
     run_grid_search,
     select_theta,

@@ -55,19 +55,6 @@ class CalibrationGrids:
             flags_for_theta((), theta)  # ConfigError for an invalid theta
 
 
-@dataclass(frozen=True)
-class CalibrationPlan(CalibrationGrids):
-    """Grids plus the calibration place range [cal_start, cal_stop)."""
-
-    cal_start: int = 0
-    cal_stop: int = 25
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0 <= self.cal_start < self.cal_stop:
-            raise ConfigError("calibration place range is empty or negative")
-
-
 @dataclass
 class CalibrationReport:
     """Score matrix over the grid and the selected cell."""
@@ -108,7 +95,7 @@ def _select(scores: np.ndarray, taus, thetas) -> tuple[float, float]:
 
 
 def run_grid_search(
-    plan: CalibrationPlan,
+    grids: CalibrationGrids,
     cal_reference: np.ndarray,
     cal_queries: np.ndarray,
     cal_truths,
@@ -125,25 +112,25 @@ def run_grid_search(
     calibration range; ``cal_truths`` are place ids local to that range.
     One ensemble is trained per tau_gi and shared by all theta cells.
     """
-    n_tau, n_theta = len(plan.tau_gi_grid), len(plan.theta_grid)
+    n_tau, n_theta = len(grids.tau_gi_grid), len(grids.theta_grid)
     scores = np.zeros((n_tau, n_theta))
     cell_seconds = np.zeros((n_tau, n_theta))
-    for i, tau_gi in enumerate(plan.tau_gi_grid):
+    for i, tau_gi in enumerate(grids.tau_gi_grid):
         model = train_ensemble(
             cal_reference, expert_cfg, sim.with_tau_gi(tau_gi),
             encoding, patch, derive_cal_seed(global_seed, tau_gi), workers,
         )
         detect_hyperactive(model, cal_reference, None, workers)
         responses = collect_query_responses(model, cal_queries, workers)
-        for j, theta in enumerate(plan.theta_grid):
+        for j, theta in enumerate(grids.theta_grid):
             tick = time.perf_counter()
             scores[i, j] = _score_theta(model, responses, cal_truths, theta)
             cell_seconds[i, j] = time.perf_counter() - tick
 
-    chosen_tau, chosen_theta = _select(scores, plan.tau_gi_grid, plan.theta_grid)
+    chosen_tau, chosen_theta = _select(scores, grids.tau_gi_grid, grids.theta_grid)
     return CalibrationReport(
-        tau_gi_grid=plan.tau_gi_grid,
-        theta_grid=plan.theta_grid,
+        tau_gi_grid=grids.tau_gi_grid,
+        theta_grid=grids.theta_grid,
         scores=scores,
         cell_seconds=cell_seconds,
         chosen_tau_gi=chosen_tau,

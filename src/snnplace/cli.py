@@ -190,17 +190,16 @@ def cmd_regularize(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _run_config(args)
     start, stop = _parse_range(args.cal_range)
-    plan = cal.CalibrationPlan(
-        tau_gi_grid=tuple(args.tau_gi_grid) if args.tau_gi_grid else cfg.calibration.tau_gi_grid,
-        theta_grid=tuple(args.theta_grid) if args.theta_grid else cfg.calibration.theta_grid,
-        cal_start=start,
-        cal_stop=stop,
+    grids = dataclasses.replace(
+        cfg.calibration,
+        tau_gi_grid=tuple(args.tau_gi_grid or cfg.calibration.tau_gi_grid),
+        theta_grid=tuple(args.theta_grid or cfg.calibration.theta_grid),
     )
     _check_output_dir(args.out_dir)
     cal_ref, _, _ = _load_traverses(args.ref_dirs, "calibration", cfg, (start, stop))
     cal_query, _, _ = _load_traverses([args.query_dir], "calibration", cfg, (start, stop))
     report = cal.run_grid_search(
-        plan, cal_ref, cal_query[0], np.arange(stop - start),
+        grids, cal_ref, cal_query[0], np.arange(stop - start),
         cfg.expert, cfg.simulation, cfg.encoding, cfg.patch,
         cfg.seed, cfg.effective_workers(),
     )

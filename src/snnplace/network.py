@@ -30,10 +30,12 @@ lockstep on a block of images: with weights stacked as (inputs, N, K) and
 B images, every state array takes the shape (B, N, K) and one step loop
 advances all N experts on all B images, each (image, expert) pair with its
 own winner-take-all circuit; one frozen expert alone is their reference.
-A small block (K > 1 and N * K <= ``PAD_BLOCK_CELLS``) gets its input
-spikes as a learning group does, one padded gather per step into a copy of
-the stack with an all-zero row; a larger block, or one of one-neuron
-experts, gets them image by image.
+Every presentation lays its spikes out one way, as an (m, C) block per step
+whose column c holds train c's rows and then padding.  A small block (K > 1
+and N * K <= ``PAD_BLOCK_CELLS``) gets them as a learning group does, one
+padded gather per step into a copy of the stack with an all-zero row; a
+larger block, or one of one-neuron experts, reads each image's real rows
+from the stack itself, image by image.
 
 There is no randomness anywhere in this module; all stochasticity lives in
 the spike encoder.  One network instance is single-threaded mutable state,
@@ -383,35 +385,35 @@ def _summed_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def apply_input_spikes(
-    state: LayerState, syn: SynapseMatrix, indices: np.ndarray, splits=None, trace_at=None
+    state: LayerState, syn: SynapseMatrix, indices: np.ndarray, counts=None, trace_at=None
 ) -> None:
     """Deliver one step's input spikes to the excitatory conductance.
 
-    Without ``splits``, ``indices`` is a padded (m, C) block whose column c
-    holds column c's rows of ``syn.w`` and then all-zero pad rows: one
-    gather and one sum give the (C, ...) conductance of every column.  A
-    learning group's columns are its G experts, on its stack flattened to
-    (G * rows, K), and it passes ``trace_at``, the trace positions of the
-    real spikes, which bump the presynaptic traces that STDP reads.  A small
-    frozen block's columns are its B images, on its (inputs + 1, N, K)
-    padded stack.  Padding appends +0.0 after each column's real rows, and
-    numpy sums the rows one by one, so every cell gets what its expert alone
-    gets.  With ``splits``, image b's spikes are
-    ``indices[splits[b]:splits[b + 1]]`` and drive ``state.g_e[b]`` (a
-    state without an image axis is a block of one).  Frozen experts never
-    touch the traces.  ``present`` checks every train against the input
-    count once, before padding makes a pad row a valid index.
+    ``indices`` is one step of a ``_pad_block`` layout: an (m, C) block
+    whose column c holds column c's rows of ``syn.w`` and then pad rows.
+    Without ``counts`` one gather and one sum give the (C, ...) conductance
+    of every column, so the pad rows must be all zero.  A learning group's
+    columns are its G experts, on its stack flattened to (G * rows, K), and
+    it passes ``trace_at``, the trace positions of the real spikes, which
+    bump the presynaptic traces that STDP reads.  A small frozen block's
+    columns are its B images, on its (inputs + 1, N, K) padded stack.
+    Padding appends +0.0 after each column's real rows, and numpy sums the
+    rows one by one, so every cell gets what its expert alone gets.  With
+    ``counts``, column b reads only its first ``counts[b]`` rows, from a
+    stack without a pad row, and drives ``state.g_e[b]`` (a state without
+    an image axis is a block of one).  Frozen experts never touch the
+    traces.  ``present`` checks every train against the input count once,
+    before padding makes a pad row a valid index.
     """
-    if splits is None:
+    if counts is None:
         state.g_e += _summed_rows(syn.w[indices])
         if trace_at is not None:
             np.add.at(syn.pre_trace, trace_at, 1.0)
         return
     g_e = state.g_e if state.g_e.ndim == syn.w.ndim else state.g_e[None]
-    for b in range(len(splits) - 1):
-        lo, hi = splits[b], splits[b + 1]
-        if hi > lo:
-            g_e[b] += _summed_rows(syn.w[indices[lo:hi]])
+    for b, m in enumerate(counts):
+        if m:
+            g_e[b] += _summed_rows(syn.w[indices[:m, b]])
 
 
 def apply_lateral_inhibition(
@@ -471,14 +473,14 @@ def normalize_columns(w: np.ndarray, target_sum: float, w_max: float) -> None:
     np.clip(w, 0.0, w_max, out=w)
 
 
-def _pad_block(trains: list[BinnedTrain], n_inputs: int, rows: int = 0):
+def _pad_block(trains: list[BinnedTrain], n_inputs: int, rows: int):
     """Lay out binned trains as one padded (m, C) block of weight rows per step.
 
     Train c's input i is row ``c * rows + i``, and ``c * rows + n_inputs``
-    is its all-zero pad row (with ``rows = 0`` every train reads the same
-    weights).  Step t delivers ``block[starts[t]:starts[t + 1]]``, whose
-    column c holds train c's spikes and then padding; ``per_step`` is the
-    (steps, C) count of real spikes.
+    is its pad row (with ``rows = 0`` every train reads the same weights).
+    Step t delivers ``block[starts[t]:starts[t + 1]]``, whose column c holds
+    train c's spikes and then padding; ``per_step`` is the (steps, C) count
+    of real spikes.
     """
     per_step = np.stack([np.diff(tr.offsets) for tr in trains], axis=1)
     starts = np.zeros(len(per_step) + 1, dtype=np.int64)
@@ -489,19 +491,6 @@ def _pad_block(trains: list[BinnedTrain], n_inputs: int, rows: int = 0):
         at = np.repeat(starts[:-1] - tr.offsets[:-1], per_step[:, c]) + np.arange(len(tr.indices))
         block[at, c] = tr.indices + c * rows
     return block, starts, per_step
-
-
-def _pad_group(trains: list[BinnedTrain], n_inputs: int, rows: int):
-    """A learning group's ``_pad_block`` on its flattened stack, plus trace positions.
-
-    Step t also bumps the traces at ``trace_at[trace_starts[t]:trace_starts[t
-    + 1]]``, its real spikes.
-    """
-    block, starts, per_step = _pad_block(trains, n_inputs, rows)
-    pad = np.arange(len(trains), dtype=np.int32) * rows + n_inputs
-    trace_starts = np.zeros_like(starts)
-    np.cumsum(per_step.sum(axis=1), out=trace_starts[1:])
-    return block, starts, block[block != pad], trace_starts
 
 
 class ExpertNetwork:
@@ -568,11 +557,13 @@ class ExpertNetwork:
         only; the optional rest window just lets the dynamic variables
         relax.  Only a learning group presents with ``learn``: the
         plasticity rule fires on every postsynaptic spike and the adaptive
-        threshold evolves.  Frozen experts keep both fixed.  A small frozen
-        block of B > 1 images (K > 1, N * K <= ``PAD_BLOCK_CELLS``) gets
-        each step's spikes in one padded (m, B) gather, as a learning group
-        does, from a copy of its stack with an all-zero row; any other block
-        gets them image by image.
+        threshold evolves.  Frozen experts keep both fixed.  Every mode lays
+        its trains out with ``_pad_block``: a learning group on its flattened
+        stack, whose pad rows are all zero, and frozen experts on their
+        (inputs, N, K) stack.  A small frozen block of B > 1 images (K > 1,
+        N * K <= ``PAD_BLOCK_CELLS``) gets each step's spikes in one padded
+        (m, B) gather from a copy of its stack with an all-zero row; any
+        other frozen block reads each image's real rows from the stack itself.
         """
         if learn != self.group:
             raise ValueError("a learning group learns and frozen experts do not")
@@ -582,47 +573,43 @@ class ExpertNetwork:
         n_pres = len(trains[0].offsets) - 1
         n_rest = int(round(self.encoding.rest_ms / dt)) if run_rest else 0
         exc, inh, syn = self.exc, self.inh, self.syn
-        n_img = len(trains)
-        small = syn.w.shape[-1] > 1 and syn.w[0].size <= PAD_BLOCK_CELLS  # N * K of a frozen block
-        padded = not learn and n_img > 1 and small
-        n_inputs = syn.w.shape[1] - 1 if learn else syn.w.shape[0]
+        rows = syn.w.shape[1] if learn else 0
+        n_inputs = rows - 1 if learn else syn.w.shape[0]
         for tr in trains:  # before padding makes a pad row a valid index
             _check_indices(tr.indices, n_inputs)
+        block, starts, per_step = _pad_block(trains, n_inputs, rows)
+        padded = not learn and (  # a small frozen block, of N * K cells per image
+            len(trains) > 1 and syn.w.shape[-1] > 1 and syn.w[0].size <= PAD_BLOCK_CELLS
+        )
+        source = syn
         if learn:
-            rows, k = syn.w.shape[1:]
-            flat = SynapseMatrix(syn.w.reshape(-1, k), syn.pre_trace.reshape(-1))  # a view
-            block, starts, trace_at, trace_starts = _pad_group(trains, n_inputs, rows)
+            # An inhibitory g_e decayed to a subnormal rounds back to itself when its
+            # factor exp(-dt / tau_ge) exceeds 0.5 (0.61 by default), so it never
+            # reaches 0 and slows every step.  It adds at most dt/tau * 5e-324 *
+            # |E_exc - v| to v, below half an ulp of v unless v lies within about
+            # 1e-290 of 0, so flushing it to 0 cannot change v.
+            np.copyto(inh.g_e, 0.0, where=inh.g_e < np.finfo(np.float64).tiny)
+            source = SynapseMatrix(syn.w.reshape(-1, syn.w.shape[2]), syn.pre_trace.reshape(-1))
+            trace_at = block[block != np.arange(len(trains), dtype=np.int32) * rows + n_inputs]
+            trace_starts = np.zeros_like(starts)
+            np.cumsum(per_step.sum(axis=1), out=trace_starts[1:])
             plastic = SynapseMatrix(syn.w[:, :n_inputs], syn.pre_trace[:, :n_inputs])
         elif padded:
-            flat = SynapseMatrix(np.concatenate([syn.w, np.zeros_like(syn.w[:1])]))
-            block, starts, _ = _pad_block(trains, n_inputs)
+            source = SynapseMatrix(np.concatenate([syn.w, np.zeros_like(syn.w[:1])]))
         else:
-            spike_idx, offsets = trains[0]
-            if n_img > 1:
-                # Interleave step-major: image b's step-t spikes become run t * n_img + b.
-                runs = np.stack([np.diff(tr.offsets) for tr in trains], axis=1).ravel()
-                offsets = np.zeros(runs.size + 1, dtype=np.int64)
-                np.cumsum(runs, out=offsets[1:])
-                spike_idx = np.empty(offsets[-1], dtype=np.int32)
-                for b, tr in enumerate(trains):
-                    shift = np.repeat(offsets[b:-1:n_img] - tr.offsets[:-1], np.diff(tr.offsets))
-                    spike_idx[shift + np.arange(shift.size)] = tr.indices
-            starts = offsets[::n_img]  # step t's spikes are runs t * n_img onwards
+            per_image = per_step.tolist()  # Python ints index faster, step by step
 
         homeo = p.homeostasis if learn else None
         trace_decay = math.exp(-dt / p.stdp.trace_tau_ms)
         counts = np.zeros(exc.v.shape, dtype=np.int64)
         for t in range(n_pres + n_rest):
             if t < n_pres and starts[t + 1] > starts[t]:
+                step = block[starts[t]:starts[t + 1]]
                 if learn:
-                    apply_input_spikes(
-                        exc, flat, block[starts[t]:starts[t + 1]],
-                        trace_at=trace_at[trace_starts[t]:trace_starts[t + 1]],
-                    )
-                elif padded:
-                    apply_input_spikes(exc, flat, block[starts[t]:starts[t + 1]])
+                    apply_input_spikes(exc, source, step,
+                                       trace_at=trace_at[trace_starts[t]:trace_starts[t + 1]])
                 else:
-                    apply_input_spikes(exc, syn, spike_idx, offsets[t * n_img:(t + 1) * n_img + 1])
+                    apply_input_spikes(exc, source, step, None if padded else per_image[t])
             exc_spiked = lif_step(exc, p.lif_excitatory, dt, homeo)
             fired = np.count_nonzero(exc_spiked)
             if fired and learn:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snnplace.calibration import (
-    CalibrationPlan,
+    CalibrationGrids,
     run_grid_search,
     select_theta,
     theta_sweep,
@@ -29,21 +29,17 @@ from tests.conftest import (
 class TestPlan:
     def test_empty_grids_rejected(self):
         with pytest.raises(ConfigError):
-            CalibrationPlan(tau_gi_grid=(), theta_grid=(100.0,))
+            CalibrationGrids(tau_gi_grid=(), theta_grid=(100.0,))
         with pytest.raises(ConfigError):
-            CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=())
-
-    def test_empty_place_range_rejected(self):
-        with pytest.raises(ConfigError):
-            CalibrationPlan(cal_start=5, cal_stop=5)
+            CalibrationGrids(tau_gi_grid=(0.5,), theta_grid=())
 
     @pytest.mark.parametrize("bad", [-5.0, float("nan"), "abc", True, None])
     def test_invalid_theta_in_grid_rejected(self, bad):
         with pytest.raises(ConfigError, match="theta"):
-            CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=(20.0, bad))
+            CalibrationGrids(tau_gi_grid=(0.5,), theta_grid=(20.0, bad))
 
     def test_zero_theta_is_a_valid_cell(self):
-        CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=(0.0, 20.0))
+        CalibrationGrids(tau_gi_grid=(0.5,), theta_grid=(0.0, 20.0))
 
 
 class TestSelectTheta:
@@ -124,9 +120,9 @@ class TestGridSearchEndToEnd:
 
     def test_single_cell_grid(self, tiny_world):
         reference, queries = tiny_world
-        plan = CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=(100.0,), cal_start=0, cal_stop=4)
+        grids = CalibrationGrids(tau_gi_grid=(0.5,), theta_grid=(100.0,))
         report = run_grid_search(
-            plan, reference, queries, np.arange(4),
+            grids, reference, queries, np.arange(4),
             tiny_expert_cfg(epochs=2, record_last_epochs=1),
             tiny_sim(), tiny_encoding(), PatchNormConfig(),
             global_seed=3,
@@ -136,20 +132,18 @@ class TestGridSearchEndToEnd:
 
     def test_argmax_cell_dominates_and_ties_break_small(self, tiny_world):
         reference, queries = tiny_world
-        plan = CalibrationPlan(
-            tau_gi_grid=(0.5, 2.0), theta_grid=(50.0, 100.0), cal_start=0, cal_stop=4
-        )
+        grids = CalibrationGrids(tau_gi_grid=(0.5, 2.0), theta_grid=(50.0, 100.0))
         report = run_grid_search(
-            plan, reference, queries, np.arange(4),
+            grids, reference, queries, np.arange(4),
             tiny_expert_cfg(epochs=2, record_last_epochs=1),
             tiny_sim(), tiny_encoding(), PatchNormConfig(),
             global_seed=3,
         )
-        i = plan.tau_gi_grid.index(report.chosen_tau_gi)
-        j = plan.theta_grid.index(report.chosen_theta)
+        i = grids.tau_gi_grid.index(report.chosen_tau_gi)
+        j = grids.theta_grid.index(report.chosen_theta)
         assert report.scores[i, j] == report.scores.max()
         ties = np.argwhere(report.scores == report.scores.max())
-        best = min((plan.theta_grid[jj], plan.tau_gi_grid[ii]) for ii, jj in ties)
+        best = min((grids.theta_grid[jj], grids.tau_gi_grid[ii]) for ii, jj in ties)
         assert (report.chosen_theta, report.chosen_tau_gi) == best
 
     def test_sweep_equals_fresh_detection_run(self, tiny_world):
@@ -175,9 +169,9 @@ class TestGridSearchEndToEnd:
 
     def test_csv_and_chosen_json_outputs(self, tiny_world, tmp_path):
         reference, queries = tiny_world
-        plan = CalibrationPlan(tau_gi_grid=(0.5,), theta_grid=(10.0, 20.0), cal_start=0, cal_stop=4)
+        grids = CalibrationGrids(tau_gi_grid=(0.5,), theta_grid=(10.0, 20.0))
         report = run_grid_search(
-            plan, reference, queries, np.arange(4),
+            grids, reference, queries, np.arange(4),
             tiny_expert_cfg(epochs=2, record_last_epochs=1),
             tiny_sim(), tiny_encoding(), PatchNormConfig(),
             global_seed=3,

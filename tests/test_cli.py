@@ -449,6 +449,20 @@ class TestCalibrate:
                      "--ref-dirs", ref, "--out", model]) == 0
         assert load_ensemble(model).sim.lif_excitatory.tau_gi_ms == 2.0
 
+    @pytest.mark.parametrize("cal_range", ["5:5", "3"])
+    def test_empty_or_malformed_cal_range_exits_2(self, world, tmp_path, monkeypatch, capsys,
+                                                  cal_range):
+        import snnplace.calibration as cal
+
+        _, cfg, ref, query = world
+        never_called(monkeypatch, cal, "train_ensemble")
+        out_dir = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg, "--ref-dirs", ref, "--query-dir", query,
+                     "--cal-range", cal_range, "--tau-gi-grid", "0.5", "--theta-grid", "5",
+                     "--out-dir", str(out_dir)]) == 2
+        assert_one_error_line(capsys, "range", repr(cal_range))
+        assert not out_dir.exists()
+
 
 class TestCalibrationSplitHygiene:
     def test_loader_never_touches_test_range_files(self, world):

@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from snnplace.calibration import CalibrationGrids, CalibrationPlan
-from snnplace.config import ImageConfig, RunConfig, to_json
-from snnplace.errors import ConfigError
+from snnplace.calibration import CalibrationGrids
+from snnplace.config import ImageConfig, RunConfig, from_json, to_json
+from snnplace.errors import ConfigError, SnnPlaceError
 from snnplace.expert import ExpertConfig
 from snnplace.imaging import EncodingConfig, PatchNormConfig
 from snnplace.network import (
@@ -32,8 +32,7 @@ ONE_BAD_FIELD = [
     (ExpertConfig(), "n_excitatory", 10),
     (ImageConfig(), "width", 0),
     (CalibrationGrids(), "tau_gi_grid", ()),
-    (CalibrationPlan(), "theta_grid", (-5.0,)),
-    (CalibrationPlan(), "cal_stop", 0),
+    (CalibrationGrids(), "theta_grid", (-5.0,)),
     (RunConfig(), "seed", -1),
     (RunConfig(), "image", ImageConfig(width=30, height=28)),   # 30 is not a multiple of 7
     (RunConfig(), "patch", PatchNormConfig(patch_width=5)),     # 28 is not a multiple of 5
@@ -145,3 +144,26 @@ def key_paths(node, prefix=""):
 def test_config_file_schema_is_pinned():
     assert len(CONFIG_KEYS) == 48
     assert sorted(key_paths(to_json(RunConfig()))) == CONFIG_KEYS
+
+
+# Values that a hand-edited config file or archive manifest may hold where a
+# number, flag or list belongs: each must decode or raise a SnnPlaceError.
+ADVERSARIAL = [
+    None, "", "abc", [], [1.0], {}, {"a": 1}, True, False, 0, -1, 0.5,
+    1e308, -1e308, float("nan"), float("inf"), float("-inf"), 10**30, -(10**30),
+]
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_every_key_decodes_or_raises_snnplace_error_for_any_value(key):
+    *sections, name = key.split(".")
+    for value in ADVERSARIAL:
+        data = to_json(RunConfig())
+        owner = data
+        for section in sections:
+            owner = owner[section]
+        owner[name] = value
+        try:
+            from_json(RunConfig, data, "config")  # a decoded size builds no array
+        except SnnPlaceError:
+            pass

@@ -1,7 +1,8 @@
 """The demos import only names the package still has.
 
-Tier-1 never runs the demos (each takes minutes), so a rename in the
-library would otherwise break them silently.  They are parsed, not run.
+Here the demos are parsed, not run: together they take about 30 s, and
+CI runs ``demos/01``-``05`` in a step of their own (``06`` in another).
+This test names a broken import at once, without running anything.
 """
 
 import ast

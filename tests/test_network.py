@@ -139,7 +139,7 @@ def deliver_to_group_of_one(state, w, indices) -> SynapseMatrix:
 
 def deliver_block_of_one(state, syn, indices) -> None:
     """Deliver ``indices`` to frozen experts as a block of one image."""
-    apply_input_spikes(state, syn, indices, [0, len(indices)])
+    apply_input_spikes(state, syn, indices[:, None], [len(indices)])
 
 
 class TestInputDelivery:
@@ -198,6 +198,8 @@ class TestInputDelivery:
         # image or, for K > 1, as one padded (m, B) block on the stack with an
         # all-zero row 50; each (image, expert) cell must get what that expert
         # alone gets from that image's spikes, with weights spanning 60 binades.
+        # Image by image, the unused slots hold row 999, which the stack lacks:
+        # a delivery that reads past an image's count raises.
         rng = np.random.default_rng(7)
         for n_images in (1, 3, 6):
             for n_experts in (1, 2, 3):
@@ -205,19 +207,20 @@ class TestInputDelivery:
                     w = (2.0 ** rng.uniform(-60, 1, size=(50, n_experts, k))).astype(np.float32)
                     per_image = [rng.integers(0, 50, size=m)
                                  for m in rng.choice([0, 1, 8, 9, 40, 200], size=n_images)]
-                    splits = np.concatenate([[0], np.cumsum([len(i) for i in per_image])])
+                    counts = [len(idx) for idx in per_image]
                     start = rng.uniform(size=(n_images, n_experts, k))
                     block = fresh_state(n=(n_images, n_experts, k), g_e=start)
                     syn = SynapseMatrix(w)
-                    apply_input_spikes(block, syn, np.concatenate(per_image), splits.tolist())
+                    columns = np.full((max(counts), n_images), 999)
+                    for b, idx in enumerate(per_image):
+                        columns[:len(idx), b] = idx
+                    apply_input_spikes(block, syn, columns, counts)
                     assert not syn.pre_trace.any()
                     if k > 1:
                         padded = fresh_state(n=(n_images, n_experts, k), g_e=start)
                         padded_syn = SynapseMatrix(np.concatenate([w, np.zeros_like(w[:1])]))
                         assert padded_syn.w.dtype == np.float32
-                        rows = np.full((max(map(len, per_image)), n_images), 50)
-                        for b, idx in enumerate(per_image):
-                            rows[:len(idx), b] = idx
+                        rows = np.where(columns == 999, 50, columns)
                         apply_input_spikes(padded, padded_syn, rows)
                         assert not padded_syn.pre_trace.any()
                     for b, idx in enumerate(per_image):
@@ -658,12 +661,13 @@ class TestPresentation:
     def test_block_size_picks_the_delivery_path(self, monkeypatch, n_experts, k, n_images, padded):
         # Small blocks of K > 1 get one padded (m, B) gather per step; larger
         # blocks, blocks of one-neuron experts and single images get their
-        # spikes image by image.  Either way, one call per step with spikes.
+        # spikes image by image, each image's counted rows read from the stack
+        # itself.  Either way, one call per step with spikes.
         deliver, calls = network.apply_input_spikes, []
 
-        def spy(state, syn, indices, splits=None, trace_at=None):
-            calls.append((indices.ndim, splits is None, syn.w.shape[0]))
-            deliver(state, syn, indices, splits, trace_at)
+        def spy(state, syn, indices, counts=None, trace_at=None):
+            calls.append((indices.ndim, counts is None, syn.w.shape[0]))
+            deliver(state, syn, indices, counts, trace_at)
 
         monkeypatch.setattr(network, "apply_input_spikes", spy)
         # Steps 0 and 2 hold spikes of some image, step 1 none.
@@ -672,7 +676,7 @@ class TestPresentation:
         w = np.full((8, n_experts, k), 0.5, dtype=np.float32)
         net = ExpertNetwork(SynapseMatrix(w), tiny_sim(), tiny_encoding(), images=n_images)
         net.present(trains, learn=False, run_rest=False)
-        assert calls == [(2, True, 9) if padded else (1, False, 8)] * 2
+        assert calls == [(2, True, 9) if padded else (2, False, 8)] * 2
 
     def test_learning_changes_weights_inference_does_not(self):
         rng = np.random.default_rng(4)
@@ -693,3 +697,36 @@ class TestPresentation:
             frozen.present(train, learn=True)
         with pytest.raises(ValueError, match="learning group"):
             group.present([train], learn=False)
+
+    def test_a_learning_presentation_flushes_subnormal_inhibitory_g_e(self):
+        # exp(-0.5 / 1.0) > 0.5, so 5e-324 decays back to itself and never reaches 0.
+        stuck = np.float64(5e-324)
+        assert stuck * math.exp(-0.5 / 1.0) == stuck
+        group = ExpertNetwork.learning_group(4, 3, [0, 1], tiny_sim(), tiny_encoding())
+        group.inh.g_e[:] = stuck
+        empty = SpikeTrain(np.array([]), np.array([], dtype=np.int64), 4, 350.0)
+        group.present([empty, empty], learn=True)
+        assert not group.inh.g_e.any()
+
+    def test_a_stuck_inhibitory_g_e_changes_nothing_else(self):
+        # A stuck g_e adds far less than half an ulp to v, so a presentation
+        # from it ends where one from 0 ends: frozen experts never flush it, and
+        # a learning group flushes it first.
+        rng = np.random.default_rng(4)
+        w = rng.uniform(0, 0.5, size=(64, 6))
+        train = poisson_encode(rng.uniform(size=(8, 8)), tiny_encoding(), seed=12)
+        ends = []
+        for g_e in (5e-324, 0.0):
+            frozen = ExpertNetwork(SynapseMatrix(w.copy()), tiny_sim(), tiny_encoding())
+            group = learning_group_of_one(w.copy(), tiny_sim(), tiny_encoding())
+            frozen.inh.g_e[:] = g_e
+            group.inh.g_e[:] = g_e
+            counts = (frozen.present(train, learn=False), group.present([train], learn=True))
+            ends.append([*counts, group.syn.w, group.exc.theta] + [
+                getattr(layer, name) for net in (frozen, group)
+                for layer, names in ((net.exc, ("v", "g_e", "g_i")), (net.inh, ("v",)))
+                for name in names
+            ])
+        assert ends[0][0].sum() > 0 and ends[0][1].sum() > 0
+        for stuck, zero in zip(*ends):
+            np.testing.assert_array_equal(stuck, zero)

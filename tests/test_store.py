@@ -18,12 +18,12 @@ from snnplace.ensemble import (
     train_ensemble,
 )
 from snnplace.cli import main
-from snnplace.errors import ArchiveError, IngestError
+from snnplace.errors import ArchiveError, IngestError, SnnPlaceError
 from snnplace.imaging import PatchNormConfig, write_pgm
 from snnplace.store import FORMAT_VERSION, load_ensemble, save_ensemble, scan_traverse
 from snnplace.synthetic import synthetic_ensemble
 from tests.conftest import tiny_encoding, tiny_expert_cfg, tiny_sim, tiny_textures
-from tests.test_config import CONFIG_KEYS, key_paths
+from tests.test_config import ADVERSARIAL, CONFIG_KEYS, key_paths
 
 
 @pytest.fixture(scope="module")
@@ -613,3 +613,51 @@ class TestFormat1Archive:
         for a, b in zip(model.experts, again.experts):
             for field in ("weights", "theta", "assignments", "reference_totals", "hyperactive"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+V1_MANIFEST = json.loads((V1 / "model" / "manifest.json").read_text())
+
+
+class TestFormat1Mutations:
+    """Every single-field edit of ``tests/data/v1`` loads or raises a SnnPlaceError.
+
+    The loader checks each payload's size against its manifest entry before
+    it allocates the weight stack, so no edit can make it build an array
+    larger than the payloads on disk.
+    """
+
+    @pytest.mark.parametrize("key", sorted(manifest_keys(V1_MANIFEST), key=repr),
+                             ids=lambda key: "/".join(map(str, key)))
+    def test_every_field_loads_or_raises(self, tmp_path, key):
+        path = tmp_path / "model"
+        shutil.copytree(V1 / "model", path)
+        tracemalloc.start()
+        try:
+            for value in ADVERSARIAL + [KeyError]:  # KeyError: drop the field
+                edited = copy.deepcopy(V1_MANIFEST)
+                owner = edited
+                for step in key[:-1]:
+                    owner = owner[step]
+                if value is KeyError:
+                    del owner[key[-1]]
+                else:
+                    owner[key[-1]] = value
+                (path / "manifest.json").write_text(json.dumps(edited))
+                try:
+                    load_ensemble(path)
+                except SnnPlaceError:
+                    pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("keep", [0, 0.5])
+    @pytest.mark.parametrize("payload", ["expert_0000.bin", "expert_0001.bin"])
+    def test_a_truncated_payload_is_an_archive_error(self, tmp_path, payload, keep):
+        path = tmp_path / "model"
+        shutil.copytree(V1 / "model", path)
+        blob = (path / payload).read_bytes()
+        (path / payload).write_bytes(blob[:int(len(blob) * keep)])
+        with pytest.raises(ArchiveError, match=payload):
+            load_ensemble(path)
