@@ -46,7 +46,7 @@ again = poisson_encode(unit, cfg, seed=42)
 print(f"same seed, same train: {np.array_equal(train.times, again.times)}")
 
 # The brightest pixel fires roughly max_rate_hz; a dark one stays quiet.
-counts = train.counts_per_neuron()
+counts = np.bincount(train.indices, minlength=train.n_inputs)
 hot = int(np.argmax(unit))
 cold = int(np.argmin(unit))
 print(f"brightest pixel fired {counts[hot]} times, darkest {counts[cold]} times")

@@ -11,8 +11,6 @@ responses is exactly equal to a fresh detect-and-evaluate run.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -29,7 +27,7 @@ from .ensemble import (
 from .errors import ConfigError, require_finite
 from .expert import ExpertConfig
 from .imaging import EncodingConfig, PatchNormConfig, derive_seed
-from .metrics import precision_at_100_recall, records_from_responses
+from .metrics import precision_at_100_recall, records_from_responses, write_csv, write_json
 from .network import SimulationParams
 
 DEFAULT_TAU_GI_GRID = (0.5, 1.0, 2.0, 4.0)
@@ -67,20 +65,14 @@ class CalibrationReport:
     chosen_theta: float
 
     def write_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau_gi_ms", "theta", "p_at_100r", "cell_seconds"])
-            for i, tau in enumerate(self.tau_gi_grid):
-                for j, theta in enumerate(self.theta_grid):
-                    writer.writerow([tau, theta, self.scores[i, j], self.cell_seconds[i, j]])
+        write_csv(path, ["tau_gi_ms", "theta", "p_at_100r", "cell_seconds"], (
+            [tau, theta, self.scores[i, j], self.cell_seconds[i, j]]
+            for i, tau in enumerate(self.tau_gi_grid)
+            for j, theta in enumerate(self.theta_grid)
+        ))
 
     def write_chosen_json(self, path: str | os.PathLike) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {"tau_gi_ms": self.chosen_tau_gi, "theta": self.chosen_theta},
-                fh, indent=1, sort_keys=True,
-            )
-            fh.write("\n")
+        write_json(path, {"tau_gi_ms": self.chosen_tau_gi, "theta": self.chosen_theta})
 
 
 def _select(scores: np.ndarray, taus, thetas) -> tuple[float, float]:
@@ -185,7 +177,4 @@ def select_theta(curve) -> float:
 
 
 def write_theta_sweep_csv(path: str | os.PathLike, curve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "p_at_100r"])
-        writer.writerows(curve)
+    write_csv(path, ["theta", "p_at_100r"], curve)

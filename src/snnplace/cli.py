@@ -100,14 +100,14 @@ def _encoder_input(path, size: tuple[int, int], patch: PatchNormConfig) -> np.nd
     return rescale_unit(patch_normalize(load_and_resize(path, size), patch))
 
 
-def _load_traverses(dirs, role, source, place_range=None):
+def _load_traverses(dirs, source, place_range=None):
     """Scan and load traverse directories into an encoder-ready array.
 
     ``source`` gives the image size and patch grid: the run config for a new
     model, the loaded model (``EnsembleModel``) for one read from an archive.
-    Returns (images (n_trav, places, H, W), manifests, files_read).
+    Returns (images (n_trav, places, H, W), manifests).
     """
-    manifests = [store.scan_traverse(d, role) for d in dirs]
+    manifests = [store.scan_traverse(d) for d in dirs]
     counts = {m.place_count for m in manifests}
     if place_range is None:
         n_places = min(counts)
@@ -119,12 +119,10 @@ def _load_traverses(dirs, role, source, place_range=None):
         )
     width, height = source.image_size
     images = np.empty((len(manifests), stop - start, height, width))
-    files_read = []
     for t, manifest in enumerate(manifests):
         for k, path in enumerate(manifest.paths()[start:stop]):
             images[t, k] = _encoder_input(path, source.image_size, source.patch)
-            files_read.append(path)
-    return images, manifests, files_read
+    return images, manifests
 
 
 def _check_fingerprints(model: ens.EnsembleModel, manifests) -> None:
@@ -155,7 +153,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--places must be >= 1, got {args.places}")
     store.check_archive_target(args.out, overwrite=args.force)
     place_range = None if args.places is None else (0, args.places)
-    reference, manifests, _ = _load_traverses(args.ref_dirs, "reference", cfg, place_range)
+    reference, manifests = _load_traverses(args.ref_dirs, cfg, place_range)
     partition = ens.partition_reference(reference.shape[1], cfg.expert.places_per_expert)
     print(f"training {partition.n_regions} experts on {reference.shape[1]} places "
           f"({reference.shape[0]} traverse(s), workers={cfg.effective_workers()})")
@@ -176,9 +174,7 @@ def cmd_regularize(args) -> int:
     out = args.out or args.model
     store.check_archive_target(out, overwrite=True)
     model = store.load_ensemble(args.model)
-    reference, manifests, _ = _load_traverses(
-        args.ref_dirs, "reference", model, (0, model.place_count)
-    )
+    reference, manifests = _load_traverses(args.ref_dirs, model, (0, model.place_count))
     _check_fingerprints(model, manifests)
     ens.detect_hyperactive(model, reference, args.theta, cfg.effective_workers())
     store.save_ensemble(model, out, overwrite=True)
@@ -196,8 +192,8 @@ def cmd_calibrate(args) -> int:
         theta_grid=tuple(args.theta_grid or cfg.calibration.theta_grid),
     )
     _check_output_dir(args.out_dir)
-    cal_ref, _, _ = _load_traverses(args.ref_dirs, "calibration", cfg, (start, stop))
-    cal_query, _, _ = _load_traverses([args.query_dir], "calibration", cfg, (start, stop))
+    cal_ref, _ = _load_traverses(args.ref_dirs, cfg, (start, stop))
+    cal_query, _ = _load_traverses([args.query_dir], cfg, (start, stop))
     report = cal.run_grid_search(
         grids, cal_ref, cal_query[0], np.arange(stop - start),
         cfg.expert, cfg.simulation, cfg.encoding, cfg.patch,
@@ -226,7 +222,7 @@ def cmd_evaluate(args) -> int:
         ens.apply_threshold(model, chosen.get("theta", model.theta))
     elif args.theta is not None:
         ens.apply_threshold(model, args.theta)
-    queries, _, _ = _load_traverses([args.query_dir], "query", model, (0, model.place_count))
+    queries, _ = _load_traverses([args.query_dir], model, (0, model.place_count))
     truths = np.arange(model.place_count)
     tick = time.perf_counter()
     responses = ens.collect_query_responses(model, queries[0], cfg.effective_workers())
@@ -252,7 +248,7 @@ def cmd_evaluate(args) -> int:
         "neuron_precision": neuron_summary,
         "mean_query_seconds": mean_query_s,
     }
-    metrics.write_summary_json(out("summary.json"), summary)
+    metrics.write_json(out("summary.json"), summary)
     print(f"P@100R = {p100:.4f} over {len(records)} queries; reports in {args.report_dir}")
     return 0
 

@@ -53,6 +53,8 @@ class ExpertConfig:
     def __post_init__(self) -> None:
         if self.n_excitatory < 1:
             raise ConfigError("n_excitatory must be >= 1")
+        if self.places_per_expert < 1:
+            raise ConfigError("places_per_expert must be >= 1")
         if self.n_excitatory < self.places_per_expert:
             raise ConfigError(
                 "n_excitatory must be >= places_per_expert "
@@ -109,9 +111,6 @@ class ExpertModel:
     @property
     def n_inputs(self) -> int:
         return self.weights.shape[0]
-
-    def place_range(self) -> tuple[int, int]:
-        return self.global_start, self.global_start + self.n_places
 
     def build_network(self, sim: SimulationParams, encoding: EncodingConfig) -> ExpertNetwork:
         """Instantiate this expert alone as a canonical inference network.

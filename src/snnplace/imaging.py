@@ -28,6 +28,12 @@ STREAM_QUERY = 3
 # Rec.601 luma coefficients for color -> grayscale conversion.
 _LUMA = np.array([0.299, 0.587, 0.114])
 
+# Spikes one input may draw in a presentation at its peak rate, the last retry's
+# boost included: one per step of the longest window (config.MAX_WINDOW_STEPS),
+# which admits that window at the default rates (351,875).  numpy's Poisson draw
+# fails above a mean of about 9.2e18, and every spike holds 16 bytes.
+MAX_PEAK_SPIKES = 1_000_000
+
 
 def derive_seed(*words: int) -> int:
     """Mix integer words into a single u64 encoder seed.
@@ -64,7 +70,9 @@ class EncodingConfig:
     presentation elicits fewer than ``min_output_spikes`` output spikes, the
     presenter re-encodes with all pixel rates boosted in proportion to their
     intensity by ``retry_boost_hz`` (set ``min_output_spikes`` to 0 to
-    disable re-presentation).
+    disable re-presentation).  The peak draw, ``(max_rate_hz +
+    retry_boost_hz * max_retries) * presentation_ms / 1000`` spikes per
+    input, must not exceed ``MAX_PEAK_SPIKES``.
     """
 
     max_rate_hz: float = 63.75
@@ -76,15 +84,21 @@ class EncodingConfig:
 
     def __post_init__(self) -> None:
         require_finite({"max_rate_hz": self.max_rate_hz, "presentation_ms": self.presentation_ms,
-                        "rest_ms": self.rest_ms, "retry_boost_hz": self.retry_boost_hz})
+                        "rest_ms": self.rest_ms, "retry_boost_hz": self.retry_boost_hz,
+                        "max_retries": self.max_retries})
         if self.max_rate_hz <= 0:
             raise ConfigError("max_rate_hz must be > 0")
         if self.presentation_ms <= 0:
             raise ConfigError("presentation_ms must be > 0")
         if self.rest_ms < 0:
             raise ConfigError("rest_ms must be >= 0")
-        if self.min_output_spikes < 0 or self.max_retries < 0:
+        if self.min_output_spikes < 0 or self.max_retries < 0 or self.retry_boost_hz < 0:
             raise ConfigError("retry settings must be >= 0")
+        peak_hz = self.max_rate_hz + self.retry_boost_hz * self.max_retries
+        if not peak_hz * self.presentation_ms / 1000.0 <= MAX_PEAK_SPIKES:  # inf fails too
+            raise ConfigError(f"peak rate {peak_hz} Hz (max_rate_hz + retry_boost_hz * "
+                              f"max_retries) draws more than {MAX_PEAK_SPIKES} spikes per "
+                              f"input in presentation_ms ({self.presentation_ms})")
 
 
 @dataclass(frozen=True)
@@ -103,9 +117,6 @@ class SpikeTrain:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def counts_per_neuron(self) -> np.ndarray:
-        return np.bincount(self.indices, minlength=self.n_inputs)
 
 
 def load_image(path: str | os.PathLike) -> np.ndarray:

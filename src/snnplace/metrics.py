@@ -1,7 +1,9 @@
-"""Evaluation metrics, per-neuron precision analysis, and the SAD baseline.
+"""Evaluation metrics, per-neuron precision analysis, the SAD baseline, and report writers.
 
 Matching is scored with zero ground-truth tolerance: a query counts as
 correct only when the predicted place id equals the true one exactly.
+Every CSV report goes through ``write_csv`` and every sorted JSON report
+through ``write_json``; the named writers only lay out their rows.
 """
 
 from __future__ import annotations
@@ -168,36 +170,31 @@ def sad_match(query: np.ndarray, references: np.ndarray) -> tuple[np.ndarray, np
     return order.astype(np.int64), dists[order]
 
 
-def write_pr_curve_csv(path: str | os.PathLike, points) -> None:
+def write_csv(path: str | os.PathLike, header, rows) -> None:
+    """Write one CSV report: the header row, then every row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["threshold", "precision", "recall"])
-        writer.writerows(points)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | os.PathLike, report: dict) -> None:
+    """Write one JSON report with sorted keys, indented by one, and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def write_pr_curve_csv(path: str | os.PathLike, points) -> None:
+    write_csv(path, ["threshold", "precision", "recall"], points)
 
 
 def write_recall_at_n_csv(path: str | os.PathLike, records, ns) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "recall"])
-        for n in ns:
-            writer.writerow([n, recall_at_n(records, n)])
+    write_csv(path, ["n", "recall"], ([n, recall_at_n(records, n)] for n in ns))
 
 
 def write_neuron_precision_csv(path: str | os.PathLike, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "expert", "neuron", "assigned_place", "hyperactive",
-            "fired_correct", "fired_total", "precision",
-        ])
-        for r in records:
-            writer.writerow([
-                r.expert, r.neuron, r.assigned_place, int(r.hyperactive),
-                r.fired_correct, r.fired_total, r.precision,
-            ])
-
-
-def write_summary_json(path: str | os.PathLike, summary: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_csv(path, ["expert", "neuron", "assigned_place", "hyperactive",
+                     "fired_correct", "fired_total", "precision"],
+              ([r.expert, r.neuron, r.assigned_place, int(r.hyperactive),
+                r.fired_correct, r.fired_total, r.precision] for r in records))

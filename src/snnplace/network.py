@@ -105,11 +105,11 @@ class LifParams(UninhibitedLifParams):
             raise ConfigError("LIF time constants must be > 0, and E_inh < E_rest")
 
     @staticmethod
-    def excitatory_defaults(tau_gi_ms: float = 0.5) -> "LifParams":
+    def excitatory_defaults() -> "LifParams":
         return LifParams(
             tau_ms=100.0, e_rest_mv=-65.0, e_exc_mv=0.0, e_inh_mv=-100.0,
             v_thresh_mv=-52.0, v_reset_mv=-65.0, refractory_ms=5.0,
-            tau_ge_ms=1.0, tau_gi_ms=tau_gi_ms,
+            tau_ge_ms=1.0, tau_gi_ms=0.5,
         )
 
 
@@ -181,9 +181,9 @@ class SimulationParams:
     weight_init_max: float = 0.3
 
     @staticmethod
-    def defaults(tau_gi_ms: float = 0.5) -> "SimulationParams":
+    def defaults() -> "SimulationParams":
         return SimulationParams(
-            lif_excitatory=LifParams.excitatory_defaults(tau_gi_ms),
+            lif_excitatory=LifParams.excitatory_defaults(),
             lif_inhibitory=UninhibitedLifParams.inhibitory_defaults(),
             homeostasis=HomeostasisParams(),
             stdp=StdpParams(),
@@ -282,7 +282,7 @@ class SynapseMatrix:
         )
 
 
-def init_weights(n_inputs: int, n_excitatory: int, seed: int, w_init_max: float = 0.3) -> np.ndarray:
+def init_weights(n_inputs: int, n_excitatory: int, seed: int, w_init_max: float) -> np.ndarray:
     """Uniform random initial weights in [0, w_init_max]."""
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, w_init_max, size=(n_inputs, n_excitatory))
@@ -465,11 +465,12 @@ def normalize_columns(w: np.ndarray, target_sum: float, w_max: float) -> None:
 
     Applied in place after each training presentation; the weight bound
     [0, w_max] is re-imposed afterwards, so heavily concentrated columns
-    may end up summing below the target.
+    may end up summing below the target.  All-zero columns stay zero.
     """
     sums = w.sum(axis=0)
     nonzero = sums > 0
-    w[:, nonzero] *= target_sum / sums[nonzero]
+    scale = np.divide(target_sum, sums, out=np.zeros_like(sums), where=nonzero)
+    np.multiply(w, scale, out=w, where=nonzero)
     np.clip(w, 0.0, w_max, out=w)
 
 

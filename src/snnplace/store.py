@@ -22,8 +22,9 @@ wrong type included), a payload name other than expert i's own
 ``expert_NNNN.bin``, a presentation shorter than one step or a window
 longer than ``config.MAX_WINDOW_STEPS``, and archives whose experts do not tile
 the place set, hold no experts, disagree on their shapes or with
-``image_size``, hold non-finite thresholds or weights, or assign a neuron
-outside their own places.
+``image_size``, hold non-finite thresholds or weights, assign a neuron
+outside their own places, or store hyperactive flags other than those the
+stored theta gives (``ensemble.flags_for_theta``).
 """
 
 from __future__ import annotations
@@ -69,14 +70,12 @@ _PER_NEURON = {
 
 @dataclasses.dataclass(frozen=True)
 class DatasetManifest:
-    """Identity of one traverse: ordered files, place ids, content hash."""
+    """One traverse: files in place-id order and the content hash archives keep by ``name``."""
 
     name: str
-    role: str                       # reference | query | calibration
     directory: str
     filenames: tuple[str, ...]      # lexicographic; index == place id
     fingerprint: str                # sha256 over the per-file content hashes
-    note: str = ""
 
     @property
     def place_count(self) -> int:
@@ -86,7 +85,7 @@ class DatasetManifest:
         return [os.path.join(self.directory, f) for f in self.filenames]
 
 
-def scan_traverse(directory: str | os.PathLike, role: str, note: str = "") -> DatasetManifest:
+def scan_traverse(directory: str | os.PathLike) -> DatasetManifest:
     """Index an image directory: lexicographic filename order defines place ids."""
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
@@ -103,11 +102,9 @@ def scan_traverse(directory: str | os.PathLike, role: str, note: str = "") -> Da
             digest.update(hashlib.sha256(fh.read()).digest())
     return DatasetManifest(
         name=os.path.basename(os.path.normpath(directory)),
-        role=role,
         directory=directory,
         filenames=tuple(names),
         fingerprint=digest.hexdigest(),
-        note=note,
     )
 
 
@@ -400,7 +397,9 @@ def _check_consistent(model: EnsembleModel, path: str) -> None:
     ``MAX_WINDOW_STEPS``, and the stored theta must pass the same
     check as a fresh one.  Each expert's per-neuron lists
     must match its neuron count, its thresholds and weights must be finite,
-    and each assignment must be a local place of that expert or unassigned.
+    each assignment must be a local place of that expert or unassigned, and
+    its hyperactive flags must be those the stored theta gives its reference
+    totals (``flags_for_theta``).
     """
     model.validate_tiling()
     check_presentation_steps(model.encoding, model.sim)
@@ -420,4 +419,9 @@ def _check_consistent(model: EnsembleModel, path: str) -> None:
             raise ArchiveError(
                 f"archive {path!r}: expert {i} assigns a neuron outside its places "
                 f"[{UNASSIGNED}, {ex.n_places})"
+            )
+        if not np.array_equal(ex.hyperactive, flags_for_theta(ex.reference_totals, model.theta)):
+            raise ArchiveError(
+                f"archive {path!r}: expert {i}'s hyperactive flags are not those "
+                f"theta={model.theta} gives its reference totals"
             )

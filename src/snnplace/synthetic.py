@@ -22,7 +22,7 @@ from .imaging import (
     derive_seed,
     preprocess_for_encoding,
 )
-from .network import SimulationParams
+from .network import SimulationParams, init_weights, normalize_columns
 
 
 def make_textures(
@@ -74,10 +74,11 @@ def synthetic_ensemble(
 ) -> EnsembleModel:
     """Frozen random ensemble for latency benchmarks (no training).
 
-    Weights are random with realistic per-neuron column sums, drawn one
-    expert at a time into the ensemble's float32 stack; assignments
-    cycle through each region's places so fused matching has real work to
-    do.  The model is marked regularized with the filter disabled.
+    Each expert's weights are drawn and normalized by the training rules
+    (``init_weights``, ``normalize_columns``), one expert at a time into
+    the ensemble's float32 stack; assignments cycle through each region's
+    places so fused matching has real work to do.  The model is marked
+    regularized with the filter disabled.
     """
     sim = sim or SimulationParams.defaults()
     encoding = encoding or EncodingConfig(min_output_spikes=0)
@@ -85,10 +86,8 @@ def synthetic_ensemble(
     weights = np.empty((n_inputs, n_experts, n_excitatory), dtype=np.float32)
     experts = []
     for i in range(n_experts):
-        rng = np.random.default_rng(derive_seed(seed, i))
-        w = rng.uniform(0.0, sim.weight_init_max, size=(n_inputs, n_excitatory))
-        w *= sim.weight_norm_target / w.sum(axis=0)
-        np.clip(w, 0.0, sim.stdp.w_max, out=w)
+        w = init_weights(n_inputs, n_excitatory, derive_seed(seed, i), sim.weight_init_max)
+        normalize_columns(w, sim.weight_norm_target, sim.stdp.w_max)
         weights[:, i] = w
         experts.append(ExpertModel(
             weights=weights[:, i],

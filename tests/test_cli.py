@@ -110,6 +110,22 @@ class TestTrain:
         assert rc == 2
         assert_one_error_line(capsys, "seed")
 
+    @pytest.mark.parametrize("encoding, fragment", [
+        ({"max_rate_hz": 1e308}, "spikes per input"),
+        ({"retry_boost_hz": -100.0, "min_output_spikes": 1000}, "retry settings"),
+    ])
+    def test_an_encoding_no_train_can_draw_exits_2(self, world, tmp_path, capsys,
+                                                   encoding, fragment):
+        _, cfg, ref, _ = world
+        data = json.loads(open(cfg).read())
+        data["encoding"] = {**data["encoding"], **encoding}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "model"
+        assert main(["train", "--config", str(path), "--ref-dirs", ref, "--out", str(out)]) == 2
+        assert_one_error_line(capsys, fragment)
+        assert not out.exists()
+
     @pytest.mark.parametrize("places", ["0", "-3"])
     def test_nonpositive_places_exits_2(self, world, places, capsys):
         root, cfg, ref, _ = world
@@ -141,6 +157,22 @@ class TestRegularize:
             flagged.append(sum(int(ex.hyperactive.sum()) for ex in model.experts))
         assert flagged[0] >= flagged[1] >= flagged[2]
 
+
+    def test_a_rewritten_reference_image_exits_2(self, world, trained_archive, tmp_path,
+                                                 capsys):
+        _, cfg, ref, _ = world
+        changed = tmp_path / "ref"  # the trained traverse's name, with one image rewritten
+        shutil.copytree(ref, changed)
+        write_pgm(changed / "place_001.pgm", np.zeros((8, 8)))
+        model = str(tmp_path / "model")
+        shutil.copytree(trained_archive, model)
+        before = read_archive_bytes(model)
+        assert main(["regularize", "--config", cfg, "--model", model,
+                     "--ref-dirs", str(changed), "--theta", "5"]) == 2
+        assert_one_error_line(
+            capsys, "traverse 'ref' does not match the data this model was trained on"
+        )
+        assert read_archive_bytes(model) == before
 
     def test_a_users_old_backup_survives_regularize(self, world, trained_archive, tmp_path):
         _, cfg, ref, _ = world
@@ -408,6 +440,19 @@ class TestMatch:
         assert rc == 2
         assert_one_error_line(capsys, "config")
 
+    def test_an_encoding_no_train_can_draw_exits_2(self, world, trained_archive, tmp_path,
+                                                   capsys):
+        root, cfg, ref, _ = world
+        broken = tmp_path / "loud"
+        shutil.copytree(trained_archive, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["config"]["encoding"]["max_rate_hz"] = 1e308
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["match", "--model", str(broken),
+                   "--image", os.path.join(ref, "place_002.pgm")])
+        assert rc == 2
+        assert_one_error_line(capsys, "spikes per input")
+
     def test_assignment_past_the_place_count_exits_2(self, world, trained_archive, tmp_path,
                                                      capsys):
         root, cfg, ref, _ = world
@@ -465,13 +510,16 @@ class TestCalibrate:
 
 
 class TestCalibrationSplitHygiene:
-    def test_loader_never_touches_test_range_files(self, world):
-        from snnplace.cli import _load_traverses, load_config
+    def test_loader_never_touches_test_range_files(self, world, monkeypatch):
+        import snnplace.cli as cli
 
         _, cfg_path, ref, _ = world
-        cfg = load_config(cfg_path)
-        _, manifests, files_read = _load_traverses([ref], "calibration", cfg,
-                                                   place_range=(0, 2))
+        cfg = cli.load_config(cfg_path)
+        files_read = []
+        encoder_input = cli._encoder_input
+        monkeypatch.setattr(cli, "_encoder_input",
+                            lambda path, *a: files_read.append(path) or encoder_input(path, *a))
+        _, manifests = cli._load_traverses([ref], cfg, place_range=(0, 2))
         test_range_paths = set(manifests[0].paths()[2:])
         assert test_range_paths, "world should hold places beyond the cal range"
         assert test_range_paths.isdisjoint(files_read)

@@ -29,7 +29,10 @@ ONE_BAD_FIELD = [
     (SimulationParams.defaults(), "dt_ms", 0.0),
     (PatchNormConfig(), "epsilon", 0.0),
     (EncodingConfig(), "presentation_ms", float("nan")),
+    (EncodingConfig(), "retry_boost_hz", -100.0),   # a retry would draw at a negative rate
+    (EncodingConfig(), "max_retries", 10**400),     # past any float: no peak rate to check
     (ExpertConfig(), "n_excitatory", 10),
+    (ExpertConfig(), "places_per_expert", 0),
     (ImageConfig(), "width", 0),
     (CalibrationGrids(), "tau_gi_grid", ()),
     (CalibrationGrids(), "theta_grid", (-5.0,)),
@@ -49,6 +52,19 @@ def test_building_with_one_bad_field_raises(config, name, value):
     with pytest.raises(ConfigError):
         dataclasses.replace(config, **{name: value})
 
+
+def test_the_peak_spike_bound_is_inclusive():
+    from snnplace.imaging import MAX_PEAK_SPIKES
+
+    # 2.5 MHz for 400 ms draws exactly MAX_PEAK_SPIKES spikes per input.
+    rates = {"max_rate_hz": 2500.0 * 1000, "retry_boost_hz": 0.0, "presentation_ms": 400.0}
+    EncodingConfig(**rates)
+    with pytest.raises(ConfigError, match=f"more than {MAX_PEAK_SPIKES} spikes per input"):
+        EncodingConfig(**{**rates, "max_rate_hz": 2500.0 * 1000 + 1})
+    for encoding in ({"max_rate_hz": 1e308}, {"retry_boost_hz": 1e300, "max_retries": 10**30},
+                     {"presentation_ms": 1e308}):
+        with pytest.raises(ConfigError, match="spikes per input"):
+            EncodingConfig(**encoding)
 
 def test_with_tau_gi_is_checked():
     with pytest.raises(ConfigError, match="time constants"):

@@ -312,8 +312,9 @@ class TestTrainEnsemble:
     def test_expert_count_follows_partition(self):
         model = self._train(workers=1)
         assert len(model.experts) == 2
-        assert model.experts[0].place_range() == (0, 2)
-        assert model.experts[1].place_range() == (2, 4)
+        first, second = model.experts
+        assert (first.global_start, first.global_start + first.n_places) == (0, 2)
+        assert (second.global_start, second.global_start + second.n_places) == (2, 4)
 
     def test_detect_hyperactive_fills_totals_and_flags(self):
         textures = tiny_textures(4, seed=20)[None]

@@ -524,6 +524,26 @@ class TestNormalization:
         normalize_columns(w, 10.0, w_max=1.0)
         assert w.max() <= 1.0
 
+    def test_in_place_scaling_matches_the_masked_formula_bit_for_bit(self):
+        # The formula normalize_columns had, which scaled a masked copy of the columns.
+        def masked(w, target_sum, w_max):
+            sums = w.sum(axis=0)
+            nonzero = sums > 0
+            w[:, nonzero] *= target_sum / sums[nonzero]
+            np.clip(w, 0.0, w_max, out=w)
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            shape = tuple(rng.integers(1, 40, size=2))
+            # Weights over 60 binades, and about a fifth of the columns all zero.
+            w = rng.uniform(0.5, 1.0, size=shape) * 2.0 ** rng.integers(-50, 10, size=shape)
+            w[:, rng.uniform(size=shape[1]) < 0.2] = 0.0
+            target, w_max = rng.uniform(0.1, 100.0), rng.uniform(0.1, 2.0)
+            want = w.copy()
+            masked(want, target, w_max)
+            normalize_columns(w, target, w_max)
+            assert w.tobytes() == want.tobytes()
+
 
 class TestPresentation:
     def test_empty_train_zero_spikes(self):

@@ -513,27 +513,27 @@ class TestManifests:
         rng = np.random.default_rng(42)
         for name in ("b.pgm", "a.pgm", "c.pgm"):
             write_pgm(tmp_path / name, rng.uniform(size=(4, 4)))
-        manifest = scan_traverse(tmp_path, role="reference")
+        manifest = scan_traverse(tmp_path)
         assert manifest.filenames == ("a.pgm", "b.pgm", "c.pgm")
         assert manifest.place_count == 3
         assert len(manifest.fingerprint) == 64
-        again = scan_traverse(tmp_path, role="reference")
+        again = scan_traverse(tmp_path)
         assert manifest.fingerprint == again.fingerprint
 
     def test_fingerprint_tracks_content(self, tmp_path):
         rng = np.random.default_rng(43)
         write_pgm(tmp_path / "a.pgm", rng.uniform(size=(4, 4)))
-        before = scan_traverse(tmp_path, role="reference").fingerprint
+        before = scan_traverse(tmp_path).fingerprint
         write_pgm(tmp_path / "a.pgm", rng.uniform(size=(4, 4)))
-        assert scan_traverse(tmp_path, role="reference").fingerprint != before
+        assert scan_traverse(tmp_path).fingerprint != before
 
     def test_missing_directory_rejected(self):
         with pytest.raises(IngestError, match="no/such"):
-            scan_traverse("no/such/dir", role="query")
+            scan_traverse("no/such/dir")
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(IngestError):
-            scan_traverse(tmp_path, role="query")
+            scan_traverse(tmp_path)
 
 
 V1 = pathlib.Path(__file__).parent / "data" / "v1"
@@ -616,6 +616,18 @@ class TestFormat1Archive:
 
 
 V1_MANIFEST = json.loads((V1 / "model" / "manifest.json").read_text())
+
+
+def test_flags_that_do_not_follow_theta_are_an_archive_error(tmp_path):
+    # At theta=21 expert 1's totals [15, 20, 20, 17] flag nothing, but it stores
+    # theta=20's flags [false, true, true, false].
+    path = tmp_path / "model"
+    shutil.copytree(V1 / "model", path)
+    edited = copy.deepcopy(V1_MANIFEST)
+    edited["theta"] = 21
+    (path / "manifest.json").write_text(json.dumps(edited))
+    with pytest.raises(ArchiveError, match="expert 1's hyperactive flags"):
+        load_ensemble(path)
 
 
 class TestFormat1Mutations:
