@@ -147,6 +147,14 @@ def _check_output_dir(path: str) -> None:
         raise ConfigError(f"cannot make directory {path!r}: {existing!r} is not a directory")
 
 
+def _load_regularized(path: str) -> ens.EnsembleModel:
+    """The archive at ``path``, which must hold reference totals to be queried."""
+    model = store.load_ensemble(path)
+    if not model.regularized:
+        raise ConfigError("model has no reference totals: run `regularize` first")
+    return model
+
+
 def cmd_train(args) -> int:
     cfg = _run_config(args)
     if args.places is not None and args.places < 1:
@@ -214,9 +222,7 @@ def cmd_calibrate(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _run_config(args)
     _check_output_dir(args.report_dir)
-    model = store.load_ensemble(args.model)
-    if not model.regularized:
-        raise ConfigError("model has no reference totals: run `regularize` first")
+    model = _load_regularized(args.model)
     if args.params:
         chosen = _read_json_object(args.params, "params file")
         ens.apply_threshold(model, chosen.get("theta", model.theta))
@@ -258,7 +264,7 @@ def cmd_match(args) -> int:
         raise ConfigError(f"--top must be >= 1, got {args.top}")
     if args.query_id < 0:
         raise ConfigError(f"--query-id must be >= 0, got {args.query_id}")
-    model = store.load_ensemble(args.model)
+    model = _load_regularized(args.model)
     query = _encoder_input(args.image, model.image_size, model.patch)
     result = ens.match_query(model, query, query_id=args.query_id)
     top = min(args.top, model.place_count)
@@ -293,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         if seed:
             p.add_argument("--seed", type=int, help="global random seed")
-        p.add_argument("--workers", type=int, help="worker processes (0 = all cores)")
+        p.add_argument("--workers", type=int,
+                       help="worker processes (0 = every usable core; capped at them)")
 
     p = sub.add_parser("train", help="train an ensemble from reference traverses")
     common(p)

@@ -108,7 +108,7 @@ class RunConfig:
     """Every tunable of the pipeline; its JSON form is the config file."""
 
     seed: int = 0
-    workers: int = 0                      # 0: use all available cores
+    workers: int = 0                      # 0: every usable core; more are capped to them
     image: ImageConfig = ImageConfig()
     patch: PatchNormConfig = PatchNormConfig()
     encoding: EncodingConfig = EncodingConfig()
@@ -121,7 +121,12 @@ class RunConfig:
         return (self.image.width, self.image.height)
 
     def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        """``workers`` (0: all), capped at the cores this process may run on."""
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
+        return min(self.workers or usable, usable)
 
     def __post_init__(self) -> None:
         width, height = self.image_size

@@ -29,8 +29,9 @@ image.  A block of small experts (K > 1, N * K up to
 gather over its images, any other block image by image, with the same
 bits.  Batches run in parallel over contiguous image chunks, so results
 never depend on the worker count or the block size.  Each place's score is
-the summed response of the non-hyperactive neurons assigned to it, and the
-ranking is the descending score order (ties toward the lowest place id).
+the summed response of the non-hyperactive neurons that vote for it in
+``neuron_places``, and the ranking is the descending score order (ties
+toward the lowest place id).
 """
 
 from __future__ import annotations
@@ -239,11 +240,12 @@ def train_ensemble(
 def flags_for_theta(totals, theta) -> np.ndarray:
     """The hyperactivity rule: flag every neuron whose reference total is >= theta.
 
-    None or 0 disables the filter; any other theta must be a finite number > 0.
+    The flags have the shape of ``totals``.  None or 0 disables the filter;
+    any other theta must be a finite number > 0.
     """
     real = isinstance(theta, numbers.Real) and not isinstance(theta, bool)
     if theta is None or (real and theta == 0):
-        return np.zeros(len(totals), dtype=bool)
+        return np.zeros(np.shape(totals), dtype=bool)
     if not (real and 0 < theta <= sys.float_info.max):  # exact for ints of any size
         raise ConfigError(f"theta must be 0 (filter off) or a finite number > 0, not {theta!r}")
     return np.asarray(totals) >= theta
@@ -285,28 +287,36 @@ def apply_threshold(model: EnsembleModel, theta: float | None) -> EnsembleModel:
     return model
 
 
+def neuron_places(model: EnsembleModel) -> np.ndarray:
+    """The (N, K) int64 global place each neuron votes for, UNASSIGNED where it has none.
+
+    Neuron e of expert i votes for place ``global_start + assignments[e]``,
+    the place it answered most in training.  Built on each call, so it
+    reads the experts as they are now.
+    """
+    local = np.stack([ex.assignments for ex in model.experts])
+    starts = np.array([[ex.global_start] for ex in model.experts], dtype=np.int64)
+    return np.where(local == UNASSIGNED, UNASSIGNED, local + starts)
+
+
 def fuse_scores(
     model: EnsembleModel,
     per_expert_counts: list[np.ndarray] | np.ndarray,
-    flags: list[np.ndarray] | None = None,
+    flags: list[np.ndarray] | np.ndarray | None = None,
 ) -> MatchResult:
-    """Reduce per-expert neuron responses into the global place ranking.
+    """Reduce (N, K) neuron responses into the global place ranking.
 
-    Each assigned, non-hyperactive neuron contributes its spike count to
-    its place's score.  ``flags`` overrides the experts' stored hyperactive
-    flags (used by threshold sweeps over cached responses).
+    Each assigned, non-hyperactive neuron adds its spike count to its place
+    in the vote table (``neuron_places``).  ``flags``, a per-expert list or
+    an (N, K) array, overrides the experts' stored hyperactive flags (used
+    by threshold sweeps over cached responses).
     """
+    places = neuron_places(model)
+    counts = np.asarray(per_expert_counts)
+    flags = [ex.hyperactive for ex in model.experts] if flags is None else flags
+    keep = (places != UNASSIGNED) & ~np.asarray(flags) & (counts > 0)
     scores = np.zeros(model.place_count, dtype=np.int64)
-    for i, expert in enumerate(model.experts):
-        counts = np.asarray(per_expert_counts[i])
-        flag = expert.hyperactive if flags is None else flags[i]
-        keep = (expert.assignments != UNASSIGNED) & ~flag & (counts > 0)
-        if keep.any():
-            np.add.at(
-                scores,
-                expert.global_start + expert.assignments[keep],
-                counts[keep],
-            )
+    np.add.at(scores, places[keep], counts[keep])
     order = np.lexsort((np.arange(model.place_count), -scores))
     return MatchResult(place_ids=order.astype(np.int64), scores=scores[order])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import EnsembleModel, MatchResult, fuse_scores
+from .ensemble import EnsembleModel, MatchResult, fuse_scores, neuron_places
 from .errors import ConfigError
 from .expert import UNASSIGNED
 
@@ -24,7 +24,7 @@ def records_from_responses(
     model: EnsembleModel,
     responses: np.ndarray,
     truths,
-    flags: list[np.ndarray] | None = None,
+    flags: list[np.ndarray] | np.ndarray | None = None,
 ) -> list[MatchResult]:
     """Rank cached (n_queries, n_experts, n_excitatory) responses; each carries its truth.
 
@@ -96,31 +96,25 @@ def neuron_precision_analysis(
 ) -> tuple[list[NeuronPrecisionRecord], dict]:
     """Per-neuron firing precision over a query set, split by hyperactivity.
 
-    A neuron "fires" on a query when its count is nonzero.  Unassigned
+    A neuron "fires" on a query when its count is nonzero, and fires
+    correctly when the truth is its place in ``ensemble.neuron_places``.
+    Counts are taken one expert's (queries, K) slice at a time.  Unassigned
     neurons and neurons that never fired carry no precision and are only
     tallied in the summary.
     """
-    truths = np.asarray(truths)
-    records = []
-    n_never_fired = 0
-    n_unassigned = 0
-    for i, expert in enumerate(model.experts):
+    truths = np.asarray(truths)[:, None]
+    places = neuron_places(model)
+    fired_total, fired_correct = np.zeros((2,) + places.shape, dtype=np.int64)
+    for i in range(len(model.experts)):
         fired = responses[:, i, :] > 0                      # (n_queries, K_E)
-        for e in range(expert.n_excitatory):
-            if expert.assignments[e] == UNASSIGNED:
-                n_unassigned += 1
-                continue
-            total = int(fired[:, e].sum())
-            if total == 0:
-                n_never_fired += 1
-                continue
-            place = expert.global_start + int(expert.assignments[e])
-            correct = int((fired[:, e] & (truths == place)).sum())
-            records.append(NeuronPrecisionRecord(
-                expert=i, neuron=e, assigned_place=place,
-                hyperactive=bool(expert.hyperactive[e]),
-                fired_correct=correct, fired_total=total,
-            ))
+        fired_total[i], fired_correct[i] = fired.sum(0), (fired & (truths == places[i])).sum(0)
+    assigned = places != UNASSIGNED
+    cells = np.nonzero(assigned & (fired_total > 0))        # (expert, neuron) order
+    hyperactive = np.stack([ex.hyperactive for ex in model.experts])
+    columns = (*cells, places[cells], hyperactive[cells], fired_correct[cells], fired_total[cells])
+    records = [NeuronPrecisionRecord(*row) for row in zip(*(c.tolist() for c in columns))]
+    n_unassigned = int((~assigned).sum())
+    n_never_fired = places.size - n_unassigned - len(records)
     summary = {
         "n_never_fired": n_never_fired,
         "n_unassigned": n_unassigned,

@@ -4,6 +4,8 @@ An archive is a directory holding ``manifest.json`` plus one raw weight
 payload per expert (little-endian float32, row-major [n_inputs x
 n_excitatory]).  Everything else — assignments, adaptive thresholds,
 reference totals, hyperactive flags, full config — lives in the manifest.
+Each per-neuron list is spelled once, in ``_PER_NEURON``: the save, the
+load and the shape check all read its manifest key, type and element test.
 Python's JSON writer emits shortest round-trip float representations, so
 save/load is bit-exact; saves go through a temporary name and a final
 atomic rename.  A save writes one expert's payload at a time from its
@@ -57,14 +59,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Per-neuron manifest lists: the array type and the test each element must pass
-# first, since numpy's cast would truncate 1.9 to 1 and read "no" as True.
+# Per-neuron fields by ExpertModel attribute: the manifest key, the array type,
+# and the test each listed element must pass first, since numpy's cast would
+# truncate 1.9 to 1 and read "no" as True.
 _PER_NEURON = {
-    "theta_adapt_mv": (np.float64, "numbers",
-                       lambda v: _is_int(v) or isinstance(v, float)),
-    "assignments": (np.int64, "integers", _is_int),
-    "reference_totals": (np.int64, "non-negative integers", lambda v: _is_int(v) and v >= 0),
-    "hyperactive": (bool, "true or false", lambda v: isinstance(v, bool)),
+    "theta": ("theta_adapt_mv", np.float64, "numbers",
+              lambda v: _is_int(v) or isinstance(v, float)),
+    "assignments": ("assignments", np.int64, "integers", _is_int),
+    "reference_totals": ("reference_totals", np.int64, "non-negative integers",
+                         lambda v: _is_int(v) and v >= 0),
+    "hyperactive": ("hyperactive", bool, "true or false", lambda v: isinstance(v, bool)),
 }
 
 
@@ -178,10 +182,8 @@ def _manifest(model: EnsembleModel) -> dict:
             "n_excitatory": ex.n_excitatory,
             "global_start": ex.global_start,
             "n_places": ex.n_places,
-            "theta_adapt_mv": [float(t) for t in ex.theta],
-            "assignments": [int(a) for a in ex.assignments],
-            "reference_totals": [int(t) for t in ex.reference_totals],
-            "hyperactive": [bool(h) for h in ex.hyperactive],
+            **{key: np.asarray(getattr(ex, attr), dtype).tolist()
+               for attr, (key, dtype, *_) in _PER_NEURON.items()},
         }
         for i, ex in enumerate(model.experts)
     ]
@@ -297,12 +299,9 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
         where = f"archive {path!r}: expert {i}"
         experts.append(ExpertModel(
             weights=weights[:, i],
-            theta=_per_neuron(meta, "theta_adapt_mv", where),
-            assignments=_per_neuron(meta, "assignments", where),
+            **{attr: _per_neuron(meta, attr, where) for attr in _PER_NEURON},
             global_start=meta["global_start"],
             n_places=meta["n_places"],
-            reference_totals=_per_neuron(meta, "reference_totals", where),
-            hyperactive=_per_neuron(meta, "hyperactive", where),
         ))
     return EnsembleModel(
         experts=experts,
@@ -381,8 +380,8 @@ def _check_payload_size(payload_path: str, size: int, expected: int) -> None:
         raise ArchiveError(f"payload {payload_path!r} holds {size} bytes, expected {expected}")
 
 
-def _per_neuron(meta: dict, key: str, where: str) -> np.ndarray:
-    dtype, wanted, valid = _PER_NEURON[key]
+def _per_neuron(meta: dict, attr: str, where: str) -> np.ndarray:
+    key, dtype, wanted, valid = _PER_NEURON[attr]
     values = meta[key]
     if not (isinstance(values, list) and all(map(valid, values))):
         raise ArchiveError(f"{where} {key} must be a list of {wanted}")
@@ -405,7 +404,7 @@ def _check_consistent(model: EnsembleModel, path: str) -> None:
     check_presentation_steps(model.encoding, model.sim)
     flags_for_theta((), model.theta)
     for i, ex in enumerate(model.experts):
-        for name in ("theta", "assignments", "reference_totals", "hyperactive"):
+        for name in _PER_NEURON:
             if getattr(ex, name).shape != (ex.n_excitatory,):
                 raise ArchiveError(
                     f"archive {path!r}: expert {i} lists {name} of shape "

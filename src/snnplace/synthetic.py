@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .ensemble import EnsembleModel, match_query
+from .ensemble import EnsembleModel, match_query, neuron_places
 from .errors import StateError
 from .expert import UNASSIGNED, ExpertModel
 from .imaging import (
@@ -166,14 +166,9 @@ def inject_cross_region_responders(
     rng = np.random.default_rng(seed)
     winners = [int(np.argmax(ex.reference_totals)) for ex in model.experts]
 
-    n_total = sum(ex.n_excitatory for ex in model.experts)
-    n_inject = int(round(fraction * n_total))
-    candidates = [
-        (i, e)
-        for i, ex in enumerate(model.experts)
-        for e in range(ex.n_excitatory)
-        if ex.assignments[e] != UNASSIGNED
-    ]
+    places = neuron_places(model)
+    n_inject = int(round(fraction * places.size))
+    candidates = np.argwhere(places != UNASSIGNED).tolist()  # (expert, neuron), row-major
     picks = rng.choice(len(candidates), size=min(n_inject, len(candidates)), replace=False)
     injected = []
     for pick in sorted(picks):

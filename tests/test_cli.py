@@ -467,6 +467,23 @@ class TestMatch:
         assert_one_error_line(capsys, "assigns a neuron outside")
 
 
+    def test_unregularized_archive_exits_2_as_evaluate_does(self, world, tmp_path, capsys):
+        _, cfg, ref, query = world
+        model = str(tmp_path / "model")
+        assert main(["train", "--config", cfg, "--ref-dirs", ref, "--places", "2",
+                     "--out", model]) == 0
+        capsys.readouterr()
+        errors = []
+        for argv in (["match", "--model", model, "--image", os.path.join(ref, "place_000.pgm")],
+                     ["evaluate", "--config", cfg, "--model", model, "--query-dir", query,
+                      "--report-dir", str(tmp_path / "reports")]):
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "error: model has no reference totals: run `regularize` first\n"
+        )
+
+
 class TestCalibrate:
     def test_tiny_grid_end_to_end(self, world):
         root, cfg, ref, query = world

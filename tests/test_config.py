@@ -1,6 +1,7 @@
 """Every config dataclass checks its own invariants when it is built."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -105,6 +106,23 @@ def test_the_step_cap_is_inclusive():
 
 def test_input_count_follows_the_image():
     assert RunConfig(image=ImageConfig(width=14, height=14)).image_size == (14, 14)
+
+
+def test_workers_are_capped_at_the_usable_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert RunConfig(workers=0).effective_workers() == 2
+    assert RunConfig(workers=10**6).effective_workers() == 2
+    assert RunConfig(workers=1).effective_workers() == 1
+
+
+def test_workers_fall_back_to_the_cpu_count_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert RunConfig(workers=0).effective_workers() == 3
+    assert RunConfig(workers=5).effective_workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert RunConfig(workers=0).effective_workers() == 1
 
 
 def test_inhibitory_layer_takes_no_g_i_constants():

@@ -118,6 +118,11 @@ class TestFlags:
         assert not flags_for_theta(np.array([0, 1, 50]), 0.0).any()
         assert not flags_for_theta(np.array([0, 1, 50]), None).any()
 
+    def test_filter_off_keeps_the_shape_of_the_totals(self):
+        for theta in (None, 0):
+            flags = flags_for_theta(np.zeros((3, 4)), theta)
+            assert flags.shape == (3, 4) and flags.dtype == bool and not flags.any()
+
     @pytest.mark.parametrize("theta", [
         -5, -0.5, float("nan"), float("inf"), "abc", "100", True, False, np.bool_(True),
     ])
@@ -197,10 +202,12 @@ class TestFuse:
         rng = np.random.default_rng(12)
         for _ in range(300):
             model, counts, flags = random_instance(rng)
-            fused = fuse_scores(model, counts)
             places, scores = brute_force_ranking(model, counts, flags)
-            np.testing.assert_array_equal(fused.place_ids, places)
-            np.testing.assert_array_equal(fused.scores, scores)
+            # stored flags, the per-expert list and the (N, K) array give one ranking
+            for given_flags in (None, flags, np.stack(flags)):
+                fused = fuse_scores(model, counts, given_flags)
+                np.testing.assert_array_equal(fused.place_ids, places)
+                np.testing.assert_array_equal(fused.scores, scores)
 
     def test_fusion_is_order_independent(self):
         rng = np.random.default_rng(13)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from snnplace.ensemble import MatchResult
+from snnplace.ensemble import MatchResult, apply_threshold
 from snnplace.errors import ConfigError
 from snnplace.expert import UNASSIGNED
 from snnplace.metrics import (
+    NeuronPrecisionRecord,
     neuron_precision_analysis,
     pr_curve,
     precision_at_100_recall,
@@ -166,6 +167,67 @@ class TestNeuronPrecision:
         records, summary = neuron_precision_analysis(model, fires, [0, 1, 0, 1])
         assert summary["hyperactive"]["n"] == 1
         assert summary["non_hyperactive"]["n"] == 1
+
+
+def neuron_precision_oracle(model, responses, truths):
+    """Per-neuron precision, one neuron at a time, with the summary spelled out."""
+    truths = np.asarray(truths)
+    records = []
+    n_never_fired = 0
+    n_unassigned = 0
+    for i, expert in enumerate(model.experts):
+        fired = responses[:, i, :] > 0
+        for e in range(expert.n_excitatory):
+            if expert.assignments[e] == UNASSIGNED:
+                n_unassigned += 1
+                continue
+            total = int(fired[:, e].sum())
+            if total == 0:
+                n_never_fired += 1
+                continue
+            place = expert.global_start + int(expert.assignments[e])
+            correct = int((fired[:, e] & (truths == place)).sum())
+            records.append(NeuronPrecisionRecord(
+                expert=i, neuron=e, assigned_place=place,
+                hyperactive=bool(expert.hyperactive[e]),
+                fired_correct=correct, fired_total=total,
+            ))
+    summary = {"n_never_fired": n_never_fired, "n_unassigned": n_unassigned}
+    for label, hot in (("hyperactive", True), ("non_hyperactive", False)):
+        group = [r.precision for r in records if r.hyperactive == hot]
+        summary[label] = {"n": len(group)}
+        if group:
+            q1, q2, q3 = np.percentile(group, [25, 50, 75])
+            summary[label].update(mean=float(np.mean(group)), q1=float(q1),
+                                  median=float(q2), q3=float(q3))
+    return records, summary
+
+
+class TestNeuronPrecisionOracle:
+    def test_matches_the_per_neuron_loop(self):
+        rng = np.random.default_rng(23)
+        field_types = {"expert": int, "neuron": int, "assigned_place": int,
+                       "hyperactive": bool, "fired_correct": int, "fired_total": int}
+        for _ in range(300):
+            n_experts = int(rng.integers(1, 6))
+            k = int(rng.integers(1, 10))
+            places_per = int(rng.integers(1, 5))
+            assignments = [rng.integers(UNASSIGNED, places_per, size=k)
+                           for _ in range(n_experts)]
+            totals = [rng.integers(0, 40, size=k) for _ in range(n_experts)]
+            model = handmade_ensemble([np.zeros(k)] * n_experts, assignments,
+                                      totals_per_expert=totals, places_per_expert=places_per)
+            apply_threshold(model, int(rng.integers(0, 45)))   # 0: the filter is off
+            n_queries = int(rng.integers(0, 21))
+            silent = rng.random((n_queries, n_experts, k)) < rng.random()
+            responses = np.where(silent, 0, rng.integers(1, 5, size=silent.shape))
+            truths = rng.integers(0, model.place_count, size=n_queries)
+            records, summary = neuron_precision_analysis(model, responses, truths)
+            expected_records, expected_summary = neuron_precision_oracle(model, responses, truths)
+            assert records == expected_records
+            assert summary == expected_summary
+            for r in records:
+                assert {name: type(getattr(r, name)) for name in field_types} == field_types
 
 
 class TestSad:
