@@ -67,19 +67,22 @@ def _overlay(base: dict, data: dict) -> dict:
     return merged
 
 
+# The flags that set an ExpertConfig value: (flag, field, help).
+_EXPERT_FLAGS = (
+    ("--kappa", "places_per_expert", "places per expert"),
+    ("--neurons", "n_excitatory", "excitatory neurons per expert"),
+    ("--epochs", "epochs", "training epochs"),
+)
+
+
 def _override(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates: dict = {}
     for field in ("seed", "workers"):
         value = getattr(args, field, None)
         if value is not None:
             updates[field] = value
-    expert_updates = {}
-    if getattr(args, "kappa", None) is not None:
-        expert_updates["places_per_expert"] = args.kappa
-    if getattr(args, "neurons", None) is not None:
-        expert_updates["n_excitatory"] = args.neurons
-    if getattr(args, "epochs", None) is not None:
-        expert_updates["epochs"] = args.epochs
+    expert_updates = {field: value for flag, field, _ in _EXPERT_FLAGS
+                      if (value := getattr(args, flag[2:], None)) is not None}
     if expert_updates:
         updates["expert"] = dataclasses.replace(cfg.expert, **expert_updates)
     return dataclasses.replace(cfg, **updates) if updates else cfg
@@ -302,13 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int,
                        help="worker processes (0 = every usable core; capped at them)")
 
+    def expert_flags(p):
+        for flag, _, text in _EXPERT_FLAGS:
+            p.add_argument(flag, type=int, help=text)
+
     p = sub.add_parser("train", help="train an ensemble from reference traverses")
     common(p)
     p.add_argument("--ref-dirs", nargs="+", required=True, help="reference image directories")
     p.add_argument("--places", type=int, help="number of places (default: full traverse)")
-    p.add_argument("--kappa", type=int, help="places per expert")
-    p.add_argument("--neurons", type=int, help="excitatory neurons per expert")
-    p.add_argument("--epochs", type=int, help="training epochs")
+    expert_flags(p)
     p.add_argument("--out", required=True, help="output archive directory")
     p.add_argument("--force", action="store_true", help="overwrite an existing archive")
     p.set_defaults(func=cmd_train)
@@ -328,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cal-range", required=True, help="calibration places as START:STOP")
     p.add_argument("--tau-gi-grid", type=float, nargs="+")
     p.add_argument("--theta-grid", type=float, nargs="+")
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--neurons", type=int)
-    p.add_argument("--epochs", type=int)
+    expert_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_calibrate)
 

@@ -19,7 +19,7 @@ import typing
 
 from .calibration import CalibrationGrids
 from .errors import ConfigError
-from .expert import ExpertConfig
+from .expert import GROUP_SIZE, ExpertConfig
 from .imaging import EncodingConfig, PatchNormConfig
 from .network import SimulationParams
 
@@ -68,6 +68,10 @@ def _decode(hint, value, where: str):
 
 # Steps one presentation or rest window may last: its step offsets take 8 MB.
 MAX_WINDOW_STEPS = 1_000_000
+
+# Bytes one learning group's float64 weights may take, GROUP_SIZE x (inputs + 1)
+# x n_excitatory x 8: 4 GiB, where the defaults take 80 MB.
+MAX_GROUP_WEIGHT_BYTES = 4 * 2**30
 
 
 def check_presentation_steps(encoding: EncodingConfig, simulation: SimulationParams) -> None:
@@ -136,4 +140,11 @@ class RunConfig:
             raise ConfigError("workers must be >= 0")
         if width % self.patch.patch_width or height % self.patch.patch_height:
             raise ConfigError("image dimensions must be multiples of the patch size")
+        group_bytes = GROUP_SIZE * (width * height + 1) * self.expert.n_excitatory * 8
+        if group_bytes > MAX_GROUP_WEIGHT_BYTES:
+            raise ConfigError(
+                f"expert.n_excitatory ({self.expert.n_excitatory}) on {width}x{height} images "
+                f"needs {group_bytes} bytes of weights for a learning group of {GROUP_SIZE}, "
+                f"more than {MAX_GROUP_WEIGHT_BYTES}"
+            )
         check_presentation_steps(self.encoding, self.simulation)

@@ -105,9 +105,11 @@ class EncodingConfig:
 class SpikeTrain:
     """Spike times of the input layer for one presentation window.
 
-    ``times`` (ms) and ``indices`` are parallel arrays grouped by neuron,
-    ascending in time within each neuron.  All times lie in
-    [0, duration_ms); all indices are < n_inputs.
+    ``times`` (ms) and ``indices`` are parallel arrays whose indices do not
+    decrease: spikes are grouped by input in ascending order, in no
+    particular time order within an input.  All times lie in
+    [0, duration_ms); all indices are < n_inputs.  ``network.bin_train``
+    orders the spikes by step.
     """
 
     times: np.ndarray
@@ -278,13 +280,9 @@ def poisson_encode(
     window.  Per neuron, the spike count is Poisson(rate * duration) and
     times are uniform on [0, duration) — an exact Poisson process.
 
-    Spikes come out grouped by input in ascending order and ascending in
-    time within each input.  Two sorts put them there: numpy's default
-    argsort of the times, then a stable argsort of the input ids in the
-    smallest unsigned type that holds them, which numpy radix-sorts when
-    that type has at most 16 bits.  The result equals a lexsort on
-    (input, time) bit for bit: only equal (time, input) pairs can land in
-    another order, and swapping identical pairs changes no value.
+    Spikes come out grouped by input in ascending order, each input's in
+    the order they were drawn; nothing here sorts them by time, since
+    ``network.bin_train`` orders them by step.
     """
     intensities = np.clip(np.asarray(image, dtype=np.float64).ravel(), 0.0, None)
     rates_hz = intensities * (cfg.max_rate_hz + rate_boost_hz)
@@ -293,12 +291,9 @@ def poisson_encode(
     total = int(counts.sum())
     times = rng.uniform(0.0, cfg.presentation_ms, size=total)
     indices = np.repeat(np.arange(rates_hz.size, dtype=np.int64), counts)
-    order = np.argsort(times)
-    order = order[np.argsort(indices[order].astype(np.min_scalar_type(rates_hz.size)),
-                             kind="stable")]
     return SpikeTrain(
-        times=times[order],
-        indices=indices[order],
+        times=times,
+        indices=indices,
         n_inputs=rates_hz.size,
         duration_ms=cfg.presentation_ms,
     )

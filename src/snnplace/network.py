@@ -30,12 +30,15 @@ lockstep on a block of images: with weights stacked as (inputs, N, K) and
 B images, every state array takes the shape (B, N, K) and one step loop
 advances all N experts on all B images, each (image, expert) pair with its
 own winner-take-all circuit; one frozen expert alone is their reference.
-Every presentation lays its spikes out one way, as an (m, C) block per step
-whose column c holds train c's rows and then padding.  A small block (K > 1
-and N * K <= ``PAD_BLOCK_CELLS``) gets them as a learning group does, one
-padded gather per step into a copy of the stack with an all-zero row; a
-larger block, or one of one-neuron experts, reads each image's real rows
-from the stack itself, image by image.
+The encoder only draws spikes; ``bin_train`` alone orders them by step, and
+``_pad_block`` alone knows the pad rows: every presentation lays its spikes
+out one way, as an (m, C) block per step whose column c holds train c's
+rows and then padding.  A learning group delivers that block and bumps its
+traces over the same block, pad entries included.  A small frozen block
+(K > 1 and N * K <= ``PAD_BLOCK_CELLS``) gets its spikes as a learning
+group does, one padded gather per step into a copy of the stack with an
+all-zero row; a larger block, or one of one-neuron experts, reads each
+image's real rows from the stack itself, image by image.
 
 There is no randomness anywhere in this module; all stochasticity lives in
 the spike encoder.  One network instance is single-threaded mutable state,
@@ -263,12 +266,12 @@ class SynapseMatrix:
     """Plastic input->excitatory weights plus per-input presynaptic traces.
 
     ``w`` is (G, inputs + 1, K) with (G, inputs + 1) traces for a learning
-    group, whose row ``inputs`` is each expert's all-zero pad row; (inputs,
-    N, K) for frozen experts in lockstep; or (inputs, K) for one frozen
-    expert.  Float32 weights stay float32 (frozen experts); anything else
-    becomes float64.  Float64 arrays are kept as given, views included:
-    learning writes through views of a group's stack.  Only learning reads
-    or writes ``pre_trace``.
+    group, whose row ``inputs`` is each expert's all-zero pad row (its trace
+    counts pad entries and is never read); (inputs, N, K) for frozen experts
+    in lockstep; or (inputs, K) for one frozen expert.  Float32 weights stay
+    float32 (frozen experts); anything else becomes float64.  Float64 arrays
+    are kept as given, views included: learning writes through views of a
+    group's stack.  Only learning reads or writes ``pre_trace``.
     """
 
     __slots__ = ("w", "pre_trace")
@@ -351,10 +354,13 @@ class BinnedTrain(NamedTuple):
 def bin_train(train: SpikeTrain | BinnedTrain, dt_ms: float) -> BinnedTrain:
     """Bin a train's spike times to steps of ``dt_ms``; a binned train passes through.
 
-    Spikes are ordered by step with a stable argsort, so within a step they
-    keep the train's order.  The steps are sorted in the smallest unsigned
-    type that holds the last one, which numpy radix-sorts up to 16 bits; a
-    stable sort of equal keys is one permutation, whatever the key type.
+    This is the one place that orders spikes in time.  They are ordered by
+    step with a stable argsort, so within a step they keep the train's
+    order, which ``SpikeTrain`` gives by ascending input: each step's
+    inputs ascend, whatever order each input's times came in.  The steps
+    are sorted in the smallest unsigned type that holds the last one, which
+    numpy radix-sorts up to 16 bits; a stable sort of equal keys is one
+    permutation, whatever the key type.
     """
     if isinstance(train, BinnedTrain):
         return train
@@ -366,11 +372,6 @@ def bin_train(train: SpikeTrain | BinnedTrain, dt_ms: float) -> BinnedTrain:
     order = np.argsort(steps.astype(np.min_scalar_type(last)), kind="stable")
     indices = train.indices[order].astype(np.int32)
     return BinnedTrain(indices, offsets)
-
-
-def _check_indices(indices: np.ndarray, n_inputs: int) -> None:
-    if len(indices) and (indices.min() < 0 or indices.max() >= n_inputs):
-        raise AssertionError("input spike index out of range: wiring bug")
 
 
 def _summed_rows(rows: np.ndarray) -> np.ndarray:
@@ -385,7 +386,7 @@ def _summed_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def apply_input_spikes(
-    state: LayerState, syn: SynapseMatrix, indices: np.ndarray, counts=None, trace_at=None
+    state: LayerState, syn: SynapseMatrix, indices: np.ndarray, counts=None
 ) -> None:
     """Deliver one step's input spikes to the excitatory conductance.
 
@@ -393,22 +394,17 @@ def apply_input_spikes(
     whose column c holds column c's rows of ``syn.w`` and then pad rows.
     Without ``counts`` one gather and one sum give the (C, ...) conductance
     of every column, so the pad rows must be all zero.  A learning group's
-    columns are its G experts, on its stack flattened to (G * rows, K), and
-    it passes ``trace_at``, the trace positions of the real spikes, which
-    bump the presynaptic traces that STDP reads.  A small frozen block's
-    columns are its B images, on its (inputs + 1, N, K) padded stack.
-    Padding appends +0.0 after each column's real rows, and numpy sums the
-    rows one by one, so every cell gets what its expert alone gets.  With
-    ``counts``, column b reads only its first ``counts[b]`` rows, from a
-    stack without a pad row, and drives ``state.g_e[b]`` (a state without
-    an image axis is a block of one).  Frozen experts never touch the
-    traces.  ``present`` checks every train against the input count once,
-    before padding makes a pad row a valid index.
+    columns are its G experts, on its stack flattened to (G * rows, K); a
+    small frozen block's are its B images, on its (inputs + 1, N, K) padded
+    stack.  Padding appends +0.0 after each column's real rows, and numpy
+    sums the rows one by one, so every cell gets what its expert alone
+    gets.  With ``counts``, column b reads only its first ``counts[b]``
+    rows, from a stack without a pad row, and drives ``state.g_e[b]`` (a
+    state without an image axis is a block of one).  Delivery never
+    touches the traces: ``ExpertNetwork.present`` bumps a learning group's.
     """
     if counts is None:
         state.g_e += _summed_rows(syn.w[indices])
-        if trace_at is not None:
-            np.add.at(syn.pre_trace, trace_at, 1.0)
         return
     g_e = state.g_e if state.g_e.ndim == syn.w.ndim else state.g_e[None]
     for b, m in enumerate(counts):
@@ -481,7 +477,8 @@ def _pad_block(trains: list[BinnedTrain], n_inputs: int, rows: int):
     is its pad row (with ``rows = 0`` every train reads the same weights).
     Step t delivers ``block[starts[t]:starts[t + 1]]``, whose column c holds
     train c's spikes and then padding; ``per_step`` is the (steps, C) count
-    of real spikes.
+    of real spikes.  Each train's indices are checked against ``n_inputs``
+    as it is laid out, since a pad row would be a valid index.
     """
     per_step = np.stack([np.diff(tr.offsets) for tr in trains], axis=1)
     starts = np.zeros(len(per_step) + 1, dtype=np.int64)
@@ -489,6 +486,8 @@ def _pad_block(trains: list[BinnedTrain], n_inputs: int, rows: int):
     block = np.empty((starts[-1], len(trains)), dtype=np.int32)
     block[:] = np.arange(len(trains), dtype=np.int32) * rows + n_inputs
     for c, tr in enumerate(trains):
+        if len(tr.indices) and (tr.indices.min() < 0 or tr.indices.max() >= n_inputs):
+            raise AssertionError("input spike index out of range: wiring bug")
         at = np.repeat(starts[:-1] - tr.offsets[:-1], per_step[:, c]) + np.arange(len(tr.indices))
         block[at, c] = tr.indices + c * rows
     return block, starts, per_step
@@ -561,10 +560,13 @@ class ExpertNetwork:
         threshold evolves.  Frozen experts keep both fixed.  Every mode lays
         its trains out with ``_pad_block``: a learning group on its flattened
         stack, whose pad rows are all zero, and frozen experts on their
-        (inputs, N, K) stack.  A small frozen block of B > 1 images (K > 1,
-        N * K <= ``PAD_BLOCK_CELLS``) gets each step's spikes in one padded
-        (m, B) gather from a copy of its stack with an all-zero row; any
-        other frozen block reads each image's real rows from the stack itself.
+        (inputs, N, K) stack.  A learning group bumps its presynaptic traces
+        with one ``np.add.at`` over each delivered step, pad entries
+        included; STDP reads only the real inputs' traces.  A small frozen
+        block of B > 1 images (K > 1, N * K <= ``PAD_BLOCK_CELLS``) gets each
+        step's spikes in one padded (m, B) gather from a copy of its stack
+        with an all-zero row; any other frozen block reads each image's real
+        rows from the stack itself.
         """
         if learn != self.group:
             raise ValueError("a learning group learns and frozen experts do not")
@@ -576,12 +578,8 @@ class ExpertNetwork:
         exc, inh, syn = self.exc, self.inh, self.syn
         rows = syn.w.shape[1] if learn else 0
         n_inputs = rows - 1 if learn else syn.w.shape[0]
-        for tr in trains:  # before padding makes a pad row a valid index
-            _check_indices(tr.indices, n_inputs)
         block, starts, per_step = _pad_block(trains, n_inputs, rows)
-        padded = not learn and (  # a small frozen block, of N * K cells per image
-            len(trains) > 1 and syn.w.shape[-1] > 1 and syn.w[0].size <= PAD_BLOCK_CELLS
-        )
+        per_image = None  # a learning group and a small frozen block deliver padded steps
         source = syn
         if learn:
             # An inhibitory g_e decayed to a subnormal rounds back to itself when its
@@ -591,11 +589,9 @@ class ExpertNetwork:
             # 1e-290 of 0, so flushing it to 0 cannot change v.
             np.copyto(inh.g_e, 0.0, where=inh.g_e < np.finfo(np.float64).tiny)
             source = SynapseMatrix(syn.w.reshape(-1, syn.w.shape[2]), syn.pre_trace.reshape(-1))
-            trace_at = block[block != np.arange(len(trains), dtype=np.int32) * rows + n_inputs]
-            trace_starts = np.zeros_like(starts)
-            np.cumsum(per_step.sum(axis=1), out=trace_starts[1:])
             plastic = SynapseMatrix(syn.w[:, :n_inputs], syn.pre_trace[:, :n_inputs])
-        elif padded:
+        elif len(trains) > 1 and syn.w.shape[-1] > 1 and syn.w[0].size <= PAD_BLOCK_CELLS:
+            # a small frozen block, of N * K cells per image
             source = SynapseMatrix(np.concatenate([syn.w, np.zeros_like(syn.w[:1])]))
         else:
             per_image = per_step.tolist()  # Python ints index faster, step by step
@@ -606,11 +602,9 @@ class ExpertNetwork:
         for t in range(n_pres + n_rest):
             if t < n_pres and starts[t + 1] > starts[t]:
                 step = block[starts[t]:starts[t + 1]]
-                if learn:
-                    apply_input_spikes(exc, source, step,
-                                       trace_at=trace_at[trace_starts[t]:trace_starts[t + 1]])
-                else:
-                    apply_input_spikes(exc, source, step, None if padded else per_image[t])
+                apply_input_spikes(exc, source, step, None if per_image is None else per_image[t])
+                if learn:  # pad entries bump the pad rows' traces, which nothing reads
+                    np.add.at(source.pre_trace, step, 1.0)
             exc_spiked = lif_step(exc, p.lif_excitatory, dt, homeo)
             fired = np.count_nonzero(exc_spiked)
             if fired and learn:

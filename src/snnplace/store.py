@@ -90,20 +90,29 @@ class DatasetManifest:
 
 
 def scan_traverse(directory: str | os.PathLike) -> DatasetManifest:
-    """Index an image directory: lexicographic filename order defines place ids."""
+    """Index an image directory: lexicographic filename order defines place ids.
+
+    A directory that cannot be listed, or an image entry that cannot be read
+    (a subdirectory named like an image, say), raises ``IngestError``.
+    """
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
         raise IngestError(f"image directory not found: {directory!r}")
-    names = sorted(
-        f for f in os.listdir(directory)
-        if f.lower().endswith(_IMAGE_SUFFIXES)
-    )
+    try:
+        entries = os.listdir(directory)
+    except OSError as exc:
+        raise IngestError(f"cannot list image directory {directory!r}: {exc}") from exc
+    names = sorted(f for f in entries if f.lower().endswith(_IMAGE_SUFFIXES))
     if not names:
         raise IngestError(f"no image files in {directory!r}")
     digest = hashlib.sha256()
     for name in names:
-        with open(os.path.join(directory, name), "rb") as fh:
-            digest.update(hashlib.sha256(fh.read()).digest())
+        path = os.path.join(directory, name)
+        try:
+            with open(path, "rb") as fh:
+                digest.update(hashlib.sha256(fh.read()).digest())
+        except OSError as exc:
+            raise IngestError(f"cannot read image {path!r}: {exc}") from exc
     return DatasetManifest(
         name=os.path.basename(os.path.normpath(directory)),
         directory=directory,

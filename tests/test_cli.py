@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snnplace import cli
 from snnplace.cli import load_config, main
 from snnplace.config import RunConfig, from_json, to_json
-from snnplace.errors import ConfigError
+from snnplace.errors import ConfigError, IngestError
 from snnplace.imaging import write_pgm
 from snnplace.network import LifParams
 from snnplace.store import load_ensemble
@@ -126,6 +127,26 @@ class TestTrain:
         assert_one_error_line(capsys, fragment)
         assert not out.exists()
 
+    def test_a_directory_named_like_an_image_exits_2(self, world, tmp_path, capsys):
+        _, cfg, ref, _ = world
+        traverse = tmp_path / "ref"
+        shutil.copytree(ref, traverse)
+        (traverse / "0003.pgm").mkdir()
+        out = tmp_path / "model"
+        assert main(["train", "--config", cfg, "--ref-dirs", str(traverse), "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "cannot read image", "0003.pgm")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "calibrate"])
+    def test_an_oversized_expert_exits_2_before_loading(self, world, tmp_path, monkeypatch,
+                                                        capsys, command):
+        _, cfg, ref, query = world
+        never_called(monkeypatch, cli, "_load_traverses")
+        rc = main(COMMAND_ARGS[command](cfg, ref, query, tmp_path) + ["--neurons", "1000000000"])
+        assert rc == 2
+        assert_one_error_line(capsys, "n_excitatory (1000000000)", "bytes")
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("places", ["0", "-3"])
     def test_nonpositive_places_exits_2(self, world, places, capsys):
         root, cfg, ref, _ = world
@@ -204,6 +225,50 @@ def assert_one_error_line(capsys, *fragments):
 def never_called(monkeypatch, owner, name):
     """Replace ``owner.name`` with a function that fails the test when called."""
     monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail(f"{name} was called"))
+
+
+# Each command's arguments short of the flags a test adds; output goes under ``out``.
+COMMAND_ARGS = {
+    "train": lambda cfg, ref, query, out: [
+        "train", "--config", cfg, "--ref-dirs", ref, "--out", str(out / "model")],
+    "calibrate": lambda cfg, ref, query, out: [
+        "calibrate", "--config", cfg, "--ref-dirs", ref, "--query-dir", query,
+        "--cal-range", "0:2", "--out-dir", str(out / "cal")],
+}
+
+
+class TestRunConfigFlags:
+    """Every flag that sets a run-config value reaches the config on both training commands."""
+
+    @pytest.mark.parametrize("command", ["train", "calibrate"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--kappa", 3, ("expert", "places_per_expert")),
+        ("--neurons", 12, ("expert", "n_excitatory")),
+        ("--epochs", 11, ("expert", "epochs")),
+        ("--seed", 7, ("seed",)),
+        ("--workers", 3, ("workers",)),
+    ])
+    def test_flag_reaches_the_run_config(self, world, tmp_path, monkeypatch, command,
+                                         flag, value, field):
+        _, cfg, ref, query = world
+        built = []
+        run_config = cli._run_config
+        monkeypatch.setattr(cli, "_run_config", lambda args: built.append(run_config(args))
+                            or built[-1])
+
+        def stop(*args, **kwargs):
+            raise IngestError("stopped before loading")
+
+        monkeypatch.setattr(cli, "_load_traverses", stop)
+        argv = COMMAND_ARGS[command](cfg, ref, query, tmp_path) + [flag, str(value)]
+        assert main(argv) == 2
+        want = load_config(cfg)
+        if field[0] == "expert":
+            want = dataclasses.replace(
+                want, expert=dataclasses.replace(want.expert, **{field[1]: value}))
+        else:
+            want = dataclasses.replace(want, **{field[0]: value})
+        assert built == [want]
 
 
 class TestOutputsCheckedFirst:

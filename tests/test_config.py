@@ -104,6 +104,30 @@ def test_the_step_cap_is_inclusive():
             RunConfig(encoding=EncodingConfig(**{name: window + 0.5}))
 
 
+def test_an_oversized_expert_is_rejected():
+    # By the code, train would ask numpy for terabytes; only the config is built here.
+    with pytest.raises(ConfigError, match="n_excitatory"):
+        RunConfig(expert=ExpertConfig(n_excitatory=10**9))
+    with pytest.raises(ConfigError, match="n_excitatory"):
+        RunConfig(image=ImageConfig(width=28 * 40, height=28 * 40))
+
+
+def test_the_group_weight_bound_is_inclusive():
+    from snnplace.config import MAX_GROUP_WEIGHT_BYTES
+    from snnplace.expert import GROUP_SIZE
+
+    # 15 x 1 images give 16 rows per expert; the bound is a whole number of neurons of them.
+    per_neuron = GROUP_SIZE * 16 * 8
+    neurons = MAX_GROUP_WEIGHT_BYTES // per_neuron
+    assert neurons * per_neuron == MAX_GROUP_WEIGHT_BYTES
+    small = dict(image=ImageConfig(width=15, height=1),
+                 patch=PatchNormConfig(patch_width=1, patch_height=1))
+    RunConfig(expert=ExpertConfig(n_excitatory=neurons), **small)
+    with pytest.raises(ConfigError, match=str(MAX_GROUP_WEIGHT_BYTES)):
+        RunConfig(expert=ExpertConfig(n_excitatory=neurons + 1), **small)
+    assert RunConfig().expert.n_excitatory * GROUP_SIZE * 785 * 8 < 81 * 10**6
+
+
 def test_input_count_follows_the_image():
     assert RunConfig(image=ImageConfig(width=14, height=14)).image_size == (14, 14)
 

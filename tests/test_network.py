@@ -129,11 +129,11 @@ class TestLifStep:
 def deliver_to_group_of_one(state, w, indices) -> SynapseMatrix:
     """Deliver ``indices`` to a learning group of one with weights ``w``, as ``present`` does.
 
-    Returns the flattened (inputs + 1, K) synapses, whose traces the spikes bumped.
+    Returns the flattened (inputs + 1, K) synapses; delivery leaves their traces to ``present``.
     """
     group = learning_group_of_one(w, tiny_sim(), tiny_encoding()).syn
     flat = SynapseMatrix(group.w[0], group.pre_trace[0])
-    apply_input_spikes(state, flat, indices[:, None], trace_at=indices)
+    apply_input_spikes(state, flat, indices[:, None])
     return flat
 
 
@@ -152,8 +152,7 @@ class TestInputDelivery:
         state = fresh_state(n=(1, 3))
         syn = deliver_to_group_of_one(state, np.full((4, 3), 0.2), np.array([1]))
         np.testing.assert_allclose(state.g_e, 0.2)
-        assert syn.pre_trace[1] == 1.0
-        np.testing.assert_array_equal(syn.pre_trace, [0.0, 1.0, 0.0, 0.0, 0.0])  # pad row last
+        assert not syn.pre_trace.any()
 
     def test_two_simultaneous_spikes_are_additive(self):
         rng = np.random.default_rng(0)
@@ -389,7 +388,7 @@ class TestStepOracle:
 
 
 def oracle_poisson_encode(image, cfg, seed, rate_boost_hz=0.0):
-    """``poisson_encode`` as it was, ordering spikes with ``np.lexsort``."""
+    """``poisson_encode`` as it was, ordering spikes by input and time with ``np.lexsort``."""
     intensities = np.clip(np.asarray(image, dtype=np.float64).ravel(), 0.0, None)
     rates_hz = intensities * (cfg.max_rate_hz + rate_boost_hz)
     rng = np.random.default_rng(seed)
@@ -418,9 +417,12 @@ def assert_same_bytes(got, want):
 class TestSpikeTrainOracle:
     """``poisson_encode`` and ``bin_train`` match their lexsort and int64-sort bodies bit for bit.
 
-    The draws reach every key type: uint8, uint16 and uint32 input ids
-    (1, 256 and 65,537 inputs) and uint8 to uint32 steps (up to 80,000
-    steps of 0.5 ms), with windows that ``dt`` does not divide.
+    The encoder does not order spikes in time, so its (time, input) pairs
+    are compared after a lexsort; its binned train must equal the oracle's
+    byte for byte, since ``bin_train`` alone orders a step.  The draws reach
+    every key type: uint8, uint16 and uint32 input ids (1, 256 and 65,537
+    inputs) and uint8 to uint32 steps (up to 80,000 steps of 0.5 ms), with
+    windows that ``dt`` does not divide.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -449,8 +451,9 @@ class TestSpikeTrainOracle:
         image *= min(1.0, 20_000.0 / max(expected, 1e-12))
         got = poisson_encode(image, cfg, seed, rate_boost_hz)
         want = oracle_poisson_encode(image, cfg, seed, rate_boost_hz)
-        assert_same_bytes(got.times, want.times)
-        assert_same_bytes(got.indices, want.indices)
+        order = np.lexsort((got.times, got.indices))
+        assert_same_bytes(got.times[order], want.times)
+        assert_same_bytes(got.indices[order], want.indices)
         assert (got.n_inputs, got.duration_ms) == (want.n_inputs, want.duration_ms)
         indices, offsets = bin_train(got, dt_ms)
         want_indices, want_offsets = oracle_bin_train(want, dt_ms)
@@ -613,6 +616,59 @@ class TestPresentation:
         boosted = net.present_with_retry([image], [(1, 2, 3)])
         assert boosted.sum() >= 5
 
+    def test_a_group_bumps_each_real_spike_trace_once_per_step(self):
+        # Trains of unequal length pad a group's steps; each real spike bumps
+        # its input's trace by 1 before the step's decay, as a per-spike loop does.
+        rng = np.random.default_rng(21)
+        n_inputs, n_steps = 6, 40
+        trains = []
+        for g in range(3):
+            per_step = rng.integers(0, 4 * g + 1, size=n_steps)
+            offsets = np.concatenate([[0], np.cumsum(per_step)])
+            indices = np.sort(rng.integers(0, n_inputs, size=offsets[-1])).astype(np.int32)
+            trains.append(BinnedTrain(indices, offsets))
+        group = ExpertNetwork.learning_group(n_inputs, 2, [1, 2, 3], tiny_sim(),
+                                             tiny_encoding(presentation_ms=n_steps * 0.5))
+        group.present(trains, learn=True, run_rest=False)
+        decay = math.exp(-0.5 / tiny_sim().stdp.trace_tau_ms)
+        want = np.zeros((3, n_inputs))
+        for t in range(n_steps):
+            for g, tr in enumerate(trains):
+                for i in tr.indices[tr.offsets[t]:tr.offsets[t + 1]]:
+                    want[g, i] += 1.0
+            want *= decay
+        assert group.syn.pre_trace[:, :n_inputs].tobytes() == want.tobytes()
+
+    def test_pad_row_traces_are_never_read(self, monkeypatch):
+        # A group bumps its traces over each padded step, pad entries included;
+        # pad-row traces that start at NaN must change nothing else, through
+        # presentations whose dim images re-present alone.
+        encoded = []
+
+        def encode(*args, **kwargs):
+            encoded.append(1)
+            return poisson_encode(*args, **kwargs)
+
+        monkeypatch.setattr(network, "poisson_encode", encode)
+        rng = np.random.default_rng(22)
+        images = rng.uniform(size=(4, 3, 8, 8)) * np.array([1.0, 0.2, 0.03])[:, None, None]
+        enc = EncodingConfig(min_output_spikes=5, retry_boost_hz=32.0, max_retries=4)
+        nets = []
+        for pad_trace in (0.0, np.nan):
+            net = ExpertNetwork.learning_group(64, 6, [4, 5, 6], tiny_sim(), enc)
+            net.syn.pre_trace[:, -1] = pad_trace
+            counts = [net.present_with_retry(batch, [(7, e, g) for g in range(3)])
+                      for e, batch in enumerate(images)]
+            nets.append((net, np.array(counts)))
+        assert len(encoded) > 2 * images.shape[0] * images.shape[1]  # retries happened
+        (zero, zero_counts), (nan, nan_counts) = nets
+        assert np.isnan(nan.syn.pre_trace[:, -1]).all()
+        assert not nan.syn.w[:, -1].any()
+        assert nan.syn.w.tobytes() == zero.syn.w.tobytes()
+        assert nan.exc.theta.tobytes() == zero.exc.theta.tobytes()
+        assert nan.syn.pre_trace[:, :-1].tobytes() == zero.syn.pre_trace[:, :-1].tobytes()
+        np.testing.assert_array_equal(nan_counts, zero_counts)
+
     def test_retry_gives_up_on_black_image(self):
         enc_retry = EncodingConfig(min_output_spikes=5, max_retries=10)
         net = learning_group_of_one(np.full((4, 2), 0.3), tiny_sim(), enc_retry)
@@ -685,9 +741,9 @@ class TestPresentation:
         # itself.  Either way, one call per step with spikes.
         deliver, calls = network.apply_input_spikes, []
 
-        def spy(state, syn, indices, counts=None, trace_at=None):
+        def spy(state, syn, indices, counts=None):
             calls.append((indices.ndim, counts is None, syn.w.shape[0]))
-            deliver(state, syn, indices, counts, trace_at)
+            deliver(state, syn, indices, counts)
 
         monkeypatch.setattr(network, "apply_input_spikes", spy)
         # Steps 0 and 2 hold spikes of some image, step 1 none.
