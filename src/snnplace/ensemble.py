@@ -31,7 +31,8 @@ bits.  Batches run in parallel over contiguous image chunks, so results
 never depend on the worker count or the block size.  Each place's score is
 the summed response of the non-hyperactive neurons that vote for it in
 ``neuron_places``, and the ranking is the descending score order (ties
-toward the lowest place id).
+toward the lowest place id); ``fuse_scores`` ranks a batch of queries on
+one read of the vote table, and a single query is a batch of one.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ from .network import SimulationParams, bin_train
 
 # State elements (images x experts x neurons) one inference block may hold.
 BLOCK_STATE = 20_000
+
+# Bytes an ensemble's float32 weight stack may take, width x height x
+# ceil(places / kappa) x n_excitatory x 4: 4 GiB, where paper scale takes 166 MB.
+MAX_STACK_BYTES = 4 * 2**30
 
 
 @dataclass(frozen=True)
@@ -201,10 +206,18 @@ def train_ensemble(
     (global_seed, region index), and workers train contiguous chunks of
     experts in groups, so serial, parallel and grouped runs are
     bit-identical.  Each expert's weights are then copied into the
-    ensemble's weight stack, and its own array is freed.
+    ensemble's weight stack, and its own array is freed.  A stack above
+    ``MAX_STACK_BYTES`` is refused before any expert trains.
     """
-    n_trav, place_count = reference.shape[0], reference.shape[1]
+    n_trav, place_count, height, width = reference.shape
     partition = partition_reference(place_count, expert_cfg.places_per_expert)
+    stack_bytes = width * height * partition.n_regions * expert_cfg.n_excitatory * 4
+    if stack_bytes > MAX_STACK_BYTES:
+        raise ConfigError(
+            f"{partition.n_regions} experts of {expert_cfg.n_excitatory} neurons on "
+            f"{width}x{height} images need a {stack_bytes}-byte weight stack, "
+            f"more than {MAX_STACK_BYTES}"
+        )
     regions = [
         RegionData(
             images=reference[:, start:stop],
@@ -228,7 +241,7 @@ def train_ensemble(
         sim=sim,
         encoding=encoding,
         patch=patch,
-        image_size=(reference.shape[3], reference.shape[2]),
+        image_size=(width, height),
         global_seed=global_seed,
         expert_config=expert_cfg,
         dataset_fingerprints=dataset_fingerprints or {},
@@ -301,37 +314,46 @@ def neuron_places(model: EnsembleModel) -> np.ndarray:
 
 def fuse_scores(
     model: EnsembleModel,
-    per_expert_counts: list[np.ndarray] | np.ndarray,
+    responses: np.ndarray | list,
     flags: list[np.ndarray] | np.ndarray | None = None,
-) -> MatchResult:
-    """Reduce (N, K) neuron responses into the global place ranking.
+) -> list[MatchResult]:
+    """Reduce each query's (N, K) neuron responses into its global place ranking.
 
-    Each assigned, non-hyperactive neuron adds its spike count to its place
-    in the vote table (``neuron_places``).  ``flags``, a per-expert list or
-    an (N, K) array, overrides the experts' stored hyperactive flags (used
-    by threshold sweeps over cached responses).
+    ``responses`` is a batch, (queries, N, K) or a list of per-query
+    responses; a single query is a batch of one.  Each assigned,
+    non-hyperactive neuron adds its spike count to its place in the vote
+    table (``neuron_places``), which is read once per batch, with the
+    flags.  ``flags``, a per-expert list or an (N, K) array, overrides the
+    experts' stored hyperactive flags (used by threshold sweeps over
+    cached responses).
     """
-    places = neuron_places(model)
-    counts = np.asarray(per_expert_counts)
     flags = [ex.hyperactive for ex in model.experts] if flags is None else flags
-    keep = (places != UNASSIGNED) & ~np.asarray(flags) & (counts > 0)
-    scores = np.zeros(model.place_count, dtype=np.int64)
-    np.add.at(scores, places[keep], counts[keep])
-    order = np.lexsort((np.arange(model.place_count), -scores))
-    return MatchResult(place_ids=order.astype(np.int64), scores=scores[order])
+    votes = np.where(np.asarray(flags), UNASSIGNED, neuron_places(model))
+    voting = votes != UNASSIGNED
+    ids = np.arange(model.place_count)
+    results = []
+    for counts in responses:
+        counts = np.asarray(counts)
+        keep = voting & (counts > 0)
+        scores = np.zeros(model.place_count, dtype=np.int64)
+        np.add.at(scores, votes[keep], counts[keep])
+        order = np.lexsort((ids, -scores))
+        results.append(MatchResult(place_ids=order.astype(np.int64), scores=scores[order]))
+    return results
 
 
 def match_query(model: EnsembleModel, query_unit: np.ndarray, query_id: int = 0) -> MatchResult:
     """Match one encoder-ready query image against the reference map.
 
     The query is a batch of one image: it is encoded once, with
-    derive_seed(global_seed, STREAM_QUERY, query_id), and every expert
-    answers it from rest, exactly as in ``collect_query_responses``.
+    derive_seed(global_seed, STREAM_QUERY, query_id), every expert
+    answers it from rest, exactly as in ``collect_query_responses``, and
+    its responses are ranked as a batch of one.
     """
     if not model.regularized:
         raise StateError("model is not regularized: run detect_hyperactive first")
     (rows,) = _image_responses(model, np.asarray(query_unit)[None], STREAM_QUERY, query_id)
-    return fuse_scores(model, rows[0])
+    return fuse_scores(model, rows)[0]
 
 
 def _image_responses(model: EnsembleModel, images: np.ndarray, stream: int, first_id: int):

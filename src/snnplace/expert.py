@@ -147,15 +147,15 @@ def train_experts(
     """Train every region's expert; each result equals ``train_expert``'s alone.
 
     Consecutive regions of the same shape learn in groups of up to
-    ``GROUP_SIZE`` (one-neuron experts alone) that step through each
-    presentation together.
+    ``GROUP_SIZE`` that step through each presentation together, whatever
+    the expert size: ``ExpertNetwork.present`` reads a group of one-neuron
+    experts column by column, so each sums its lone column as it does alone.
     """
-    size = GROUP_SIZE if cfg.n_excitatory > 1 else 1
     results = []
     for _, run in itertools.groupby(regions, key=lambda region: region.images.shape):
         run = list(run)
-        for start in range(0, len(run), size):
-            results += _train_group(run[start:start + size], cfg, sim, encoding)
+        for start in range(0, len(run), GROUP_SIZE):
+            results += _train_group(run[start:start + GROUP_SIZE], cfg, sim, encoding)
     return results
 
 

@@ -28,11 +28,12 @@ def records_from_responses(
 ) -> list[MatchResult]:
     """Rank cached (n_queries, n_experts, n_excitatory) responses; each carries its truth.
 
-    ``flags`` overrides the experts' stored hyperactive flags, as in ``fuse_scores``.
+    The queries are ranked as one batch; ``flags`` overrides the experts'
+    stored hyperactive flags, as in ``fuse_scores``.
     """
     return [
-        replace(fuse_scores(model, rows, flags), truth=int(t))
-        for rows, t in zip(responses, truths)
+        replace(record, truth=int(t))
+        for record, t in zip(fuse_scores(model, responses, flags), truths)
     ]
 
 

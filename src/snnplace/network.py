@@ -22,9 +22,8 @@ raises an adaptive offset that otherwise decays very slowly.
 
 Experts that share nothing can share one step loop.  A learning group of
 G experts stacks its weights as (G, inputs + 1, K), each with an all-zero
-pad row, and its state as (G, K): every step delivers one padded block of
-spike indices, one per expert, and STDP acts on the spiking (expert,
-column) pairs; each expert ends bit for bit where it would alone, and
+pad row, and its state as (G, K); STDP acts on the spiking (expert,
+column) pairs, each expert ends bit for bit where it would alone, and
 only a group learns: one expert is a group of one.  Frozen experts run in
 lockstep on a block of images: with weights stacked as (inputs, N, K) and
 B images, every state array takes the shape (B, N, K) and one step loop
@@ -33,12 +32,13 @@ own winner-take-all circuit; one frozen expert alone is their reference.
 The encoder only draws spikes; ``bin_train`` alone orders them by step, and
 ``_pad_block`` alone knows the pad rows: every presentation lays its spikes
 out one way, as an (m, C) block per step whose column c holds train c's
-rows and then padding.  A learning group delivers that block and bumps its
-traces over the same block, pad entries included.  A small frozen block
-(K > 1 and N * K <= ``PAD_BLOCK_CELLS``) gets its spikes as a learning
-group does, one padded gather per step into a copy of the stack with an
-all-zero row; a larger block, or one of one-neuron experts, reads each
-image's real rows from the stack itself, image by image.
+rows and then padding.  A learning group bumps its traces over that block,
+pad entries included.  One predicate in ``ExpertNetwork.present`` decides
+how the block is read: when K > 1, a learning group, or a frozen block of
+B > 1 images with N * K <= ``PAD_BLOCK_CELLS``, takes one padded gather per
+step; every other presentation reads each column's counted real rows, a
+group of one-neuron experts included, since numpy sums a lone weight
+column pairwise and padding would change that sum.
 
 There is no randomness anywhere in this module; all stochasticity lives in
 the spike encoder.  One network instance is single-threaded mutable state,
@@ -374,17 +374,6 @@ def bin_train(train: SpikeTrain | BinnedTrain, dt_ms: float) -> BinnedTrain:
     return BinnedTrain(indices, offsets)
 
 
-def _summed_rows(rows: np.ndarray) -> np.ndarray:
-    """Gathered weight rows summed over the spike axis, as one expert alone sums them."""
-    if rows.ndim == 3 and rows.shape[-1] == 1:
-        # numpy sums one expert's lone (m, 1) column pairwise but a stack's rows
-        # one by one; laying the stack's columns out contiguously sums each
-        # pairwise too, so every expert gets the conductance it gets alone.
-        rows = np.asfortranarray(rows)
-    # Summing float32 rows in float64 equals summing their float64 copies, bit for bit.
-    return np.add.reduce(rows, 0, np.float64)
-
-
 def apply_input_spikes(
     state: LayerState, syn: SynapseMatrix, indices: np.ndarray, counts=None
 ) -> None:
@@ -392,24 +381,30 @@ def apply_input_spikes(
 
     ``indices`` is one step of a ``_pad_block`` layout: an (m, C) block
     whose column c holds column c's rows of ``syn.w`` and then pad rows.
-    Without ``counts`` one gather and one sum give the (C, ...) conductance
-    of every column, so the pad rows must be all zero.  A learning group's
-    columns are its G experts, on its stack flattened to (G * rows, K); a
-    small frozen block's are its B images, on its (inputs + 1, N, K) padded
-    stack.  Padding appends +0.0 after each column's real rows, and numpy
-    sums the rows one by one, so every cell gets what its expert alone
-    gets.  With ``counts``, column b reads only its first ``counts[b]``
-    rows, from a stack without a pad row, and drives ``state.g_e[b]`` (a
-    state without an image axis is a block of one).  Delivery never
-    touches the traces: ``ExpertNetwork.present`` bumps a learning group's.
+    A learning group's columns are its G experts, on its stack flattened
+    to (G * rows, K); a frozen block's are its B images.  Without
+    ``counts`` one gather and one sum give the (C, ...) conductance of
+    every column, so the pad rows must be all zero and K > 1: padding
+    appends +0.0 after each column's real rows, which numpy sums one by
+    one, so every cell gets what its expert alone gets.  With ``counts``,
+    column b reads only its first ``counts[b]`` rows and drives
+    ``state.g_e[b]`` (a state without an image axis is a block of one);
+    only this read sees a lone column.  Delivery never touches the
+    traces: ``ExpertNetwork.present`` bumps a learning group's.
     """
     if counts is None:
-        state.g_e += _summed_rows(syn.w[indices])
+        # Summing float32 rows in float64 equals summing their float64 copies, bit for bit.
+        state.g_e += np.add.reduce(syn.w[indices], 0, np.float64)
         return
     g_e = state.g_e if state.g_e.ndim == syn.w.ndim else state.g_e[None]
     for b, m in enumerate(counts):
         if m:
-            g_e[b] += _summed_rows(syn.w[indices[:m, b]])
+            rows = syn.w[indices[:m, b]]
+            if rows.shape[-1] == 1:
+                # numpy sums a lone (m, 1) column pairwise but (m, N, 1) rows one by one;
+                # laid out column by column, each expert's rows sum as they do alone.
+                rows = np.asfortranarray(rows)
+            g_e[b] += np.add.reduce(rows, 0, np.float64)
 
 
 def apply_lateral_inhibition(
@@ -531,11 +526,9 @@ class ExpertNetwork:
     ) -> "ExpertNetwork":
         """Fresh experts, one per seed of ``init_weights``, as one learning group.
 
-        One-neuron experts learn alone: numpy sums a lone column pairwise,
-        and padding would change that sum.
+        Experts of any size learn together; ``present`` reads a group of
+        one-neuron experts column by column, as each reads its lone column alone.
         """
-        if n_excitatory == 1 and len(seeds) > 1:
-            raise ValueError("one-neuron experts learn alone")
         w = np.zeros((len(seeds), n_inputs + 1, n_excitatory))
         for member, seed in zip(w, seeds):
             member[:n_inputs] = init_weights(n_inputs, n_excitatory, seed, params.weight_init_max)
@@ -562,11 +555,11 @@ class ExpertNetwork:
         stack, whose pad rows are all zero, and frozen experts on their
         (inputs, N, K) stack.  A learning group bumps its presynaptic traces
         with one ``np.add.at`` over each delivered step, pad entries
-        included; STDP reads only the real inputs' traces.  A small frozen
-        block of B > 1 images (K > 1, N * K <= ``PAD_BLOCK_CELLS``) gets each
-        step's spikes in one padded (m, B) gather from a copy of its stack
-        with an all-zero row; any other frozen block reads each image's real
-        rows from the stack itself.
+        included; STDP reads only the real inputs' traces.  One predicate
+        picks the read: when K > 1, a learning group, or a frozen block of
+        B > 1 images with N * K <= ``PAD_BLOCK_CELLS``, takes one padded (m, C)
+        gather per step; every other presentation, a one-neuron learning
+        group included, reads each column's counted real rows.
         """
         if learn != self.group:
             raise ValueError("a learning group learns and frozen experts do not")
@@ -579,7 +572,11 @@ class ExpertNetwork:
         rows = syn.w.shape[1] if learn else 0
         n_inputs = rows - 1 if learn else syn.w.shape[0]
         block, starts, per_step = _pad_block(trains, n_inputs, rows)
-        per_image = None  # a learning group and a small frozen block deliver padded steps
+        # Never pad a lone column: numpy sums it pairwise, and padding changes that sum.
+        padded = syn.w.shape[-1] > 1 and (
+            learn or len(trains) > 1 and syn.w[0].size <= PAD_BLOCK_CELLS
+        )
+        per_column = None if padded else per_step.tolist()  # Python ints index faster
         source = syn
         if learn:
             # An inhibitory g_e decayed to a subnormal rounds back to itself when its
@@ -590,11 +587,8 @@ class ExpertNetwork:
             np.copyto(inh.g_e, 0.0, where=inh.g_e < np.finfo(np.float64).tiny)
             source = SynapseMatrix(syn.w.reshape(-1, syn.w.shape[2]), syn.pre_trace.reshape(-1))
             plastic = SynapseMatrix(syn.w[:, :n_inputs], syn.pre_trace[:, :n_inputs])
-        elif len(trains) > 1 and syn.w.shape[-1] > 1 and syn.w[0].size <= PAD_BLOCK_CELLS:
-            # a small frozen block, of N * K cells per image
+        elif padded:
             source = SynapseMatrix(np.concatenate([syn.w, np.zeros_like(syn.w[:1])]))
-        else:
-            per_image = per_step.tolist()  # Python ints index faster, step by step
 
         homeo = p.homeostasis if learn else None
         trace_decay = math.exp(-dt / p.stdp.trace_tau_ms)
@@ -602,7 +596,7 @@ class ExpertNetwork:
         for t in range(n_pres + n_rest):
             if t < n_pres and starts[t + 1] > starts[t]:
                 step = block[starts[t]:starts[t + 1]]
-                apply_input_spikes(exc, source, step, None if per_image is None else per_image[t])
+                apply_input_spikes(exc, source, step, None if padded else per_column[t])
                 if learn:  # pad entries bump the pad rows' traces, which nothing reads
                     np.add.at(source.pre_trace, step, 1.0)
             exc_spiked = lif_step(exc, p.lif_excitatory, dt, homeo)

@@ -199,7 +199,7 @@ def test_criterion_2_oracle_equivalence():
     mismatches = 0
     for _ in range(1000):
         model, counts, flags = random_instance(rng)
-        fused = fuse_scores(model, counts)
+        (fused,) = fuse_scores(model, [counts])
         places, scores = brute_force_ranking(model, counts, flags)
         if not (np.array_equal(fused.place_ids, places)
                 and np.array_equal(fused.scores, scores)):
@@ -237,9 +237,9 @@ def test_criterion_3_partition_and_filter_properties():
         model, counts, _ = random_instance(rng)
         roof = max(int(ex.reference_totals.max(initial=0)) for ex in model.experts) + 1
         apply_threshold(model, roof)
-        filtered = fuse_scores(model, counts)
+        (filtered,) = fuse_scores(model, [counts])
         apply_threshold(model, None)
-        plain = fuse_scores(model, counts)
+        (plain,) = fuse_scores(model, [counts])
         reduces_ok &= bool(
             np.array_equal(filtered.place_ids, plain.place_ids)
             and np.array_equal(filtered.scores, plain.scores)

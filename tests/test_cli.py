@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnplace import cli
+from snnplace import cli, ensemble
 from snnplace.cli import load_config, main
 from snnplace.config import RunConfig, from_json, to_json
 from snnplace.errors import ConfigError, IngestError
@@ -145,6 +145,17 @@ class TestTrain:
         rc = main(COMMAND_ARGS[command](cfg, ref, query, tmp_path) + ["--neurons", "1000000000"])
         assert rc == 2
         assert_one_error_line(capsys, "n_excitatory (1000000000)", "bytes")
+        assert os.listdir(tmp_path) == []
+
+    def test_an_oversized_weight_stack_exits_2_before_training(self, world, tmp_path,
+                                                               monkeypatch, capsys):
+        _, cfg, ref, _ = world
+        # 4 places of 8 x 8 in regions of 2, 8 neurons each: a 4,096-byte stack.
+        monkeypatch.setattr(ensemble, "MAX_STACK_BYTES", 4095)
+        never_called(monkeypatch, ensemble, "train_experts")
+        assert main(["train", "--config", cfg, "--ref-dirs", ref,
+                     "--out", str(tmp_path / "model")]) == 2
+        assert_one_error_line(capsys, "4096-byte weight stack", "4095")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("places", ["0", "-3"])

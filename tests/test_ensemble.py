@@ -182,7 +182,7 @@ class TestFuse:
             places_per_expert=25,
         )
         model.experts[0].hyperactive[:] = True
-        result = fuse_scores(model, [np.array([9, 9]), np.array([7, 0])])
+        (result,) = fuse_scores(model, [[np.array([9, 9]), np.array([7, 0])]])
         assert result.top == 30
         assert result.scores[0] == 7
         assert not result.no_evidence
@@ -193,7 +193,7 @@ class TestFuse:
             assignments_per_expert=[[0, 1, 2]],
             places_per_expert=4,
         )
-        result = fuse_scores(model, [np.zeros(3, dtype=int)])
+        (result,) = fuse_scores(model, [[np.zeros(3, dtype=int)]])
         assert result.no_evidence
         assert result.top == 0
         assert result.scores[0] == 0
@@ -205,9 +205,25 @@ class TestFuse:
             places, scores = brute_force_ranking(model, counts, flags)
             # stored flags, the per-expert list and the (N, K) array give one ranking
             for given_flags in (None, flags, np.stack(flags)):
-                fused = fuse_scores(model, counts, given_flags)
+                (fused,) = fuse_scores(model, [counts], given_flags)
                 np.testing.assert_array_equal(fused.place_ids, places)
                 np.testing.assert_array_equal(fused.scores, scores)
+
+    def test_a_batch_reads_the_vote_table_once_and_ranks_as_batches_of_one(self, monkeypatch):
+        reads, votes = [], ensemble.neuron_places
+        monkeypatch.setattr(ensemble, "neuron_places", lambda m: reads.append(1) or votes(m))
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            model, _, flags = random_instance(rng)
+            batch = rng.integers(0, 30, size=(int(rng.integers(0, 6)),) + model.weights.shape[1:])
+            for given_flags in (None, flags):
+                alone = [fuse_scores(model, [counts], given_flags)[0] for counts in batch]
+                reads.clear()
+                together = fuse_scores(model, batch, given_flags)
+                assert len(reads) == 1 and len(together) == len(batch)
+                for a, b in zip(together, alone):
+                    assert a.place_ids.tobytes() == b.place_ids.tobytes()
+                    assert a.scores.tobytes() == b.scores.tobytes()
 
     def test_fusion_is_order_independent(self):
         rng = np.random.default_rng(13)
@@ -221,8 +237,8 @@ class TestFuse:
                 dataclasses.replace(model.experts[i], weights=stack[:, j])
                 for j, i in enumerate(perm)
             ])
-            base = fuse_scores(model, counts)
-            other = fuse_scores(shuffled, [counts[i] for i in perm])
+            (base,) = fuse_scores(model, [counts])
+            (other,) = fuse_scores(shuffled, [[counts[i] for i in perm]])
             np.testing.assert_array_equal(base.place_ids, other.place_ids)
             np.testing.assert_array_equal(base.scores, other.scores)
 
@@ -230,12 +246,12 @@ class TestFuse:
         rng = np.random.default_rng(14)
         for _ in range(50):
             model, counts, _ = random_instance(rng)
-            fused = fuse_scores(model, counts)
+            (fused,) = fuse_scores(model, [counts])
             total = np.zeros(model.place_count, dtype=np.int64)
             for i, expert in enumerate(model.experts):
-                solo = fuse_scores(
+                (solo,) = fuse_scores(
                     model,
-                    [c if j == i else np.zeros_like(c) for j, c in enumerate(counts)],
+                    [[c if j == i else np.zeros_like(c) for j, c in enumerate(counts)]],
                 )
                 partial = np.zeros(model.place_count, dtype=np.int64)
                 partial[solo.place_ids] = solo.scores
@@ -250,9 +266,9 @@ class TestFuse:
             model, counts, _ = random_instance(rng)
             max_total = max(int(ex.reference_totals.max(initial=0)) for ex in model.experts)
             apply_threshold(model, max_total + 1)
-            filtered = fuse_scores(model, counts)
+            (filtered,) = fuse_scores(model, [counts])
             apply_threshold(model, None)
-            unfiltered = fuse_scores(model, counts)
+            (unfiltered,) = fuse_scores(model, [counts])
             np.testing.assert_array_equal(filtered.place_ids, unfiltered.place_ids)
             np.testing.assert_array_equal(filtered.scores, unfiltered.scores)
 
@@ -261,7 +277,7 @@ class TestFuse:
         counts = rng.integers(0, 30, size=6)
         assignments = np.array([0, 0, 1, 2, 3, UNASSIGNED])
         model = handmade_ensemble([counts], [assignments], places_per_expert=4)
-        result = fuse_scores(model, [counts])
+        (result,) = fuse_scores(model, [[counts]])
         expected = np.zeros(4, dtype=np.int64)
         for e, place in enumerate(assignments):
             if place != UNASSIGNED:
@@ -343,10 +359,10 @@ class TestTrainEnsemble:
     def test_fan_out_matches_per_expert_responses(self):
         textures = tiny_textures(4, seed=20)[None]
         model = detect_hyperactive(self._train(1), textures, None, workers=1)
-        responses = collect_query_responses(model, textures[0, 1:2], query_id_base=33)[0]
+        responses = collect_query_responses(model, textures[0, 1:2], query_id_base=33)
         result = match_query(model, textures[0, 1], query_id=33)
         np.testing.assert_array_equal(
-            result.scores, fuse_scores(model, responses).scores
+            result.scores, fuse_scores(model, responses)[0].scores
         )
 
 
@@ -552,6 +568,24 @@ class TestWeightStack:
             finally:
                 tracemalloc.stop()
             assert peak < one_float32_copy
+
+    def test_an_oversized_stack_is_refused_before_any_expert_trains(self, monkeypatch):
+        # 3,300 places of 28 x 28, kappa 1 and K = 1000: 10.3 GB of float32 weights.
+        monkeypatch.setattr(ensemble, "train_experts", lambda *a: pytest.fail("an expert trained"))
+        reference = np.broadcast_to(np.float64(0.0), (1, 3300, 28, 28))   # no pixels allocated
+        cfg = tiny_expert_cfg(n_excitatory=1000, places_per_expert=1)
+        with pytest.raises(ConfigError, match="10348800000-byte weight stack"):
+            train_ensemble(reference, cfg, tiny_sim(), tiny_encoding(), PatchNormConfig(), 0)
+
+    def test_a_stack_at_the_bound_trains(self, monkeypatch):
+        textures = tiny_textures(4, seed=20)[None]   # two experts of 6 neurons on 8 x 8
+        cfg = tiny_expert_cfg(n_excitatory=6, epochs=1, record_last_epochs=1)
+        args = (textures, cfg, tiny_sim(), tiny_encoding(), PatchNormConfig(), 0)
+        monkeypatch.setattr(ensemble, "MAX_STACK_BYTES", 8 * 8 * 2 * 6 * 4)
+        assert train_ensemble(*args).weights.nbytes == ensemble.MAX_STACK_BYTES
+        monkeypatch.setattr(ensemble, "MAX_STACK_BYTES", 8 * 8 * 2 * 6 * 4 - 1)
+        with pytest.raises(ConfigError, match="weight stack"):
+            train_ensemble(*args)
 
 
 class TestBlocks:

@@ -150,7 +150,7 @@ class TestGroups:
         max_rate_hz=st.sampled_from([63.75, 400.0]),
         seed=st.integers(0, 2**16),
     )
-    # Several one-neuron experts, which must each learn alone (learning_group refuses them).
+    # Several one-neuron experts, which learn as one group, read column by column.
     @example(n_experts=3, n_excitatory=1, traverses=1, short_last=False, retries=False,
              weight_norm=True, tau_gi=0.5, max_rate_hz=400.0, seed=1)
     def test_group_equals_each_expert_alone(
@@ -202,9 +202,20 @@ class TestGroups:
             assert net.syn.w[g, :64].tobytes() == w.tobytes()
         assert not net.syn.w[:, 64].any()   # the pad rows never learn
 
-    def test_one_neuron_experts_do_not_share_a_group(self):
-        with pytest.raises(ValueError):
-            ExpertNetwork.learning_group(4, 1, [0, 1], tiny_sim(), tiny_encoding())
+    def test_one_neuron_regions_train_in_one_group(self, monkeypatch):
+        groups = []
+        build = ExpertNetwork.learning_group.__func__
+
+        def spy(cls, n_inputs, n_excitatory, seeds, *args):
+            groups.append((n_excitatory, len(seeds)))
+            return build(cls, n_inputs, n_excitatory, seeds, *args)
+
+        monkeypatch.setattr(ExpertNetwork, "learning_group", classmethod(spy))
+        regions = [RegionData(images=tiny_textures(1, seed=g)[None], image_ids=np.array([[g]]),
+                              global_start=g, seed=g) for g in range(3)]
+        cfg = tiny_expert_cfg(n_excitatory=1, places_per_expert=1, epochs=1, record_last_epochs=1)
+        assert len(train_experts(regions, cfg, tiny_sim(), tiny_encoding())) == 3
+        assert groups == [(1, 3)]
 
 
 class TestRespond:

@@ -727,18 +727,25 @@ class TestPresentation:
                         getattr(block.exc, name)[b, i], getattr(alone.exc, name)
                     )
 
-    @pytest.mark.parametrize("n_experts, k, n_images, padded", [
-        (2, 5, 3, True),
-        (1, PAD_BLOCK_CELLS, 2, True),
-        (1, PAD_BLOCK_CELLS + 1, 2, False),
-        (4, 1, 3, False),
-        (2, 5, 1, False),
+    @pytest.mark.parametrize("learn, n_experts, k, n_images, padded", [
+        (False, 2, 5, 3, True),
+        (False, 1, PAD_BLOCK_CELLS, 2, True),
+        (False, 1, PAD_BLOCK_CELLS + 1, 2, False),
+        (False, 4, 1, 3, False),
+        (False, 2, 5, 1, False),
+        (True, 3, 2, 3, True),
+        (True, 1, 2, 1, True),
+        (True, 3, 1, 3, False),
+        (True, 1, 1, 1, False),
     ])
-    def test_block_size_picks_the_delivery_path(self, monkeypatch, n_experts, k, n_images, padded):
-        # Small blocks of K > 1 get one padded (m, B) gather per step; larger
-        # blocks, blocks of one-neuron experts and single images get their
-        # spikes image by image, each image's counted rows read from the stack
-        # itself.  Either way, one call per step with spikes.
+    def test_block_size_picks_the_delivery_path(
+        self, monkeypatch, learn, n_experts, k, n_images, padded,
+    ):
+        # Learning groups of K > 1 and small frozen blocks of K > 1 get one
+        # padded (m, C) gather per step; larger frozen blocks, single images
+        # and one-neuron experts, learning or not, read each column's counted
+        # rows, a frozen block from the stack itself and a learning group from
+        # its flattened stack.  Either way, one call per step with spikes.
         deliver, calls = network.apply_input_spikes, []
 
         def spy(state, syn, indices, counts=None):
@@ -746,13 +753,43 @@ class TestPresentation:
             deliver(state, syn, indices, counts)
 
         monkeypatch.setattr(network, "apply_input_spikes", spy)
-        # Steps 0 and 2 hold spikes of some image, step 1 none.
+        # Steps 0 and 2 hold spikes of some train, step 1 none.
         trains = [BinnedTrain(np.array([b % 8, 7 - b % 8], dtype=np.int32), np.array([0, 1, 1, 2]))
                   for b in range(n_images)]
-        w = np.full((8, n_experts, k), 0.5, dtype=np.float32)
-        net = ExpertNetwork(SynapseMatrix(w), tiny_sim(), tiny_encoding(), images=n_images)
-        net.present(trains, learn=False, run_rest=False)
-        assert calls == [(2, True, 9) if padded else (2, False, 8)] * 2
+        if learn:   # one train per member
+            net = ExpertNetwork.learning_group(8, k, list(range(n_experts)), tiny_sim(),
+                                               tiny_encoding())
+            rows = n_experts * 9
+        else:
+            w = np.full((8, n_experts, k), 0.5, dtype=np.float32)
+            net = ExpertNetwork(SynapseMatrix(w), tiny_sim(), tiny_encoding(), images=n_images)
+            rows = 9 if padded else 8
+        net.present(trains, learn=learn, run_rest=False)
+        assert calls == [(2, padded, rows)] * 2
+
+    def test_one_neuron_group_state_equals_each_member_alone(self):
+        # Large spike sets onto weights spanning 60 binades: numpy sums a lone
+        # column pairwise, so a group of one-neuron experts whose steps were
+        # padded would drive a member with another sum than it gets alone.  A
+        # one-step presentation per round checks every delivery's bits.
+        rng = np.random.default_rng(30)
+        n_inputs, sim = 50, tiny_sim(stdp=StdpParams(w_max=2.0))
+        w = 2.0 ** rng.uniform(-60, 1, size=(3, n_inputs, 1))
+        group = ExpertNetwork.learning_group(n_inputs, 1, [0, 1, 2], sim, tiny_encoding())
+        group.syn.w[:, :n_inputs] = w
+        alone = [learning_group_of_one(w[g], sim, tiny_encoding()) for g in range(3)]
+        for sizes in rng.choice([0, 9, 40, 131, 200], size=(30, 3)):
+            trains = [BinnedTrain(rng.integers(0, n_inputs, size=m).astype(np.int32),
+                                  np.array([0, m])) for m in sizes]
+            group.present(trains, learn=True, run_rest=False)
+            for g, (net, train) in enumerate(zip(alone, trains)):
+                net.present([train], learn=True, run_rest=False)
+                pairs = [(getattr(group.exc, name)[g], getattr(net.exc, name)[0])
+                         for name in ("v", "g_e", "g_i", "theta")]
+                pairs += [(group.syn.pre_trace[g, :n_inputs], net.syn.pre_trace[0, :n_inputs]),
+                          (group.syn.w[g, :n_inputs], net.syn.w[0, :n_inputs])]
+                for a, b in pairs:
+                    assert a.tobytes() == b.tobytes()
 
     def test_learning_changes_weights_inference_does_not(self):
         rng = np.random.default_rng(4)
