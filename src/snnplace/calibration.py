@@ -132,7 +132,7 @@ def run_grid_search(
 
 def _score_theta(model: EnsembleModel, responses: np.ndarray, truths, theta) -> float:
     """P@100R of cached query responses, ignoring the neurons ``theta`` flags."""
-    flags = flags_for_theta(np.stack([ex.reference_totals for ex in model.experts]), theta)
+    flags = flags_for_theta(model.reference_totals, theta)
     return precision_at_100_recall(records_from_responses(model, responses, truths, flags))
 
 

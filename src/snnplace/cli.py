@@ -165,7 +165,7 @@ def cmd_train(args) -> int:
     store.check_archive_target(args.out, overwrite=args.force)
     place_range = None if args.places is None else (0, args.places)
     reference, manifests = _load_traverses(args.ref_dirs, cfg, place_range)
-    partition = ens.partition_reference(reference.shape[1], cfg.expert.places_per_expert)
+    partition = ens.plan_regions(reference.shape, cfg.expert)
     print(f"training {partition.n_regions} experts on {reference.shape[1]} places "
           f"({reference.shape[0]} traverse(s), workers={cfg.effective_workers()})")
     tick = time.perf_counter()
@@ -183,13 +183,14 @@ def cmd_train(args) -> int:
 def cmd_regularize(args) -> int:
     cfg = _run_config(args)
     out = args.out or args.model
-    store.check_archive_target(out, overwrite=True)
+    in_place = os.path.realpath(out) == os.path.realpath(args.model)
+    store.check_archive_target(out, overwrite=in_place)  # an existing other --out is refused
     model = store.load_ensemble(args.model)
     reference, manifests = _load_traverses(args.ref_dirs, model, (0, model.place_count))
     _check_fingerprints(model, manifests)
     ens.detect_hyperactive(model, reference, args.theta, cfg.effective_workers())
     store.save_ensemble(model, out, overwrite=True)
-    flagged = sum(int(ex.hyperactive.sum()) for ex in model.experts)
+    flagged = int(model.hyperactive.sum())
     print(f"reference totals stored; theta={model.theta or 'disabled'}; {flagged} neurons flagged")
     return 0
 
@@ -223,6 +224,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.params and args.theta is not None:
+        raise ConfigError("give --theta or --params, not both")
     cfg = _run_config(args)
     _check_output_dir(args.report_dir)
     model = _load_regularized(args.model)
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-dir", required=True)
     p.add_argument("--report-dir", required=True)
     p.add_argument("--theta", type=float, help="re-flag at this threshold before scoring")
-    p.add_argument("--params", help="chosen.json from `calibrate`")
+    p.add_argument("--params", help="chosen.json from `calibrate` (not with --theta)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("match", help="match a single image and print ranked places")

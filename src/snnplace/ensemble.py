@@ -12,11 +12,11 @@ inference mode.  A neuron whose cumulative spike count reaches the
 threshold responds to places far outside its own region and is flagged
 hyperactive; flagged neurons are ignored when queries are matched.
 
-Every ensemble keeps its experts' weights in one (inputs, N, K) float32
-stack, ``EnsembleModel.weights``; each expert's weights are a view of its
-column, so inference reads the stack as it is and an edit of an expert's
-weights is what inference sees.  Training copies each trained expert into
-the stack, and loading reads each payload into its column.
+The ensemble owns every per-expert array as one table (``EnsembleModel``),
+which inference, detection and matching read as it is; an expert is a
+frozen view of its column and rows, so an edit of its arrays is what
+inference sees.  Training stacks the trained experts into the tables, and
+loading reads each payload into its column.
 
 Replaying the reference set and answering queries are one computation:
 each image is encoded once and binned to simulation steps, and blocks of
@@ -37,7 +37,6 @@ one read of the vote table, and a single query is a batch of one.
 
 from __future__ import annotations
 
-import copy
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -96,16 +95,18 @@ def partition_reference(place_count: int, places_per_expert: int) -> Partition:
 
 @dataclass
 class EnsembleModel:
-    """Ordered experts plus the global place index and config snapshot.
+    """One table per per-expert field, plus the global place index and config snapshot.
 
-    ``weights`` is the (inputs, N, K) float32 stack whose column i expert i's
-    weights view; builders fill it in place and pass it, and a model whose
-    experts do not view its columns in order is refused.  A pickle carries
-    the stack once and its copy rebuilds the views.
+    Expert i owns column i of the (inputs, N, K) float32 ``weights`` and
+    row i of every other table; ``experts`` views them, and a model whose
+    tables disagree in shape is refused.
     """
 
-    experts: list[ExpertModel]
     weights: np.ndarray = field(repr=False, compare=False)
+    thresholds: np.ndarray               # adaptive-threshold snapshots, mV
+    assignments: np.ndarray              # local place per neuron, UNASSIGNED if silent
+    global_starts: np.ndarray            # first global place of each region
+    region_places: np.ndarray            # places in each region
     place_count: int
     sim: SimulationParams
     encoding: EncodingConfig
@@ -116,45 +117,41 @@ class EnsembleModel:
     regularized: bool = False            # reference totals computed
     expert_config: ExpertConfig | None = None
     dataset_fingerprints: dict = field(default_factory=dict)
+    reference_totals: np.ndarray | None = None  # zeros until regularization
+    hyperactive: np.ndarray | None = None       # flags at theta; all off until set
 
     def __post_init__(self) -> None:
-        if not _views_columns(self.experts, self.weights):
-            raise ValueError(
-                "expert i's weights must be column i of the (inputs, N, K) float32 stack"
-            )
+        neurons = self.weights.shape[1:]
+        if self.reference_totals is None:
+            self.reference_totals = np.zeros(neurons, dtype=np.int64)
+        if self.hyperactive is None:
+            self.hyperactive = np.zeros(neurons, dtype=bool)
+        tables = (self.thresholds, self.assignments, self.reference_totals, self.hyperactive)
+        if not (self.weights.dtype == np.float32 and len(neurons) == 2
+                and all(np.shape(t) == neurons for t in tables)
+                and np.shape(self.global_starts) == np.shape(self.region_places) == neurons[:1]):
+            raise ValueError("tables disagree in shape with the (inputs, N, K) float32 weights")
 
-    def __getstate__(self) -> dict:
-        state = dict(vars(self))
-        state["experts"] = [copy.copy(ex) for ex in self.experts]
-        for ex in state["experts"]:
-            ex.weights = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        for i, ex in enumerate(self.experts):
-            ex.weights = self.weights[:, i]
+    @property
+    def experts(self) -> tuple[ExpertModel, ...]:
+        """One frozen view per expert: column i of ``weights`` and row i of every table."""
+        regions = zip(self.global_starts.tolist(), self.region_places.tolist())
+        return tuple(
+            ExpertModel(self.weights[:, i], self.thresholds[i], self.assignments[i], start,
+                        places, self.reference_totals[i], self.hyperactive[i])
+            for i, (start, places) in enumerate(regions)
+        )
 
     def validate_tiling(self) -> None:
         expected = 0
-        for ex in self.experts:
-            if ex.global_start != expected:
+        for start, places in zip(self.global_starts.tolist(), self.region_places.tolist()):
+            if start != expected:
                 raise ConfigError("expert place ranges do not tile the reference set")
-            expected += ex.n_places
+            expected += places
         if expected != self.place_count:
             raise ConfigError(
                 f"experts cover {expected} places, expected {self.place_count}"
             )
-
-
-def _views_columns(experts: list[ExpertModel], stack: np.ndarray) -> bool:
-    """Whether ``stack`` is float32 (inputs, N, K) and expert i's weights are ``stack[:, i]``."""
-    return (
-        isinstance(stack, np.ndarray) and stack.dtype == np.float32 and stack.ndim == 3
-        and stack.shape[1] == len(experts)
-        and all(ex.weights.__array_interface__ == stack[:, i].__array_interface__
-                for i, ex in enumerate(experts))
-    )
 
 
 @dataclass(frozen=True)
@@ -188,6 +185,24 @@ def _train_chunk(job) -> list[ExpertModel]:
     return [model for model, _ in train_experts(*job)]
 
 
+def plan_regions(reference_shape: tuple[int, ...], expert_cfg: ExpertConfig) -> Partition:
+    """The regions ``train_ensemble`` cuts a (traverses, places, H, W) reference into.
+
+    Their float32 weight stack takes width x height x regions x
+    n_excitatory x 4 bytes; above ``MAX_STACK_BYTES`` it raises ``ConfigError``.
+    """
+    _, place_count, height, width = reference_shape
+    partition = partition_reference(place_count, expert_cfg.places_per_expert)
+    stack_bytes = width * height * partition.n_regions * expert_cfg.n_excitatory * 4
+    if stack_bytes > MAX_STACK_BYTES:
+        raise ConfigError(
+            f"{partition.n_regions} experts of {expert_cfg.n_excitatory} neurons on "
+            f"{width}x{height} images need a {stack_bytes}-byte weight stack, "
+            f"more than {MAX_STACK_BYTES}"
+        )
+    return partition
+
+
 def train_ensemble(
     reference: np.ndarray,
     expert_cfg: ExpertConfig,
@@ -205,19 +220,12 @@ def train_ensemble(
     ``expert_cfg.places_per_expert``.  Each region's seed derives from
     (global_seed, region index), and workers train contiguous chunks of
     experts in groups, so serial, parallel and grouped runs are
-    bit-identical.  Each expert's weights are then copied into the
-    ensemble's weight stack, and its own array is freed.  A stack above
-    ``MAX_STACK_BYTES`` is refused before any expert trains.
+    bit-identical.  The experts' arrays are then stacked into the
+    ensemble's tables.  A stack above ``MAX_STACK_BYTES`` is refused
+    before any expert trains (``plan_regions``).
     """
     n_trav, place_count, height, width = reference.shape
-    partition = partition_reference(place_count, expert_cfg.places_per_expert)
-    stack_bytes = width * height * partition.n_regions * expert_cfg.n_excitatory * 4
-    if stack_bytes > MAX_STACK_BYTES:
-        raise ConfigError(
-            f"{partition.n_regions} experts of {expert_cfg.n_excitatory} neurons on "
-            f"{width}x{height} images need a {stack_bytes}-byte weight stack, "
-            f"more than {MAX_STACK_BYTES}"
-        )
+    partition = plan_regions(reference.shape, expert_cfg)
     regions = [
         RegionData(
             images=reference[:, start:stop],
@@ -229,14 +237,12 @@ def train_ensemble(
     ]
     jobs = [(regions[part], expert_cfg, sim, encoding) for part in _chunks(len(regions), workers)]
     experts = [expert for part in _ordered_map(_train_chunk, jobs, workers) for expert in part]
-    weights = np.empty((experts[0].n_inputs, len(experts), expert_cfg.n_excitatory), np.float32)
-    for i, expert in enumerate(experts):
-        weights[:, i] = expert.weights
-        expert.weights = weights[:, i]
-
     model = EnsembleModel(
-        experts=experts,
-        weights=weights,
+        weights=np.stack([ex.weights for ex in experts], axis=1),
+        thresholds=np.stack([ex.theta for ex in experts]),
+        assignments=np.stack([ex.assignments for ex in experts]),
+        global_starts=np.array([start for start, _ in partition.ranges], dtype=np.int64),
+        region_places=np.array([stop - start for start, stop in partition.ranges], dtype=np.int64),
         place_count=place_count,
         sim=sim,
         encoding=encoding,
@@ -284,8 +290,7 @@ def detect_hyperactive(
     totals = np.zeros(model.weights.shape[1:], dtype=np.int64)
     for part in _map_image_chunks(_chunk_totals, model, images, STREAM_REFERENCE, 0, workers):
         totals += part
-    for expert, row in zip(model.experts, totals):
-        expert.reference_totals = row
+    model.reference_totals = totals
     model.regularized = True
     return apply_threshold(model, theta)
 
@@ -294,8 +299,7 @@ def apply_threshold(model: EnsembleModel, theta: float | None) -> EnsembleModel:
     """Re-flag hyperactive neurons from cached totals; the only writer of ``model.theta``."""
     if not model.regularized:
         raise StateError("reference totals missing: run detect_hyperactive first")
-    for expert in model.experts:
-        expert.hyperactive = flags_for_theta(expert.reference_totals, theta)
+    model.hyperactive = flags_for_theta(model.reference_totals, theta)
     model.theta = theta or None  # theta passed flags_for_theta: None when the filter is off
     return model
 
@@ -304,12 +308,11 @@ def neuron_places(model: EnsembleModel) -> np.ndarray:
     """The (N, K) int64 global place each neuron votes for, UNASSIGNED where it has none.
 
     Neuron e of expert i votes for place ``global_start + assignments[e]``,
-    the place it answered most in training.  Built on each call, so it
-    reads the experts as they are now.
+    the place it answered most in training.  Built on each call from the
+    ``assignments`` and ``global_starts`` tables as they are now.
     """
-    local = np.stack([ex.assignments for ex in model.experts])
-    starts = np.array([[ex.global_start] for ex in model.experts], dtype=np.int64)
-    return np.where(local == UNASSIGNED, UNASSIGNED, local + starts)
+    local = model.assignments
+    return np.where(local == UNASSIGNED, UNASSIGNED, local + model.global_starts[:, None])
 
 
 def fuse_scores(
@@ -324,10 +327,10 @@ def fuse_scores(
     non-hyperactive neuron adds its spike count to its place in the vote
     table (``neuron_places``), which is read once per batch, with the
     flags.  ``flags``, a per-expert list or an (N, K) array, overrides the
-    experts' stored hyperactive flags (used by threshold sweeps over
-    cached responses).
+    model's ``hyperactive`` table (used by threshold sweeps over cached
+    responses).
     """
-    flags = [ex.hyperactive for ex in model.experts] if flags is None else flags
+    flags = model.hyperactive if flags is None else flags
     votes = np.where(np.asarray(flags), UNASSIGNED, neuron_places(model))
     voting = votes != UNASSIGNED
     ids = np.arange(model.place_count)
@@ -364,8 +367,7 @@ def _image_responses(model: EnsembleModel, images: np.ndarray, stream: int, firs
     train is binned as soon as it is drawn, and only the binned form waits
     for its block.
     """
-    block = max(1, BLOCK_STATE // (len(model.experts) * model.experts[0].n_excitatory))
-    theta = np.stack([ex.theta for ex in model.experts])
+    block = max(1, BLOCK_STATE // model.thresholds.size)
     for start in range(0, len(images), block):
         trains = [
             bin_train(poisson_encode(
@@ -373,7 +375,7 @@ def _image_responses(model: EnsembleModel, images: np.ndarray, stream: int, firs
             ), model.sim.dt_ms)
             for k, image in enumerate(images[start:start + block], start)
         ]
-        yield expert_respond(model.weights, theta, trains, model.sim, model.encoding)
+        yield expert_respond(model.weights, model.thresholds, trains, model.sim, model.encoding)
 
 
 def _chunk_rows(args) -> np.ndarray:

@@ -15,7 +15,7 @@ bit for bit as it would alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,24 +85,22 @@ class RegionData:
         return self.images.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpertModel:
-    """One trained, frozen region expert."""
+    """One trained, frozen region expert.
 
-    weights: np.ndarray            # (n_inputs, n_excitatory) float32, frozen; in an
-                                   # ensemble, a view of its column of the weight stack
+    In an ensemble it is a view of its column of ``EnsembleModel.weights``
+    and its row of every other table: an in-place edit of its arrays edits
+    the ensemble, and its fields cannot be rebound.
+    """
+
+    weights: np.ndarray            # (n_inputs, n_excitatory) float32, frozen
     theta: np.ndarray              # adaptive-threshold snapshot, mV
     assignments: np.ndarray        # local place id per neuron, UNASSIGNED if silent
     global_start: int              # first global place id of the region
     n_places: int                  # places in the region (L)
-    reference_totals: np.ndarray = field(default=None)  # filled by regularization
-    hyperactive: np.ndarray = field(default=None)       # flags at the current threshold
-
-    def __post_init__(self):
-        if self.reference_totals is None:
-            self.reference_totals = np.zeros(self.weights.shape[1], dtype=np.int64)
-        if self.hyperactive is None:
-            self.hyperactive = np.zeros(self.weights.shape[1], dtype=bool)
+    reference_totals: np.ndarray | None = None  # in an ensemble: filled by regularization
+    hyperactive: np.ndarray | None = None       # in an ensemble: flags at its threshold
 
     @property
     def n_excitatory(self) -> int:

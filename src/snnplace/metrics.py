@@ -28,8 +28,8 @@ def records_from_responses(
 ) -> list[MatchResult]:
     """Rank cached (n_queries, n_experts, n_excitatory) responses; each carries its truth.
 
-    The queries are ranked as one batch; ``flags`` overrides the experts'
-    stored hyperactive flags, as in ``fuse_scores``.
+    The queries are ranked as one batch; ``flags`` overrides the model's
+    ``hyperactive`` table, as in ``fuse_scores``.
     """
     return [
         replace(record, truth=int(t))
@@ -106,13 +106,13 @@ def neuron_precision_analysis(
     truths = np.asarray(truths)[:, None]
     places = neuron_places(model)
     fired_total, fired_correct = np.zeros((2,) + places.shape, dtype=np.int64)
-    for i in range(len(model.experts)):
+    for i in range(len(places)):
         fired = responses[:, i, :] > 0                      # (n_queries, K_E)
         fired_total[i], fired_correct[i] = fired.sum(0), (fired & (truths == places[i])).sum(0)
     assigned = places != UNASSIGNED
     cells = np.nonzero(assigned & (fired_total > 0))        # (expert, neuron) order
-    hyperactive = np.stack([ex.hyperactive for ex in model.experts])
-    columns = (*cells, places[cells], hyperactive[cells], fired_correct[cells], fired_total[cells])
+    columns = (*cells, places[cells], model.hyperactive[cells],
+               fired_correct[cells], fired_total[cells])
     records = [NeuronPrecisionRecord(*row) for row in zip(*(c.tolist() for c in columns))]
     n_unassigned = int((~assigned).sum())
     n_never_fired = places.size - n_unassigned - len(records)

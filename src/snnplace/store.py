@@ -4,8 +4,9 @@ An archive is a directory holding ``manifest.json`` plus one raw weight
 payload per expert (little-endian float32, row-major [n_inputs x
 n_excitatory]).  Everything else — assignments, adaptive thresholds,
 reference totals, hyperactive flags, full config — lives in the manifest.
-Each per-neuron list is spelled once, in ``_PER_NEURON``: the save, the
-load and the shape check all read its manifest key, type and element test.
+Each expert's entry lists its row of the ensemble's tables, and each table
+is spelled once, in ``_PER_NEURON`` or ``_PER_REGION``, which the save and
+the load both read.
 Python's JSON writer emits shortest round-trip float representations, so
 save/load is bit-exact; saves go through a temporary name and a final
 atomic rename.  A save writes one expert's payload at a time from its
@@ -19,8 +20,10 @@ read by ``config``'s JSON codec.  A save writes format 2; a format-1 archive
 loads with the four config keys format 2 dropped (``_FORMAT_1_KEYS``)
 removed first.  Loading rejects, with ``ArchiveError``,
 manifests with a missing or wrongly typed key (an unknown config key, a
-config value that breaks its invariant and a per-neuron list element of the
-wrong type included), a payload name other than expert i's own
+config value that breaks its invariant, a per-neuron list of the wrong
+length or element type, a region bound other than an integer, and a place
+count, seed, regularized flag or fingerprint map of the wrong type
+included), a payload name other than expert i's own
 ``expert_NNNN.bin``, a presentation shorter than one step or a window
 longer than ``config.MAX_WINDOW_STEPS``, and archives whose experts do not tile
 the place set, hold no experts, disagree on their shapes or with
@@ -43,7 +46,7 @@ import numpy as np
 from .config import check_presentation_steps, from_json, to_json
 from .ensemble import EnsembleModel, flags_for_theta
 from .errors import ArchiveError, ConfigError, IngestError
-from .expert import UNASSIGNED, ExpertConfig, ExpertModel
+from .expert import UNASSIGNED, ExpertConfig
 from .imaging import EncodingConfig, PatchNormConfig
 from .network import SimulationParams
 
@@ -59,16 +62,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Per-neuron fields by ExpertModel attribute: the manifest key, the array type,
-# and the test each listed element must pass first, since numpy's cast would
-# truncate 1.9 to 1 and read "no" as True.
+# Per-neuron tables by EnsembleModel attribute: each expert's manifest key, the
+# table's type, and the test each listed element must pass first, since
+# numpy's cast would truncate 1.9 to 1 and read "no" as True.
 _PER_NEURON = {
-    "theta": ("theta_adapt_mv", np.float64, "numbers",
-              lambda v: _is_int(v) or isinstance(v, float)),
+    "thresholds": ("theta_adapt_mv", np.float64, "numbers",
+                   lambda v: _is_int(v) or isinstance(v, float)),
     "assignments": ("assignments", np.int64, "integers", _is_int),
     "reference_totals": ("reference_totals", np.int64, "non-negative integers",
                          lambda v: _is_int(v) and v >= 0),
     "hyperactive": ("hyperactive", bool, "true or false", lambda v: isinstance(v, bool)),
+}
+# Per-region int64 tables by EnsembleModel attribute: each expert's manifest
+# key, whose value must be a JSON integer (numpy would read 3.5 as 3).
+_PER_REGION = {"global_starts": "global_start", "region_places": "n_places"}
+# Top-level manifest values: what each must be, and its test.
+_SCALARS = {
+    "place_count": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "global_seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "regularized": ("true or false", lambda v: isinstance(v, bool)),
+    "dataset_fingerprints": ("an object of strings", lambda v: isinstance(v, dict)
+                             and all(isinstance(f, str) for f in v.values())),
 }
 
 
@@ -133,9 +147,9 @@ def save_ensemble(model: EnsembleModel, path: str | os.PathLike, overwrite: bool
     tmp = None
     try:
         tmp = tempfile.mkdtemp(prefix=".snnplace_save_", dir=parent)
-        for i, ex in enumerate(model.experts):
+        for i in range(model.weights.shape[1]):
             with open(os.path.join(tmp, _payload_name(i)), "wb") as fh:
-                fh.write(np.ascontiguousarray(ex.weights, dtype="<f4"))
+                fh.write(np.ascontiguousarray(model.weights[:, i], dtype="<f4"))
                 fh.flush()
                 os.fsync(fh.fileno())
         with open(os.path.join(tmp, "manifest.json"), "w") as fh:
@@ -184,17 +198,17 @@ def _payload_name(index: int) -> str:
 
 
 def _manifest(model: EnsembleModel) -> dict:
+    n_inputs, n_experts, n_excitatory = model.weights.shape
     experts_meta = [
         {
             "file": _payload_name(i),
-            "n_inputs": ex.n_inputs,
-            "n_excitatory": ex.n_excitatory,
-            "global_start": ex.global_start,
-            "n_places": ex.n_places,
-            **{key: np.asarray(getattr(ex, attr), dtype).tolist()
-               for attr, (key, dtype, *_) in _PER_NEURON.items()},
+            "n_inputs": n_inputs,
+            "n_excitatory": n_excitatory,
+            **{key: int(getattr(model, table)[i]) for table, key in _PER_REGION.items()},
+            **{key: np.asarray(getattr(model, table)[i], dtype).tolist()
+               for table, (key, dtype, *_) in _PER_NEURON.items()},
         }
-        for i, ex in enumerate(model.experts)
+        for i in range(n_experts)
     ]
     # The simulation's keys, plus one key per other config section.
     config = {**to_json(model.sim), "encoding": to_json(model.encoding),
@@ -294,27 +308,30 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
             if isinstance(cfg.get(section), dict):
                 cfg[section] = {k: v for k, v in cfg[section].items() if k not in keys}
     sim = {key: value for key, value in cfg.items() if key not in ("encoding", "patch", "expert")}
+    for key, (wanted, valid) in _SCALARS.items():
+        if not valid(manifest[key]):
+            raise ArchiveError(f"archive {path!r}: {key} must be {wanted}")
     metas = manifest["experts"]
     n_inputs, n_excitatory = _weight_shape(manifest, path)
     payloads = [
         _payload_path(meta, i, path, n_inputs * n_excitatory * 4) for i, meta in enumerate(metas)
     ]
     weights = np.empty((n_inputs, len(metas), n_excitatory), dtype=np.float32)
+    tables = {table: np.empty((len(metas), n_excitatory), dtype)
+              for table, (_, dtype, *_) in _PER_NEURON.items()}
     payload = np.empty((n_inputs, n_excitatory), dtype="<f4")
-    experts = []
     for i, (meta, payload_path) in enumerate(zip(metas, payloads)):
         _read_payload(payload_path, payload)
         weights[:, i] = payload
-        where = f"archive {path!r}: expert {i}"
-        experts.append(ExpertModel(
-            weights=weights[:, i],
-            **{attr: _per_neuron(meta, attr, where) for attr in _PER_NEURON},
-            global_start=meta["global_start"],
-            n_places=meta["n_places"],
-        ))
+        for table, rows in tables.items():
+            rows[i] = _per_neuron(meta, table, n_excitatory, f"archive {path!r}: expert {i}")
+    for table, key in _PER_REGION.items():
+        if not all(_is_int(meta[key]) for meta in metas):
+            raise ArchiveError(f"archive {path!r}: every expert's {key} must be an integer")
+        tables[table] = np.array([meta[key] for meta in metas], dtype=np.int64)
     return EnsembleModel(
-        experts=experts,
         weights=weights,
+        **tables,
         place_count=manifest["place_count"],
         sim=from_json(SimulationParams, sim, "config"),
         encoding=from_json(EncodingConfig, cfg["encoding"], "config.encoding"),
@@ -389,12 +406,13 @@ def _check_payload_size(payload_path: str, size: int, expected: int) -> None:
         raise ArchiveError(f"payload {payload_path!r} holds {size} bytes, expected {expected}")
 
 
-def _per_neuron(meta: dict, attr: str, where: str) -> np.ndarray:
-    key, dtype, wanted, valid = _PER_NEURON[attr]
+def _per_neuron(meta: dict, table: str, n_excitatory: int, where: str) -> list:
+    key, _, wanted, valid = _PER_NEURON[table]
     values = meta[key]
-    if not (isinstance(values, list) and all(map(valid, values))):
-        raise ArchiveError(f"{where} {key} must be a list of {wanted}")
-    return np.array(values, dtype=dtype)
+    if not (isinstance(values, list) and len(values) == n_excitatory
+            and all(map(valid, values))):
+        raise ArchiveError(f"{where} {key} must be a list of {n_excitatory} {wanted}")
+    return values
 
 
 def _check_consistent(model: EnsembleModel, path: str) -> None:
@@ -403,22 +421,15 @@ def _check_consistent(model: EnsembleModel, path: str) -> None:
     The stored configs were checked as they were decoded; a presentation
     must last at least one step and no window more than
     ``MAX_WINDOW_STEPS``, and the stored theta must pass the same
-    check as a fresh one.  Each expert's per-neuron lists
-    must match its neuron count, its thresholds and weights must be finite,
-    each assignment must be a local place of that expert or unassigned, and
-    its hyperactive flags must be those the stored theta gives its reference
-    totals (``flags_for_theta``).
+    check as a fresh one.  Each expert's thresholds and weights must be
+    finite, each assignment must be a local place of that expert or
+    unassigned, and its hyperactive flags must be those the stored theta
+    gives its reference totals (``flags_for_theta``).
     """
     model.validate_tiling()
     check_presentation_steps(model.encoding, model.sim)
     flags_for_theta((), model.theta)
     for i, ex in enumerate(model.experts):
-        for name in _PER_NEURON:
-            if getattr(ex, name).shape != (ex.n_excitatory,):
-                raise ArchiveError(
-                    f"archive {path!r}: expert {i} lists {name} of shape "
-                    f"{getattr(ex, name).shape}, expected ({ex.n_excitatory},)"
-                )
         if not (np.isfinite(ex.theta).all() and np.isfinite(ex.weights).all()):
             raise ArchiveError(
                 f"archive {path!r}: expert {i} holds non-finite thresholds or weights"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ensemble import EnsembleModel, match_query, neuron_places
 from .errors import StateError
-from .expert import UNASSIGNED, ExpertModel
+from .expert import UNASSIGNED
 from .imaging import (
     EncodingConfig,
     PatchNormConfig,
@@ -84,21 +84,17 @@ def synthetic_ensemble(
     encoding = encoding or EncodingConfig(min_output_spikes=0)
     n_inputs = image_size[0] * image_size[1]
     weights = np.empty((n_inputs, n_experts, n_excitatory), dtype=np.float32)
-    experts = []
     for i in range(n_experts):
         w = init_weights(n_inputs, n_excitatory, derive_seed(seed, i), sim.weight_init_max)
         normalize_columns(w, sim.weight_norm_target, sim.stdp.w_max)
         weights[:, i] = w
-        experts.append(ExpertModel(
-            weights=weights[:, i],
-            theta=np.zeros(n_excitatory),
-            assignments=np.arange(n_excitatory, dtype=np.int64) % places_per_expert,
-            global_start=i * places_per_expert,
-            n_places=places_per_expert,
-        ))
     model = EnsembleModel(
-        experts=experts,
         weights=weights,
+        thresholds=np.zeros((n_experts, n_excitatory)),
+        assignments=np.tile(np.arange(n_excitatory, dtype=np.int64) % places_per_expert,
+                            (n_experts, 1)),
+        global_starts=np.arange(n_experts, dtype=np.int64) * places_per_expert,
+        region_places=np.full(n_experts, places_per_expert, dtype=np.int64),
         place_count=n_experts * places_per_expert,
         sim=sim,
         encoding=encoding,
@@ -160,11 +156,12 @@ def inject_cross_region_responders(
     """
     if not model.regularized:
         raise StateError("injection picks winners by reference totals: regularize first")
-    if len(model.experts) < 2:
+    n_experts = len(model.global_starts)
+    if n_experts < 2:
         raise StateError("need at least two experts to inject cross-region responders")
     injected_model = copy.deepcopy(model)
     rng = np.random.default_rng(seed)
-    winners = [int(np.argmax(ex.reference_totals)) for ex in model.experts]
+    winners = np.argmax(model.reference_totals, axis=1)
 
     places = neuron_places(model)
     n_inject = int(round(fraction * places.size))
@@ -173,12 +170,11 @@ def inject_cross_region_responders(
     injected = []
     for pick in sorted(picks):
         i, e = candidates[pick]
-        source = int(rng.integers(0, len(model.experts) - 1))
+        source = int(rng.integers(0, n_experts - 1))
         if source >= i:
             source += 1
-        src_expert = model.experts[source]
-        victim = injected_model.experts[i]
-        victim.weights[:, e] = src_expert.weights[:, winners[source]]
-        victim.theta[e] = threshold_scale * src_expert.theta[winners[source]]
+        winner = winners[source]
+        injected_model.weights[:, i, e] = model.weights[:, source, winner]
+        injected_model.thresholds[i, e] = threshold_scale * model.thresholds[source, winner]
         injected.append((i, e))
     return injected_model, injected

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from snnplace.ensemble import EnsembleModel
-from snnplace.expert import ExpertConfig, ExpertModel, expert_respond
+from snnplace.expert import ExpertConfig, expert_respond
 from snnplace.imaging import EncodingConfig, PatchNormConfig
 from snnplace.network import ExpertNetwork, SimulationParams, SynapseMatrix
 
@@ -62,45 +62,32 @@ def handmade_ensemble(
 ) -> EnsembleModel:
     """A fully synthetic ensemble whose experts never simulate anything.
 
-    Only the matching-side fields matter: assignments, reference totals,
-    and hyperactive flags.  Weights are a zero stack of a minimal shape,
-    whose columns the experts view, as every builder makes it.
+    Only the matching-side tables matter: assignments, reference totals,
+    and hyperactive flags.  Weights are a zero stack of a minimal shape.
     """
-    n = len(assignments_per_expert[0])
-    weights = np.zeros((4, len(assignments_per_expert), n), dtype=np.float32)
-    experts = []
-    for i, assignments in enumerate(assignments_per_expert):
-        totals = (
-            np.zeros(n, dtype=np.int64)
-            if totals_per_expert is None
-            else np.asarray(totals_per_expert[i], dtype=np.int64)
-        )
-        experts.append(ExpertModel(
-            weights=weights[:, i],
-            theta=np.zeros(n),
-            assignments=np.asarray(assignments, dtype=np.int64),
-            global_start=i * places_per_expert,
-            n_places=places_per_expert,
-            reference_totals=totals,
-        ))
+    n_experts, n = len(assignments_per_expert), len(assignments_per_expert[0])
     model = EnsembleModel(
-        experts=experts,
-        weights=weights,
-        place_count=place_count or places_per_expert * len(experts),
+        weights=np.zeros((4, n_experts, n), dtype=np.float32),
+        thresholds=np.zeros((n_experts, n)),
+        assignments=np.array(assignments_per_expert, dtype=np.int64),
+        global_starts=np.arange(n_experts, dtype=np.int64) * places_per_expert,
+        region_places=np.full(n_experts, places_per_expert, dtype=np.int64),
+        place_count=place_count or places_per_expert * n_experts,
         sim=SimulationParams.defaults(),
         encoding=tiny_encoding(),
         patch=PatchNormConfig(),
         image_size=(2, 2),
         global_seed=0,
         regularized=True,
+        reference_totals=(
+            None if totals_per_expert is None
+            else np.array(totals_per_expert, dtype=np.int64)
+        ),
     )
     if theta is not None:
         from snnplace.ensemble import apply_threshold
 
         apply_threshold(model, theta)
-    else:
-        for expert, counts in zip(model.experts, counts_per_expert):
-            expert.hyperactive = np.zeros(len(counts), dtype=bool)
     return model
 
 

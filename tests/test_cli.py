@@ -158,6 +158,16 @@ class TestTrain:
         assert_one_error_line(capsys, "4096-byte weight stack", "4095")
         assert os.listdir(tmp_path) == []
 
+    def test_a_refused_weight_stack_prints_nothing_to_stdout(self, world, tmp_path,
+                                                             monkeypatch, capsys):
+        _, cfg, ref, _ = world
+        monkeypatch.setattr(ensemble, "MAX_STACK_BYTES", 4095)
+        assert main(["train", "--config", cfg, "--ref-dirs", ref,
+                     "--out", str(tmp_path / "model")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "4096-byte weight stack" in err
+
     @pytest.mark.parametrize("places", ["0", "-3"])
     def test_nonpositive_places_exits_2(self, world, places, capsys):
         root, cfg, ref, _ = world
@@ -205,6 +215,27 @@ class TestRegularize:
             capsys, "traverse 'ref' does not match the data this model was trained on"
         )
         assert read_archive_bytes(model) == before
+
+    def test_an_existing_out_other_than_the_model_is_refused(self, world, trained_archive,
+                                                             tmp_path, monkeypatch, capsys):
+        _, cfg, ref, _ = world
+        other = str(tmp_path / "other")
+        shutil.copytree(trained_archive, other)
+        before = read_archive_bytes(other)
+        never_called(monkeypatch, ensemble, "detect_hyperactive")
+        assert main(["regularize", "--config", cfg, "--model", trained_archive,
+                     "--ref-dirs", ref, "--theta", "5", "--out", other]) == 2
+        assert_one_error_line(capsys, "refusing to overwrite", "other")
+        assert read_archive_bytes(other) == before
+        assert sorted(os.listdir(tmp_path)) == ["other"]
+
+    def test_out_naming_the_model_updates_it_in_place(self, world, trained_archive, tmp_path):
+        _, cfg, ref, _ = world
+        model = str(tmp_path / "model")
+        shutil.copytree(trained_archive, model)
+        assert main(["regularize", "--config", cfg, "--model", model, "--ref-dirs", ref,
+                     "--theta", "5", "--out", os.path.join(str(tmp_path), ".", "model")]) == 0
+        assert load_ensemble(model).theta == 5
 
     def test_a_users_old_backup_survives_regularize(self, world, trained_archive, tmp_path):
         _, cfg, ref, _ = world
@@ -397,6 +428,21 @@ class TestInvalidTheta:
                    "--params", str(params)])
         assert rc == 2
         assert_one_error_line(capsys, "theta")
+        assert not (tmp_path / "r").exists()
+
+    def test_evaluate_theta_and_params_together_exit_2(self, world, trained_archive, tmp_path,
+                                                       monkeypatch, capsys):
+        import snnplace.store as store
+
+        _, cfg, _, query = world
+        params = tmp_path / "chosen.json"
+        params.write_text(json.dumps({"theta": 5}))
+        never_called(monkeypatch, store, "load_ensemble")
+        rc = main(["evaluate", "--config", cfg, "--model", trained_archive,
+                   "--query-dir", query, "--report-dir", str(tmp_path / "r"),
+                   "--theta", "50", "--params", str(params)])
+        assert rc == 2
+        assert_one_error_line(capsys, "--theta", "--params")
         assert not (tmp_path / "r").exists()
 
     def test_calibrate_bad_grid_fails_before_training(self, world, tmp_path, capsys,

@@ -232,11 +232,11 @@ class TestFuse:
             if len(model.experts) < 2:
                 continue
             perm = rng.permutation(len(model.experts))
-            stack = model.weights[:, perm]
-            shuffled = dataclasses.replace(model, weights=stack, experts=[
-                dataclasses.replace(model.experts[i], weights=stack[:, j])
-                for j, i in enumerate(perm)
-            ])
+            shuffled = dataclasses.replace(model, weights=model.weights[:, perm], **{
+                table: getattr(model, table)[perm]
+                for table in ("thresholds", "assignments", "global_starts", "region_places",
+                              "reference_totals", "hyperactive")
+            })
             (base,) = fuse_scores(model, [counts])
             (other,) = fuse_scores(shuffled, [[counts[i] for i in perm]])
             np.testing.assert_array_equal(base.place_ids, other.place_ids)
@@ -487,7 +487,7 @@ class TestLockstep:
 
 
 class TestWeightStack:
-    """Every ensemble keeps its experts' weights as views of one float32 stack."""
+    """Every ensemble keeps one table per field; its experts view their rows."""
 
     @staticmethod
     def assert_views_of_one_stack(model):
@@ -497,6 +497,25 @@ class TestWeightStack:
         for i, ex in enumerate(model.experts):
             assert np.shares_memory(ex.weights, model.weights)
             assert ex.weights.__array_interface__ == model.weights[:, i].__array_interface__
+            for field, table in (("theta", "thresholds"), ("assignments", "assignments"),
+                                 ("reference_totals", "reference_totals"),
+                                 ("hyperactive", "hyperactive")):
+                view = getattr(ex, field).__array_interface__
+                assert view == getattr(model, table)[i].__array_interface__
+            assert (ex.global_start, ex.n_places) == (model.global_starts[i],
+                                                      model.region_places[i])
+
+    def test_an_edit_of_an_experts_arrays_edits_the_model(self):
+        model = synthetic_ensemble(2, n_excitatory=3, places_per_expert=2, seed=1)
+        expert = model.experts[1]
+        expert.weights[7, 1] = 0.25
+        expert.theta[2] = 4.5
+        expert.hyperactive[0] = True
+        assert model.weights[7, 1, 1] == 0.25
+        assert model.thresholds[1, 2] == 4.5
+        assert model.hyperactive.tolist() == [[False] * 3, [True, False, False]]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            expert.hyperactive = np.ones(3, dtype=bool)
 
     def test_every_builder_gives_views_of_one_stack(self, tmp_path):
         synthetic = synthetic_ensemble(3, n_excitatory=5, places_per_expert=2, seed=1)
@@ -513,12 +532,18 @@ class TestWeightStack:
             self.assert_views_of_one_stack(model)
         assert trained[0].weights.tobytes() == trained[1].weights.tobytes()
 
-    def test_experts_that_do_not_view_the_stack_in_order_are_refused(self):
+    def test_tables_that_disagree_in_shape_are_refused(self):
         model = synthetic_ensemble(3, n_excitatory=5, places_per_expert=2, seed=1)
-        for changes in (dict(experts=model.experts[::-1]),
-                        dict(weights=model.weights.copy()),
-                        dict(weights=model.weights.astype(np.float64))):
-            with pytest.raises(ValueError, match="column i of the"):
+        for changes in (dict(weights=model.weights.astype(np.float64)),
+                        dict(weights=model.weights[:, :2]),
+                        dict(weights=model.weights[0]),
+                        dict(thresholds=model.thresholds[:, :4]),
+                        dict(assignments=model.assignments[:2]),
+                        dict(reference_totals=model.reference_totals.ravel()),
+                        dict(hyperactive=model.hyperactive[:, :1]),
+                        dict(global_starts=model.global_starts[:2]),
+                        dict(region_places=model.region_places[:, None])):
+            with pytest.raises(ValueError, match="tables disagree in shape"):
                 dataclasses.replace(model, **changes)
         same = dataclasses.replace(model, theta=None)
         assert same.weights is model.weights

@@ -390,6 +390,35 @@ class TestCorruption:
         with pytest.raises(ArchiveError, match=f"expert 1 {key} must be a list of"):
             load_ensemble(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("place_count", 4.0),         # tiles the model's 4 places, then breaks a query
+        ("place_count", 0),
+        ("global_seed", -3),          # breaks the first query's seed
+        ("global_seed", 1.5),
+        ("global_seed", "7"),
+        ("regularized", "no"),
+        ("regularized", 1),
+        ("dataset_fingerprints", {"a": 1}),
+        ("dataset_fingerprints", ["a"]),
+    ])
+    def test_top_level_value_of_the_wrong_type_rejected(self, trained_model, tmp_path,
+                                                        key, value):
+        model, _ = trained_model
+        path = self._edit_manifest(model, tmp_path, lambda m: m.update({key: value}))
+        with pytest.raises(ArchiveError, match=f"{key} must be"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("key", ["global_start", "n_places"])
+    def test_region_bound_other_than_an_integer_rejected(self, trained_model, tmp_path, key):
+        model, _ = trained_model
+
+        def as_float(manifest):
+            manifest["experts"][1][key] = float(manifest["experts"][1][key])  # 2.0 tiles
+
+        path = self._edit_manifest(model, tmp_path, as_float)
+        with pytest.raises(ArchiveError, match=f"{key} must be an integer"):
+            load_ensemble(path)
+
     def test_presentation_shorter_than_a_step_rejected(self, trained_model, tmp_path):
         model, _ = trained_model
 
@@ -473,7 +502,10 @@ def fuzz_archive(trained_model, tmp_path_factory):
 class TestManifestFuzz:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_dropped_or_retyped_key_raises_only_archive_error(self, fuzz_archive, data):
+    def test_dropped_or_retyped_key_raises_only_archive_error(self, fuzz_archive, trained_model,
+                                                              data):
+        """A load raises nothing but ArchiveError, and a model loaded after an edit
+        outside the config block answers a query or raises a SnnPlaceError."""
         path, manifest, keys = fuzz_archive
         key = data.draw(st.sampled_from(keys))
         edited = copy.deepcopy(manifest)
@@ -486,8 +518,16 @@ class TestManifestFuzz:
             owner[key[-1]] = data.draw(JUNK)
         (path / "manifest.json").write_text(json.dumps(edited))
         try:
-            load_ensemble(path)
+            loaded = load_ensemble(path)
         except ArchiveError:
+            return
+        if key[0] == "config":
+            # The config codec bounds no value's size, so a finite but huge one
+            # (wiring.w_inh_to_exc = 2**63, say) loads and overflows the simulation.
+            return
+        try:
+            match_query(loaded, trained_model[1][0, 0])
+        except SnnPlaceError:
             pass
 
     def test_unedited_manifest_still_loads(self, fuzz_archive, trained_model):
