@@ -24,10 +24,11 @@ images are fanned out to every expert; all (image, expert) pairs start from
 rest and step in lockstep through one network (``expert_respond``), and a
 single query is a batch of one image.  A block holds ``max(1, BLOCK_STATE
 // (N * K))`` images, so its state stays small; at paper scale it is one
-image.  A block of small experts (K > 1, N * K up to
-``network.PAD_BLOCK_CELLS``) gets each step's input spikes in one padded
-gather over its images, any other block image by image, with the same
-bits.  Batches run in parallel over contiguous image chunks, so results
+image.  With K > 1, a block of one image (a query, or a paper-scale
+block) reads each step's input spikes in one gather from the stack, and a
+block of small experts (N * K up to ``network.PAD_BLOCK_CELLS``) in one
+padded gather over its images; any other block reads image by image, with
+the same bits.  Batches run in parallel over contiguous image chunks, so results
 never depend on the worker count or the block size.  Each place's score is
 the summed response of the non-hyperactive neurons that vote for it in
 ``neuron_places``, and the ranking is the descending score order (ties

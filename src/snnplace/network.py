@@ -34,11 +34,14 @@ The encoder only draws spikes; ``bin_train`` alone orders them by step, and
 out one way, as an (m, C) block per step whose column c holds train c's
 rows and then padding.  A learning group bumps its traces over that block,
 pad entries included.  One predicate in ``ExpertNetwork.present`` decides
-how the block is read: when K > 1, a learning group, or a frozen block of
-B > 1 images with N * K <= ``PAD_BLOCK_CELLS``, takes one padded gather per
-step; every other presentation reads each column's counted real rows, a
-group of one-neuron experts included, since numpy sums a lone weight
-column pairwise and padding would change that sum.
+how the block is read: when K > 1, a learning group, a frozen block of one
+image, or a frozen block of B > 1 images with N * K <= ``PAD_BLOCK_CELLS``
+takes one gather per step (a block of one image has no pad entries, so it
+reads its stack as it is, at any size); every other presentation reads
+each column's counted real rows, the one-expert reference and a group of
+one-neuron experts included, since numpy sums a lone weight column
+pairwise and padding would change that sum.  Each step's scalar constants
+are 0-d arrays built once per layer state (``_constants``).
 
 There is no randomness anywhere in this module; all stochasticity lives in
 the spike encoder.  One network instance is single-threaded mutable state,
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -209,7 +213,17 @@ class SimulationParams:
             raise ConfigError("lif_inhibitory takes no tau_gi_ms or e_inh_mv: nothing inhibits it")
 
 
-class LayerState:
+class _Memo:
+    """A per-instance memo of derived constants (``_constants``).
+
+    It lives in a base class so that ``LayerState.__slots__`` names the state's
+    arrays alone.
+    """
+
+    __slots__ = ("memo",)
+
+
+class LayerState(_Memo):
     """Per-neuron dynamic variables of one layer.
 
     Shaped (G, K) for a learning group, (K,) for one frozen expert, or (B images,
@@ -229,6 +243,7 @@ class LayerState:
         self.g_i = g_i
         self.theta = theta
         self.refractory = refractory
+        self.memo = {}
 
     @staticmethod
     def resting(
@@ -291,6 +306,43 @@ def init_weights(n_inputs: int, n_excitatory: int, seed: int, w_init_max: float)
     return rng.uniform(0.0, w_init_max, size=(n_inputs, n_excitatory))
 
 
+def _constants(state: _Memo, build, *key):
+    """``build(*key)``, made once per ``state`` and reused while ``key`` holds the same objects.
+
+    Every per-step scalar is a 0-d float64 array: numpy converts a Python
+    float operand on every call (about 0.4 us on a 2-core x86 with numpy
+    2.4), but takes a 0-d float64 array as it is, through the same float64
+    loop, so the bits do not change.  The memo keeps the key's objects
+    alive, so no other object can take their identity and a match is never
+    stale.
+    """
+    hit = state.memo.get(build)
+    if hit is not None and all(map(operator.is_, hit[0], key)):
+        return hit[1]
+    values = build(*key)
+    state.memo[build] = (key, values)
+    return values
+
+
+def _scalars(*values) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(x, dtype=np.float64) for x in values)
+
+
+def _lif_constants(params: UninhibitedLifParams, dt_ms: float, homeo: HomeostasisParams | None):
+    if dt_ms <= 0:
+        raise ConfigError("dt_ms must be > 0")
+    inhibited = isinstance(params, LifParams)
+    # In the order ``lif_step`` unpacks them; a term the layer lacks is NaN, never read.
+    return _scalars(
+        0.0, params.e_rest_mv, params.e_exc_mv, params.e_inh_mv if inhibited else math.nan,
+        dt_ms / params.tau_ms, math.exp(-dt_ms / params.tau_ge_ms),
+        math.exp(-dt_ms / params.tau_gi_ms) if inhibited else math.nan,
+        math.nan if homeo is None else math.exp(-dt_ms / homeo.theta_decay_ms),
+        params.v_thresh_mv, params.v_reset_mv, dt_ms, params.refractory_ms,
+        math.nan if homeo is None else homeo.theta_plus_mv,
+    )
+
+
 def lif_step(
     state: LayerState,
     params: UninhibitedLifParams,
@@ -309,38 +361,40 @@ def lif_step(
     read: a neuron is held while it is > 0, and an active neuron's value
     just sinks further below 0.
     """
-    if dt_ms <= 0:
-        raise ConfigError("dt_ms must be > 0")
+    (zero, e_rest, e_exc, e_inh, rate, decay_ge, decay_gi, decay_theta,
+     v_thresh, v_reset, dt, refractory, theta_plus) = _constants(
+        state, _lif_constants, params, dt_ms, homeo)
     v, g_i, theta = state.v, state.g_i, state.theta
-    held = state.refractory > 0.0
+    held = state.refractory > zero
     # dv = dt/tau * ((E_rest - v) + g_e * (E_exc - v) + g_i * (E_inh - v)), built in
     # place in the formula's operation order, so each neuron gets the formula's bits.
-    dv = params.e_rest_mv - v
-    drive = params.e_exc_mv - v
+    dv = e_rest - v
+    drive = e_exc - v
     drive *= state.g_e
     dv += drive
     if g_i is not None:
-        np.subtract(params.e_inh_mv, v, out=drive)
+        np.subtract(e_inh, v, out=drive)
         drive *= g_i
         dv += drive
-    dv *= dt_ms / params.tau_ms
+    dv *= rate
     v += dv
-    np.copyto(v, params.v_reset_mv, where=held)
-    state.g_e *= math.exp(-dt_ms / params.tau_ge_ms)
+    state.g_e *= decay_ge
     if g_i is not None:
-        g_i *= math.exp(-dt_ms / params.tau_gi_ms)
+        g_i *= decay_gi
     if theta is None:
-        spiked = v >= params.v_thresh_mv
+        spiked = v >= v_thresh
     else:
         if homeo is not None:
-            theta *= math.exp(-dt_ms / homeo.theta_decay_ms)
-        spiked = v >= params.v_thresh_mv + theta
-    spiked &= ~held
-    np.copyto(v, params.v_reset_mv, where=spiked)
-    state.refractory -= dt_ms
-    np.copyto(state.refractory, params.refractory_ms, where=spiked)
+            theta *= decay_theta
+        spiked = v >= np.add(v_thresh, theta, out=drive)
+    # Held neurons are masked out of the spikes, so spiking reads v before their
+    # reset, and one reset covers held and spiking neurons.
+    np.greater(spiked, held, out=spiked)
+    np.copyto(v, v_reset, where=np.logical_or(held, spiked, out=held))
+    state.refractory -= dt
+    np.copyto(state.refractory, refractory, where=spiked)
     if homeo is not None and theta is not None:
-        np.add(theta, homeo.theta_plus_mv, out=theta, where=spiked)
+        np.add(theta, theta_plus, out=theta, where=spiked)
     return spiked
 
 
@@ -382,21 +436,22 @@ def apply_input_spikes(
     ``indices`` is one step of a ``_pad_block`` layout: an (m, C) block
     whose column c holds column c's rows of ``syn.w`` and then pad rows.
     A learning group's columns are its G experts, on its stack flattened
-    to (G * rows, K); a frozen block's are its B images.  Without
-    ``counts`` one gather and one sum give the (C, ...) conductance of
-    every column, so the pad rows must be all zero and K > 1: padding
-    appends +0.0 after each column's real rows, which numpy sums one by
-    one, so every cell gets what its expert alone gets.  With ``counts``,
-    column b reads only its first ``counts[b]`` rows and drives
-    ``state.g_e[b]`` (a state without an image axis is a block of one);
-    only this read sees a lone column.  Delivery never touches the
-    traces: ``ExpertNetwork.present`` bumps a learning group's.
+    to (G * rows, K); a frozen block's are its B images (a state without
+    an image axis is a block of one).  Without ``counts`` one gather and
+    one sum give the (C, ...) conductance of every column, so the pad rows
+    must be all zero and K > 1: padding appends +0.0 after each column's
+    real rows, which numpy sums one by one, so every cell gets what its
+    expert alone gets.  A block of one column has no pad entries, so it
+    may read a stack without a pad row.  With ``counts``, column b reads
+    only its first ``counts[b]`` rows and drives ``state.g_e[b]``; only
+    this read sees a lone column.  Delivery never touches the traces:
+    ``ExpertNetwork.present`` bumps a learning group's.
     """
+    g_e = state.g_e if state.g_e.ndim == syn.w.ndim else state.g_e[None]
     if counts is None:
         # Summing float32 rows in float64 equals summing their float64 copies, bit for bit.
-        state.g_e += np.add.reduce(syn.w[indices], 0, np.float64)
+        g_e += np.add.reduce(syn.w[indices], 0, np.float64)
         return
-    g_e = state.g_e if state.g_e.ndim == syn.w.ndim else state.g_e[None]
     for b, m in enumerate(counts):
         if m:
             rows = syn.w[indices[:m, b]]
@@ -405,6 +460,10 @@ def apply_input_spikes(
                 # laid out column by column, each expert's rows sum as they do alone.
                 rows = np.asfortranarray(rows)
             g_e[b] += np.add.reduce(rows, 0, np.float64)
+
+
+def _wiring_constants(wiring: FixedWiring):
+    return _scalars(wiring.w_inh_to_exc, wiring.w_exc_to_inh)
 
 
 def apply_lateral_inhibition(
@@ -420,13 +479,14 @@ def apply_lateral_inhibition(
     spiking inhibitory neuron inhibits every excitatory neuron of its own
     expert (the last axis) except its own partner.
     """
+    w_inh_to_exc, w_exc_to_inh = _constants(exc_state, _wiring_constants, wiring)
     if np.count_nonzero(inh_spiked):
-        n_inh = inh_spiked.sum(axis=-1, keepdims=True)  # per expert
+        n_inh = np.add.reduce(inh_spiked, -1, keepdims=True)  # per expert
         g_i = exc_state.g_i
-        g_i += wiring.w_inh_to_exc * n_inh
-        np.subtract(g_i, wiring.w_inh_to_exc, out=g_i, where=inh_spiked)
+        g_i += w_inh_to_exc * n_inh
+        np.subtract(g_i, w_inh_to_exc, out=g_i, where=inh_spiked)
     if np.count_nonzero(exc_spiked):
-        np.add(inh_state.g_e, wiring.w_exc_to_inh, out=inh_state.g_e, where=exc_spiked)
+        np.add(inh_state.g_e, w_exc_to_inh, out=inh_state.g_e, where=exc_spiked)
 
 
 def stdp_on_post_spike(syn: SynapseMatrix, params: StdpParams, post_indices) -> None:
@@ -556,10 +616,13 @@ class ExpertNetwork:
         (inputs, N, K) stack.  A learning group bumps its presynaptic traces
         with one ``np.add.at`` over each delivered step, pad entries
         included; STDP reads only the real inputs' traces.  One predicate
-        picks the read: when K > 1, a learning group, or a frozen block of
-        B > 1 images with N * K <= ``PAD_BLOCK_CELLS``, takes one padded (m, C)
-        gather per step; every other presentation, a one-neuron learning
-        group included, reads each column's counted real rows.
+        picks the read: when K > 1, a learning group, a frozen block of one
+        image, or a frozen block of B > 1 images with N * K <=
+        ``PAD_BLOCK_CELLS`` takes one (m, C) gather per step, a block of one
+        image from its stack as it is, since it has no pad entries; every
+        other presentation, the (inputs, K) one-expert reference and a
+        one-neuron learning group included, reads each column's counted
+        real rows.
         """
         if learn != self.group:
             raise ValueError("a learning group learns and frozen experts do not")
@@ -572,11 +635,14 @@ class ExpertNetwork:
         rows = syn.w.shape[1] if learn else 0
         n_inputs = rows - 1 if learn else syn.w.shape[0]
         block, starts, per_step = _pad_block(trains, n_inputs, rows)
+        starts = starts.tolist()  # Python ints index faster
         # Never pad a lone column: numpy sums it pairwise, and padding changes that sum.
-        padded = syn.w.shape[-1] > 1 and (
-            learn or len(trains) > 1 and syn.w[0].size <= PAD_BLOCK_CELLS
-        )
-        per_column = None if padded else per_step.tolist()  # Python ints index faster
+        # A frozen block of one image has no pad entries, so it reads its stack in one
+        # gather at any size; the one-expert (inputs, K) reference reads per column.
+        padded = syn.w.shape[-1] > 1 and (learn or syn.w.ndim == 3 and (
+            len(trains) == 1 or syn.w[0].size <= PAD_BLOCK_CELLS
+        ))
+        per_column = None if padded else per_step.tolist()
         source = syn
         if learn:
             # An inhibitory g_e decayed to a subnormal rounds back to itself when its
@@ -587,11 +653,11 @@ class ExpertNetwork:
             np.copyto(inh.g_e, 0.0, where=inh.g_e < np.finfo(np.float64).tiny)
             source = SynapseMatrix(syn.w.reshape(-1, syn.w.shape[2]), syn.pre_trace.reshape(-1))
             plastic = SynapseMatrix(syn.w[:, :n_inputs], syn.pre_trace[:, :n_inputs])
-        elif padded:
+        elif padded and len(trains) > 1:
             source = SynapseMatrix(np.concatenate([syn.w, np.zeros_like(syn.w[:1])]))
 
         homeo = p.homeostasis if learn else None
-        trace_decay = math.exp(-dt / p.stdp.trace_tau_ms)
+        trace_decay = np.array(math.exp(-dt / p.stdp.trace_tau_ms))  # 0-d: see ``_constants``
         counts = np.zeros(exc.v.shape, dtype=np.int64)
         for t in range(n_pres + n_rest):
             if t < n_pres and starts[t + 1] > starts[t]:

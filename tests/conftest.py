@@ -53,7 +53,6 @@ def respond_stacked(experts, trains, sim, encoding) -> np.ndarray:
 
 
 def handmade_ensemble(
-    counts_per_expert,
     assignments_per_expert,
     totals_per_expert=None,
     places_per_expert: int = 25,

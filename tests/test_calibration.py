@@ -61,7 +61,6 @@ class TestThetaSweep:
         # neuron 1 (total 45) fires for every query toward the wrong place;
         # neuron 0 (total 35) is the honest responder for place 1.
         model = handmade_ensemble(
-            counts_per_expert=[np.array([0, 0])],
             assignments_per_expert=[[1, 0]],
             totals_per_expert=[[35, 45]],
             places_per_expert=2,
@@ -86,7 +85,6 @@ class TestThetaSweep:
 
     def test_flat_curve_for_constant_tables(self):
         model = handmade_ensemble(
-            counts_per_expert=[np.array([3, 3])],
             assignments_per_expert=[[0, 1]],
             totals_per_expert=[[10, 10]],
             places_per_expert=2,

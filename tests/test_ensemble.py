@@ -33,6 +33,7 @@ from snnplace.imaging import (
     poisson_encode,
 )
 from snnplace.metrics import neuron_precision_analysis
+from snnplace.network import ExpertNetwork, SynapseMatrix
 from snnplace.store import load_ensemble, save_ensemble
 from snnplace.synthetic import inject_cross_region_responders, make_textures, synthetic_ensemble
 from tests.conftest import (
@@ -70,9 +71,7 @@ def random_instance(rng):
     totals = [rng.integers(0, 40, size=k_e) for _ in range(n_experts)]
     counts = [rng.integers(0, 30, size=k_e) for _ in range(n_experts)]
     theta = float(rng.integers(0, 45))
-    model = handmade_ensemble(
-        counts, assignments, totals_per_expert=totals, places_per_expert=places_per
-    )
+    model = handmade_ensemble(assignments, totals_per_expert=totals, places_per_expert=places_per)
     apply_threshold(model, theta)
     flags = [ex.hyperactive for ex in model.experts]
     return model, counts, flags
@@ -136,8 +135,7 @@ class TestFlags:
         np.testing.assert_array_equal(flags_for_theta(totals, np.float64(50)), [False, False, True])
 
     def test_apply_threshold_stores_none_when_filter_off(self):
-        model = handmade_ensemble([np.zeros(2)], [[0, 1]], totals_per_expert=[[3, 9]],
-                                  places_per_expert=2)
+        model = handmade_ensemble([[0, 1]], totals_per_expert=[[3, 9]], places_per_expert=2)
         for theta in (0, 0.0, None):
             apply_threshold(model, theta)
             assert model.theta is None
@@ -147,8 +145,8 @@ class TestFlags:
         np.testing.assert_array_equal(model.experts[0].hyperactive, [False, True])
 
     def test_bad_theta_leaves_model_unchanged(self):
-        model = handmade_ensemble([np.zeros(2)], [[0, 1]], totals_per_expert=[[3, 9]],
-                                  places_per_expert=2, theta=5.0)
+        model = handmade_ensemble([[0, 1]], totals_per_expert=[[3, 9]], places_per_expert=2,
+                                  theta=5.0)
         with pytest.raises(ConfigError):
             apply_threshold(model, -5)
         assert model.theta == 5.0
@@ -177,7 +175,6 @@ class TestFuse:
         # expert 0: every neuron hyperactive; expert 1: one neuron assigned to
         # global place 30 firing 7 spikes.
         model = handmade_ensemble(
-            counts_per_expert=[np.array([9, 9]), np.array([7, 0])],
             assignments_per_expert=[[0, 1], [5, UNASSIGNED]],
             places_per_expert=25,
         )
@@ -189,7 +186,6 @@ class TestFuse:
 
     def test_all_silent_falls_back_to_place_zero(self):
         model = handmade_ensemble(
-            counts_per_expert=[np.zeros(3, dtype=int)],
             assignments_per_expert=[[0, 1, 2]],
             places_per_expert=4,
         )
@@ -276,7 +272,7 @@ class TestFuse:
         rng = np.random.default_rng(16)
         counts = rng.integers(0, 30, size=6)
         assignments = np.array([0, 0, 1, 2, 3, UNASSIGNED])
-        model = handmade_ensemble([counts], [assignments], places_per_expert=4)
+        model = handmade_ensemble([assignments], places_per_expert=4)
         (result,) = fuse_scores(model, [[counts]])
         expected = np.zeros(4, dtype=np.int64)
         for e, place in enumerate(assignments):
@@ -285,10 +281,7 @@ class TestFuse:
         assert result.top == int(np.argmax(expected))
 
     def test_match_requires_regularized_model(self):
-        model = handmade_ensemble(
-            counts_per_expert=[np.zeros(2, dtype=int)],
-            assignments_per_expert=[[0, 1]],
-        )
+        model = handmade_ensemble(assignments_per_expert=[[0, 1]])
         model.regularized = False
         with pytest.raises(StateError):
             match_query(model, np.zeros((2, 2)))
@@ -470,6 +463,25 @@ class TestLockstep:
             alone = expert.build_network(sim, encoding)
             np.testing.assert_array_equal(row, alone.present(train, learn=False, run_rest=False))
 
+    @pytest.mark.parametrize("n_experts, n_excitatory", [(8, 100), (4, 400)])
+    def test_one_image_at_784_inputs_equals_each_expert_alone(self, n_experts, n_excitatory):
+        # One image reads the whole (784, N, K) stack in one gather per step, as a
+        # query does; its tens of spikes per step must sum as each expert's own.
+        model = synthetic_ensemble(n_experts, n_excitatory=n_excitatory, seed=5)
+        sim, encoding = model.sim, model.encoding
+        train = poisson_encode(make_textures(1, (28, 28), 8)[0], encoding, 21)
+        rows = expert.expert_respond(model.weights, model.thresholds, [train], sim, encoding)[0]
+        block = ExpertNetwork(SynapseMatrix(model.weights), sim, encoding,
+                              theta=model.thresholds, images=1)
+        np.testing.assert_array_equal(block.present([train], learn=False, run_rest=False)[0], rows)
+        assert rows.any()
+        for i, ex in enumerate(model.experts):
+            alone = ex.build_network(sim, encoding)
+            np.testing.assert_array_equal(rows[i], alone.present(train, learn=False,
+                                                                 run_rest=False))
+            for name in ("v", "g_e", "g_i"):
+                assert getattr(block.exc, name)[0, i].tobytes() == getattr(alone.exc, name).tobytes()
+
     def test_replay_holds_no_float64_copy_of_the_weights(self):
         model = synthetic_ensemble(4, n_excitatory=400, seed=0)
         images = make_textures(12, (28, 28), 5)
@@ -527,7 +539,7 @@ class TestWeightStack:
             for workers in (1, 2)
         ]
         save_ensemble(trained[1], tmp_path / "arch")
-        handmade = handmade_ensemble([np.zeros(2)] * 2, [[0, 1], [1, 0]], places_per_expert=2)
+        handmade = handmade_ensemble([[0, 1], [1, 0]], places_per_expert=2)
         for model in (synthetic, *trained, load_ensemble(tmp_path / "arch"), handmade):
             self.assert_views_of_one_stack(model)
         assert trained[0].weights.tobytes() == trained[1].weights.tobytes()

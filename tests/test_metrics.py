@@ -125,7 +125,6 @@ class TestPrCurve:
 class TestNeuronPrecision:
     def _model(self):
         return handmade_ensemble(
-            counts_per_expert=[np.zeros(3, dtype=int)],
             assignments_per_expert=[[0, 1, UNASSIGNED]],
             places_per_expert=2,
         )
@@ -215,8 +214,8 @@ class TestNeuronPrecisionOracle:
             assignments = [rng.integers(UNASSIGNED, places_per, size=k)
                            for _ in range(n_experts)]
             totals = [rng.integers(0, 40, size=k) for _ in range(n_experts)]
-            model = handmade_ensemble([np.zeros(k)] * n_experts, assignments,
-                                      totals_per_expert=totals, places_per_expert=places_per)
+            model = handmade_ensemble(assignments, totals_per_expert=totals,
+                                      places_per_expert=places_per)
             apply_threshold(model, int(rng.integers(0, 45)))   # 0: the filter is off
             n_queries = int(rng.integers(0, 21))
             silent = rng.random((n_queries, n_experts, k)) < rng.random()

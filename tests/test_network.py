@@ -18,6 +18,7 @@ from snnplace.network import (
     HomeostasisParams,
     LayerState,
     LifParams,
+    SimulationParams,
     StdpParams,
     SynapseMatrix,
     UninhibitedLifParams,
@@ -387,6 +388,38 @@ class TestStepOracle:
         assert inh.v[1, 0] == 1.0
 
 
+class TestStepConstants:
+    """``lif_step`` builds its constants once per (params, dt_ms, homeo) and never reuses stale ones."""
+
+    def test_every_key_change_rebuilds_the_constants(self):
+        # Two equal-looking but distinct tau_gi params, two steps and homeostasis on
+        # and off, visited in Gray-code order: each step changes exactly one part of
+        # the key, so constants kept on less than all of it would go stale.
+        params = [SimulationParams.defaults().with_tau_gi(tau).lif_excitatory
+                  for tau in (0.5, 2.0)]
+        homeos = [None, HomeostasisParams(theta_plus_mv=0.5, theta_decay_ms=50.0)]
+        gray = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0),
+                (1, 1, 0), (1, 1, 1), (1, 0, 1), (1, 0, 0)]
+        rng = np.random.default_rng(11)
+        shape = (2, 6)
+        ref = random_layer(rng, shape, EXC, theta_shape=shape)
+        state = copy_layer(ref)
+        for _ in range(4):
+            for p, dt, h in gray:
+                drive = rng.uniform(0.0, 3.0, shape) * (rng.random(shape) < 0.5)
+                inhibit = rng.uniform(0.0, 20.0, shape) * (rng.random(shape) < 0.5)
+                for layer in (ref, state):
+                    layer.g_e += drive
+                    layer.g_i += inhibit
+                want = oracle_lif_step(ref, params[p], (0.5, 0.25)[dt], homeos[h])
+                got = lif_step(state, params[p], (0.5, 0.25)[dt], homeos[h])
+                np.testing.assert_array_equal(got, want)
+                for name in ("v", "g_e", "g_i", "theta"):
+                    assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+                held = ref.refractory > 0.0
+                np.testing.assert_array_equal(state.refractory > 0.0, held)
+
+
 def oracle_poisson_encode(image, cfg, seed, rate_boost_hz=0.0):
     """``poisson_encode`` as it was, ordering spikes by input and time with ``np.lexsort``."""
     intensities = np.clip(np.asarray(image, dtype=np.float64).ravel(), 0.0, None)
@@ -732,7 +765,9 @@ class TestPresentation:
         (False, 1, PAD_BLOCK_CELLS, 2, True),
         (False, 1, PAD_BLOCK_CELLS + 1, 2, False),
         (False, 4, 1, 3, False),
-        (False, 2, 5, 1, False),
+        (False, 2, 5, 1, True),
+        (False, 1, PAD_BLOCK_CELLS + 1, 1, True),
+        (False, 4, 1, 1, False),
         (True, 3, 2, 3, True),
         (True, 1, 2, 1, True),
         (True, 3, 1, 3, False),
@@ -742,10 +777,12 @@ class TestPresentation:
         self, monkeypatch, learn, n_experts, k, n_images, padded,
     ):
         # Learning groups of K > 1 and small frozen blocks of K > 1 get one
-        # padded (m, C) gather per step; larger frozen blocks, single images
-        # and one-neuron experts, learning or not, read each column's counted
-        # rows, a frozen block from the stack itself and a learning group from
-        # its flattened stack.  Either way, one call per step with spikes.
+        # padded (m, C) gather per step; a frozen block of one image of K > 1
+        # has no pad entries and gets one gather on its stack as it is, at any
+        # size.  Larger frozen blocks and one-neuron experts, learning or not,
+        # read each column's counted rows, a frozen block from the stack itself
+        # and a learning group from its flattened stack.  Either way, one call
+        # per step with spikes.
         deliver, calls = network.apply_input_spikes, []
 
         def spy(state, syn, indices, counts=None):
@@ -763,7 +800,7 @@ class TestPresentation:
         else:
             w = np.full((8, n_experts, k), 0.5, dtype=np.float32)
             net = ExpertNetwork(SynapseMatrix(w), tiny_sim(), tiny_encoding(), images=n_images)
-            rows = 9 if padded else 8
+            rows = 9 if padded and n_images > 1 else 8
         net.present(trains, learn=learn, run_rest=False)
         assert calls == [(2, padded, rows)] * 2
 
