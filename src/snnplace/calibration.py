@@ -24,11 +24,11 @@ from .ensemble import (
     flags_for_theta,
     train_ensemble,
 )
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, check_ranges, ranged
 from .expert import ExpertConfig
 from .imaging import EncodingConfig, PatchNormConfig, derive_seed
 from .metrics import precision_at_100_recall, records_from_responses, write_csv, write_json
-from .network import SimulationParams
+from .network import TIME_MS, SimulationParams
 
 DEFAULT_TAU_GI_GRID = (0.5, 1.0, 2.0, 4.0)
 DEFAULT_THETA_GRID = tuple(float(t) for t in range(20, 201, 20))
@@ -38,15 +38,14 @@ DEFAULT_THETA_GRID = tuple(float(t) for t in range(20, 201, 20))
 class CalibrationGrids:
     """The (tau_gi, theta) grids of a search; the config file's defaults for ``calibrate``."""
 
-    tau_gi_grid: tuple[float, ...] = DEFAULT_TAU_GI_GRID
+    # Each value becomes lif_excitatory.tau_gi_ms, so it takes that field's range.
+    tau_gi_grid: tuple[float, ...] = ranged(*TIME_MS, default=DEFAULT_TAU_GI_GRID)
     theta_grid: tuple[float, ...] = DEFAULT_THETA_GRID
 
     def __post_init__(self) -> None:
         if not self.tau_gi_grid or not self.theta_grid:
             raise ConfigError("calibration grids must be non-empty")
-        require_finite({f"tau_gi_grid[{i}]": t for i, t in enumerate(self.tau_gi_grid)})
-        if any(t <= 0 for t in self.tau_gi_grid):
-            raise ConfigError("tau_gi values must be > 0")
+        check_ranges(self)
         if None in self.theta_grid:
             raise ConfigError("theta grid values must be numbers (0 disables the filter)")
         for theta in self.theta_grid:

@@ -6,19 +6,23 @@ lists.  ``to_json`` writes that form and ``from_json`` reads it back
 strictly: every field must be present with its declared type (an int is
 accepted for a float; a bool or NaN never passes as a number) and unknown
 keys are rejected, each with a ``ConfigError`` naming the key.  Every
-config dataclass checks its own invariants when it is built, so a decoded
-file, an archive's config block and each ``dataclasses.replace`` of a
-config are checked on construction, and no invalid config exists.
+number's closed range is declared once, on its field (``errors.ranged``),
+and every config dataclass checks them (``errors.check_ranges``) and then
+its cross-field invariants when it is built, so a decoded file, a CLI
+flag, an archive's config block and each ``dataclasses.replace`` of a
+config are checked on construction, and no invalid config exists.  An
+error raised while building a decoded object names where it sits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import typing
 
 from .calibration import CalibrationGrids
-from .errors import ConfigError
+from .errors import ConfigError, check_ranges, ranged
 from .expert import GROUP_SIZE, ExpertConfig
 from .imaging import EncodingConfig, PatchNormConfig
 from .network import SimulationParams
@@ -48,7 +52,11 @@ def from_json(cls, data, where: str):
     missing = sorted(set(names) - set(data))
     if missing:
         raise ConfigError(f"missing keys in {where!r}: {', '.join(missing)}")
-    return cls(**{name: _decode(hints[name], data[name], f"{where}.{name}") for name in names})
+    values = {name: _decode(hints[name], data[name], f"{where}.{name}") for name in names}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"in {where!r}: {exc}") from exc
 
 
 def _decode(hint, value, where: str):
@@ -99,20 +107,20 @@ def check_presentation_steps(encoding: EncodingConfig, simulation: SimulationPar
 class ImageConfig:
     """Size every input image is resized to before encoding."""
 
-    width: int = 28
-    height: int = 28
+    # RunConfig bounds the pixel count by MAX_GROUP_WEIGHT_BYTES.
+    width: int = ranged(1, math.inf, default=28)
+    height: int = ranged(1, math.inf, default=28)
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ConfigError("image dimensions must be >= 1")
+        check_ranges(self)
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Every tunable of the pipeline; its JSON form is the config file."""
 
-    seed: int = 0
-    workers: int = 0                      # 0: every usable core; more are capped to them
+    seed: int = ranged(0, math.inf, default=0)     # any size seeds a SeedSequence
+    workers: int = ranged(0, math.inf, default=0)  # 0: every usable core; more are capped to them
     image: ImageConfig = ImageConfig()
     patch: PatchNormConfig = PatchNormConfig()
     encoding: EncodingConfig = EncodingConfig()
@@ -133,11 +141,8 @@ class RunConfig:
         return min(self.workers or usable, usable)
 
     def __post_init__(self) -> None:
+        check_ranges(self)
         width, height = self.image_size
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.workers < 0:
-            raise ConfigError("workers must be >= 0")
         if width % self.patch.patch_width or height % self.patch.patch_height:
             raise ConfigError("image dimensions must be multiples of the patch size")
         group_bytes = GROUP_SIZE * (width * height + 1) * self.expert.n_excitatory * 8

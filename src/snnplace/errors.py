@@ -1,10 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one range rule of config values.
 
 The CLI maps these onto exit codes: configuration and ingest problems
 exit with 2, everything else with 1.
 """
 
-import sys
+import dataclasses
 
 
 class SnnPlaceError(Exception):
@@ -27,8 +27,24 @@ class ArchiveError(SnnPlaceError):
     """A model archive is corrupt, truncated, or version-incompatible."""
 
 
-def require_finite(values: dict) -> None:
-    """Raise ``ConfigError`` naming the first of ``values`` that is not a finite number."""
-    for name, value in values.items():
-        if not abs(value) <= sys.float_info.max:  # exact for ints of any size; False for NaN
-            raise ConfigError(f"{name} must be finite, got {value!r}")
+def ranged(lo, hi, **kwargs):
+    """A dataclass field whose value lies in the closed range [lo, hi] (``check_ranges``)."""
+    return dataclasses.field(metadata={"range": (lo, hi)}, **kwargs)
+
+
+def check_ranges(config) -> None:
+    """Raise ``ConfigError`` naming the first ``ranged`` field of ``config`` out of its range.
+
+    A tuple's range holds for each item.  NaN lies in no range, and an int
+    of any size compares exactly.
+    """
+    for field in dataclasses.fields(config):
+        if "range" not in field.metadata:
+            continue
+        lo, hi = field.metadata["range"]
+        value = getattr(config, field.name)
+        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for i, item in items:
+            if not lo <= item <= hi:
+                name = field.name if i is None else f"{field.name}[{i}]"
+                raise ConfigError(f"{name} must lie in [{lo:g}, {hi:g}], got {item!r}")

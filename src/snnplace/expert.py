@@ -15,11 +15,12 @@ bit for bit as it would alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_ranges, ranged
 from .imaging import (
     STREAM_TRAINING,
     STREAM_WEIGHT_INIT,
@@ -45,23 +46,22 @@ GROUP_SIZE = 32
 class ExpertConfig:
     """Architecture and schedule of every expert; its input count is the image's pixels."""
 
-    n_excitatory: int = 400
-    places_per_expert: int = 25
-    epochs: int = 60
-    record_last_epochs: int = 10
+    # config.MAX_GROUP_WEIGHT_BYTES bounds n_excitatory above, and n_excitatory bounds
+    # places_per_expert; the epochs only count presentations.
+    n_excitatory: int = ranged(1, math.inf, default=400)
+    places_per_expert: int = ranged(1, math.inf, default=25)
+    epochs: int = ranged(1, math.inf, default=60)
+    record_last_epochs: int = ranged(1, math.inf, default=10)  # at most epochs
 
     def __post_init__(self) -> None:
-        if self.n_excitatory < 1:
-            raise ConfigError("n_excitatory must be >= 1")
-        if self.places_per_expert < 1:
-            raise ConfigError("places_per_expert must be >= 1")
+        check_ranges(self)
         if self.n_excitatory < self.places_per_expert:
             raise ConfigError(
                 "n_excitatory must be >= places_per_expert "
                 f"({self.n_excitatory} < {self.places_per_expert})"
             )
-        if not 1 <= self.record_last_epochs <= self.epochs:
-            raise ConfigError("need epochs >= record_last_epochs >= 1")
+        if self.record_last_epochs > self.epochs:
+            raise ConfigError("need epochs >= record_last_epochs")
 
 
 @dataclass

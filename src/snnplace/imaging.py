@@ -11,12 +11,13 @@ identical outputs, so encoded images can be shared freely between workers.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, require_finite
+from .errors import ConfigError, IngestError, check_ranges, ranged
 
 # Stream tags keep the RNG substreams of distinct pipeline stages apart.
 # A seed is always derived as derive_seed(base_seed, stream, *ids).
@@ -50,16 +51,15 @@ def derive_seed(*words: int) -> int:
 class PatchNormConfig:
     """Geometry of the non-overlapping patch standardization grid."""
 
-    patch_width: int = 7
-    patch_height: int = 7
-    epsilon: float = 1e-6  # std floor; zero-variance patches map to 0
+    # RunConfig requires each to divide the image's.
+    patch_width: int = ranged(1, math.inf, default=7)
+    patch_height: int = ranged(1, math.inf, default=7)
+    # Std floor of a [0, 1] image's patch: above the 1e-16 or so of rounding in a
+    # zero-variance patch's std, so such a patch maps to 0; 1 flattens every patch.
+    epsilon: float = ranged(1e-12, 1.0, default=1e-6)
 
     def __post_init__(self) -> None:
-        require_finite({"epsilon": self.epsilon})
-        if self.patch_width < 1 or self.patch_height < 1:
-            raise ConfigError("patch dimensions must be >= 1")
-        if self.epsilon <= 0:
-            raise ConfigError("patch-normalization epsilon must be > 0")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -75,25 +75,18 @@ class EncodingConfig:
     input, must not exceed ``MAX_PEAK_SPIKES``.
     """
 
-    max_rate_hz: float = 63.75
-    presentation_ms: float = 350.0
-    rest_ms: float = 150.0
-    retry_boost_hz: float = 32.0
-    min_output_spikes: int = 5
-    max_retries: int = 20  # safety cap; an all-black input can never fire
+    # The peak draw bounds the rates and the presentation above, and
+    # config.check_presentation_steps bounds each window to MAX_WINDOW_STEPS steps.
+    max_rate_hz: float = ranged(1e-3, math.inf, default=63.75)  # > 0: a spike per 1000 s
+    presentation_ms: float = ranged(1e-4, math.inf, default=350.0)  # > 0: the shortest step
+    rest_ms: float = ranged(0.0, math.inf, default=150.0)
+    retry_boost_hz: float = ranged(0.0, math.inf, default=32.0)
+    min_output_spikes: int = ranged(0, math.inf, default=5)  # only compared with counts
+    # A safety cap (an all-black input can never fire); the peak draw needs it as a float.
+    max_retries: int = ranged(0, MAX_PEAK_SPIKES, default=20)
 
     def __post_init__(self) -> None:
-        require_finite({"max_rate_hz": self.max_rate_hz, "presentation_ms": self.presentation_ms,
-                        "rest_ms": self.rest_ms, "retry_boost_hz": self.retry_boost_hz,
-                        "max_retries": self.max_retries})
-        if self.max_rate_hz <= 0:
-            raise ConfigError("max_rate_hz must be > 0")
-        if self.presentation_ms <= 0:
-            raise ConfigError("presentation_ms must be > 0")
-        if self.rest_ms < 0:
-            raise ConfigError("rest_ms must be >= 0")
-        if self.min_output_spikes < 0 or self.max_retries < 0 or self.retry_boost_hz < 0:
-            raise ConfigError("retry settings must be >= 0")
+        check_ranges(self)
         peak_hz = self.max_rate_hz + self.retry_boost_hz * self.max_retries
         if not peak_hz * self.presentation_ms / 1000.0 <= MAX_PEAK_SPIKES:  # inf fails too
             raise ConfigError(f"peak rate {peak_hz} Hz (max_rate_hz + retry_boost_hz * "

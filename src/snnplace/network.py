@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, check_ranges, ranged
 from .imaging import EncodingConfig, SpikeTrain, derive_seed, poisson_encode
 
 # Largest N * K (experts x neurons) of a frozen block whose B images get their
@@ -70,22 +70,43 @@ from .imaging import EncodingConfig, SpikeTrain, derive_seed, poisson_encode
 PAD_BLOCK_CELLS = 512
 
 
+# Closed ranges of the simulation constants (``ranged``): wide around the paper's
+# values, and narrow enough that no config drives a state variable past float64.
+# - A step adds at most n_inputs x MAX_PEAK_SPIKES x 1e3 < 2e16 to an excitatory
+#   g_e (config.MAX_GROUP_WEIGHT_BYTES keeps n_inputs below 1.7e7, and every
+#   weight lies in [0, 1e3]) and w_inh_to_exc x n_excitatory < 1e10 to its g_i.
+# - A decay factor exp(-dt / tau) piles up at most 1 + tau / dt, about 1e10, steps
+#   of that, so every conductance g stays below 2e26 and every trace below 1e16.
+# - Each step moves v by a = dt / tau_ms x (1 + g) < 1e4 x 2e26 times its gap to
+#   a potential, and a v at v_thresh + theta or above is reset, so |v| stays below
+#   (1 + a)^2 x (v_thresh + theta + 2e3): under 1e80 even with the theta_plus_mv
+#   x 1e15 that 1e15 steps (decades of compute) could add to theta, and g x v
+#   under 1e110.
+# - An STDP update is at most learning_rate x trace x w_max ** weight_exponent,
+#   below 1e3 x 1e16 x 1e30.
+POTENTIAL_MV = (-1e3, 1e3)     # +-1 V: ten times any membrane or reversal potential
+TIME_MS = (1e-3, 1e6)          # 1 us to 1000 s
+DT_MS = (1e-4, 10.0)           # 1/5000 to 20 times the paper's 0.5 ms step
+WEIGHT = (0.0, 1e3)            # about 60 times the paper's largest weight (17)
+# > 0: 1e-6 keeps a drawn column's sum far above the 1e-300 or so at which
+# normalize_columns' target / sum would overflow.
+POSITIVE_WEIGHT = (1e-6, 1e3)
+
+
 @dataclass(frozen=True)
 class UninhibitedLifParams:
     """Leaky integrate-and-fire constants of a layer nothing inhibits (mV / ms)."""
 
-    tau_ms: float
-    e_rest_mv: float
-    e_exc_mv: float
-    v_thresh_mv: float
-    v_reset_mv: float
-    refractory_ms: float
-    tau_ge_ms: float
+    tau_ms: float = ranged(*TIME_MS)
+    e_rest_mv: float = ranged(*POTENTIAL_MV)
+    e_exc_mv: float = ranged(*POTENTIAL_MV)
+    v_thresh_mv: float = ranged(*POTENTIAL_MV)
+    v_reset_mv: float = ranged(*POTENTIAL_MV)
+    refractory_ms: float = ranged(*TIME_MS)
+    tau_ge_ms: float = ranged(*TIME_MS)
 
     def __post_init__(self) -> None:
-        require_finite(vars(self))
-        if min(self.tau_ms, self.tau_ge_ms, self.refractory_ms) <= 0:
-            raise ConfigError("all LIF time constants must be > 0")
+        check_ranges(self)
         if not self.e_rest_mv < self.e_exc_mv:
             raise ConfigError("reversal potentials must satisfy E_rest < E_exc")
         if self.v_reset_mv > self.v_thresh_mv:
@@ -103,13 +124,13 @@ class UninhibitedLifParams:
 class LifParams(UninhibitedLifParams):
     """Leaky integrate-and-fire constants of the excitatory layer, which is inhibited."""
 
-    e_inh_mv: float
-    tau_gi_ms: float
+    e_inh_mv: float = ranged(*POTENTIAL_MV)
+    tau_gi_ms: float = ranged(*TIME_MS)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.tau_gi_ms <= 0 or not self.e_inh_mv < self.e_rest_mv:
-            raise ConfigError("LIF time constants must be > 0, and E_inh < E_rest")
+        if not self.e_inh_mv < self.e_rest_mv:
+            raise ConfigError("reversal potentials must satisfy E_inh < E_rest")
 
     @staticmethod
     def excitatory_defaults() -> "LifParams":
@@ -124,53 +145,37 @@ class LifParams(UninhibitedLifParams):
 class HomeostasisParams:
     """Adaptive-threshold rule: +theta_plus per spike, slow exponential decay."""
 
-    theta_plus_mv: float = 0.05
-    theta_decay_ms: float = 1e7
+    theta_plus_mv: float = ranged(0.0, POTENTIAL_MV[1], default=0.05)  # per spike
+    # Infinity is valid: the adaptive threshold never decays.
+    theta_decay_ms: float = ranged(TIME_MS[0], math.inf, default=1e7)
 
     def __post_init__(self) -> None:
-        # An infinite theta_decay_ms is valid: the adaptive threshold never decays.
-        require_finite({"theta_plus_mv": self.theta_plus_mv})
-        if self.theta_plus_mv < 0:
-            raise ConfigError("theta_plus_mv must be >= 0")
-        if self.theta_decay_ms <= 0:
-            raise ConfigError("theta_decay_ms must be > 0")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
 class StdpParams:
     """Constants of the post-spike weight update."""
 
-    learning_rate: float = 0.01
-    trace_target: float = 0.4
-    w_max: float = 1.0
-    weight_exponent: float = 0.2
-    trace_tau_ms: float = 20.0
+    learning_rate: float = ranged(1e-6, 1e3, default=0.01)  # > 0: 1e-4 in Diehl & Cook
+    trace_target: float = ranged(0.0, 1e3, default=0.4)     # in spikes, like the trace
+    w_max: float = ranged(*POSITIVE_WEIGHT, default=1.0)
+    weight_exponent: float = ranged(0.0, 10.0, default=0.2)  # w_max ** 10 <= 1e30
+    trace_tau_ms: float = ranged(*TIME_MS, default=20.0)
 
     def __post_init__(self) -> None:
-        require_finite(vars(self))
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.trace_target < 0:
-            raise ConfigError("trace_target must be >= 0")
-        if self.w_max <= 0:
-            raise ConfigError("w_max must be > 0")
-        if self.weight_exponent < 0:
-            raise ConfigError("weight_exponent must be >= 0")
-        if self.trace_tau_ms <= 0:
-            raise ConfigError("trace_tau_ms must be > 0")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
 class FixedWiring:
     """Constant weights of the winner-take-all circuit."""
 
-    w_exc_to_inh: float = 10.4  # one-to-one drive onto the partner neuron
-    w_inh_to_exc: float = 17.0  # applied to every excitatory neuron but the partner
+    w_exc_to_inh: float = ranged(*WEIGHT, default=10.4)  # one-to-one drive onto the partner
+    w_inh_to_exc: float = ranged(*WEIGHT, default=17.0)  # onto every excitatory neuron but it
 
     def __post_init__(self) -> None:
-        require_finite(vars(self))
-        if self.w_exc_to_inh < 0 or self.w_inh_to_exc < 0:
-            raise ConfigError("wiring weights must be >= 0")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -182,10 +187,11 @@ class SimulationParams:
     homeostasis: HomeostasisParams
     stdp: StdpParams
     wiring: FixedWiring
-    dt_ms: float = 0.5
+    dt_ms: float = ranged(*DT_MS, default=0.5)
     weight_norm_enabled: bool = True
-    weight_norm_target: float = 78.0  # per-neuron afferent weight-column sum
-    weight_init_max: float = 0.3
+    # Per-neuron afferent weight-column sum: up to 1000 inputs at the weight bound.
+    weight_norm_target: float = ranged(POSITIVE_WEIGHT[0], 1e6, default=78.0)
+    weight_init_max: float = ranged(*POSITIVE_WEIGHT, default=0.3)
 
     @staticmethod
     def defaults() -> "SimulationParams":
@@ -201,14 +207,7 @@ class SimulationParams:
         return replace(self, lif_excitatory=replace(self.lif_excitatory, tau_gi_ms=tau_gi_ms))
 
     def __post_init__(self) -> None:
-        require_finite({"dt_ms": self.dt_ms, "weight_norm_target": self.weight_norm_target,
-                        "weight_init_max": self.weight_init_max})
-        if self.dt_ms <= 0:
-            raise ConfigError("dt_ms must be > 0")
-        if self.weight_norm_target <= 0:
-            raise ConfigError("weight_norm_target must be > 0")
-        if self.weight_init_max < 0:
-            raise ConfigError("weight_init_max must be >= 0")
+        check_ranges(self)
         if isinstance(self.lif_inhibitory, LifParams):
             raise ConfigError("lif_inhibitory takes no tau_gi_ms or e_inh_mv: nothing inhibits it")
 

@@ -4,11 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from snnplace.ensemble import EnsembleModel
 from snnplace.expert import ExpertConfig, expert_respond
 from snnplace.imaging import EncodingConfig, PatchNormConfig
 from snnplace.network import ExpertNetwork, SimulationParams, SynapseMatrix
+
+# CI runs TestManifestFuzz alone under this profile with a fixed --hypothesis-seed:
+# a config-block value that overflowed the step showed itself at 3,000 examples,
+# not at the 200 the test runs by default.
+settings.register_profile("manifest-fuzz", max_examples=3000)
 
 
 def tiny_sim(**overrides) -> SimulationParams:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("encoding, fragment", [
         ({"max_rate_hz": 1e308}, "spikes per input"),
-        ({"retry_boost_hz": -100.0, "min_output_spikes": 1000}, "retry settings"),
+        ({"retry_boost_hz": -100.0, "min_output_spikes": 1000}, "retry_boost_hz"),
     ])
     def test_an_encoding_no_train_can_draw_exits_2(self, world, tmp_path, capsys,
                                                    encoding, fragment):
@@ -575,6 +576,23 @@ class TestMatch:
         assert rc == 2
         assert_one_error_line(capsys, "spikes per input")
 
+    @pytest.mark.parametrize("value", [2**63, 2.35e154])
+    def test_a_wiring_weight_past_its_range_exits_2(self, world, trained_archive, tmp_path,
+                                                   capsys, value):
+        # Each used to load and overflow the step: 2**63 silently, 2.35e154 in lif_step.
+        root, cfg, ref, _ = world
+        broken = tmp_path / "overflowing"
+        shutil.copytree(trained_archive, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["config"]["wiring"]["w_inh_to_exc"] = value
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["match", "--model", str(broken),
+                       "--image", os.path.join(ref, "place_002.pgm")])
+        assert rc == 2
+        assert_one_error_line(capsys, "archive", "'config.wiring'", "w_inh_to_exc")
+
     def test_assignment_past_the_place_count_exits_2(self, world, trained_archive, tmp_path,
                                                      capsys):
         root, cfg, ref, _ = world
@@ -706,11 +724,34 @@ class TestConfig:
         assert cfg.simulation.weight_norm_target == 78.0
         assert cfg.expert.places_per_expert == 25
 
+    @pytest.mark.parametrize("section, key, value", [
+        (("simulation", "wiring"), "w_inh_to_exc", 2**63),
+        (("simulation", "wiring"), "w_inh_to_exc", 2.35e154),
+        (("simulation", "lif_excitatory"), "tau_ms", 1e-300),
+        (("simulation",), "dt_ms", 1e-308),
+    ])
+    def test_a_value_past_its_range_exits_2_before_ingest(self, world, tmp_path, capsys,
+                                                          monkeypatch, section, key, value):
+        _, cfg, ref, _ = world
+        never_called(monkeypatch, cli, "_load_traverses")
+        data = json.loads(open(cfg).read())
+        owner = data
+        for name in section:
+            owner = owner.setdefault(name, {})
+        owner[key] = value
+        path = tmp_path / "past_range.json"
+        path.write_text(json.dumps(data))
+        rc = main(["train", "--config", str(path), "--ref-dirs", ref,
+                   "--out", str(tmp_path / "never")])
+        assert rc == 2
+        assert_one_error_line(capsys, repr("config." + ".".join(section)), key, "must lie in")
+        assert not (tmp_path / "never").exists()
+
     def test_dt_too_small_for_a_window_exits_2(self, world, tmp_path, capsys):
-        # 350 / 1e-308 steps overflow to inf; training used to end in an OverflowError.
+        # The shortest step dt_ms may take gives 350 / 1e-4 = 3.5e6 presentation steps.
         _, cfg, ref, _ = world
         data = json.loads(open(cfg).read())
-        data["simulation"]["dt_ms"] = 1e-308
+        data["simulation"]["dt_ms"] = 1e-4
         path = tmp_path / "tiny_dt.json"
         path.write_text(json.dumps(data))
         rc = main(["train", "--config", str(path), "--ref-dirs", ref,

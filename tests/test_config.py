@@ -1,23 +1,28 @@
 """Every config dataclass checks its own invariants when it is built."""
 
 import dataclasses
+import math
 import os
 
+import numpy as np
 import pytest
 
 from snnplace.calibration import CalibrationGrids
 from snnplace.config import ImageConfig, RunConfig, from_json, to_json
 from snnplace.errors import ConfigError, SnnPlaceError
 from snnplace.expert import ExpertConfig
-from snnplace.imaging import EncodingConfig, PatchNormConfig
+from snnplace.imaging import MAX_PEAK_SPIKES, EncodingConfig, PatchNormConfig, poisson_encode
 from snnplace.network import (
+    ExpertNetwork,
     FixedWiring,
     HomeostasisParams,
     LifParams,
     SimulationParams,
     StdpParams,
+    SynapseMatrix,
     UninhibitedLifParams,
 )
+from snnplace.synthetic import make_textures, synthetic_ensemble
 
 # One valid config and one field that breaks it; the RunConfig rows break
 # its own fields and its two cross-field rules.
@@ -62,13 +67,13 @@ def test_the_peak_spike_bound_is_inclusive():
     EncodingConfig(**rates)
     with pytest.raises(ConfigError, match=f"more than {MAX_PEAK_SPIKES} spikes per input"):
         EncodingConfig(**{**rates, "max_rate_hz": 2500.0 * 1000 + 1})
-    for encoding in ({"max_rate_hz": 1e308}, {"retry_boost_hz": 1e300, "max_retries": 10**30},
+    for encoding in ({"max_rate_hz": 1e308}, {"retry_boost_hz": 1e300, "max_retries": 10**6},
                      {"presentation_ms": 1e308}):
         with pytest.raises(ConfigError, match="spikes per input"):
             EncodingConfig(**encoding)
 
 def test_with_tau_gi_is_checked():
-    with pytest.raises(ConfigError, match="time constants"):
+    with pytest.raises(ConfigError, match="tau_gi_ms"):
         SimulationParams.defaults().with_tau_gi(0.0)
 
 
@@ -79,19 +84,19 @@ def test_presentation_lasts_at_least_one_step():
             simulation=dataclasses.replace(SimulationParams.defaults(), dt_ms=dt_ms),
         )
 
-    for presentation_ms, dt_ms in ((0.25, 0.5), (1e-300, 1e300)):  # round(0.5) == 0
+    for presentation_ms, dt_ms in ((0.25, 0.5), (1e-4, 10.0)):  # round(0.5) == 0
         with pytest.raises(ConfigError, match="at least one step"):
             run_config(presentation_ms, dt_ms)
     run_config(0.26, 0.5)  # round(0.52) == 1 step
 
 
 def test_a_window_lasts_at_most_max_window_steps():
-    # Each would loop or allocate per step: 2e300 rest steps, 3.5e8 presentation steps.
+    # Each would loop or allocate per step: 2e300 rest steps, 3.5e6 presentation steps.
     defaults = SimulationParams.defaults()
     with pytest.raises(ConfigError, match="rest_ms"):
         RunConfig(encoding=EncodingConfig(rest_ms=1e300))
     with pytest.raises(ConfigError, match="presentation_ms"):
-        RunConfig(simulation=dataclasses.replace(defaults, dt_ms=1e-6))
+        RunConfig(simulation=dataclasses.replace(defaults, dt_ms=1e-4))
 
 
 def test_the_step_cap_is_inclusive():
@@ -209,11 +214,28 @@ def test_config_file_schema_is_pinned():
 ADVERSARIAL = [
     None, "", "abc", [], [1.0], {}, {"a": 1}, True, False, 0, -1, 0.5,
     1e308, -1e308, float("nan"), float("inf"), float("-inf"), 10**30, -(10**30),
+    2**63, 2.35e154, 1e-300,
 ]
+
+
+def present_briefly(cfg: RunConfig) -> np.ndarray:
+    """Frozen presentation and rest of a one-expert ensemble under ``cfg``, 20 steps each.
+
+    20 steps of 0.5 ms hold excitatory spikes and the inhibition they trigger.
+    """
+    window = 20 * cfg.simulation.dt_ms
+    encoding = dataclasses.replace(cfg.encoding,
+                                   presentation_ms=min(cfg.encoding.presentation_ms, window),
+                                   rest_ms=min(cfg.encoding.rest_ms, window))
+    model = synthetic_ensemble(1, n_excitatory=4, sim=cfg.simulation, encoding=encoding)
+    net = ExpertNetwork(SynapseMatrix(model.weights[:, 0]), model.sim, encoding,
+                        theta=model.thresholds[0])
+    return net.present(poisson_encode(make_textures(1)[0], encoding, seed=0), learn=False)
 
 
 @pytest.mark.parametrize("key", CONFIG_KEYS)
 def test_every_key_decodes_or_raises_snnplace_error_for_any_value(key):
+    """A value either fails to decode or runs the step; RuntimeWarnings are errors."""
     *sections, name = key.split(".")
     for value in ADVERSARIAL:
         data = to_json(RunConfig())
@@ -222,6 +244,59 @@ def test_every_key_decodes_or_raises_snnplace_error_for_any_value(key):
             owner = owner[section]
         owner[name] = value
         try:
-            from_json(RunConfig, data, "config")  # a decoded size builds no array
+            cfg = from_json(RunConfig, data, "config")  # a decoded size builds no array
         except SnnPlaceError:
-            pass
+            continue
+        present_briefly(cfg)
+
+
+def test_a_value_past_its_range_is_named_with_its_range():
+    data = to_json(RunConfig())
+    data["simulation"]["lif_excitatory"]["tau_ms"] = 1e-300
+    with pytest.raises(ConfigError, match=r"in 'config.simulation.lif_excitatory': tau_ms "
+                                          r"must lie in \[0.001, 1e\+06\], got 1e-300"):
+        from_json(RunConfig, data, "config")
+    with pytest.raises(ConfigError, match=r"tau_gi_grid\[1\] must lie in"):
+        CalibrationGrids(tau_gi_grid=(0.5, 0.0))
+
+
+def corner_sim(tau_g_ms: float) -> SimulationParams:
+    """The constants at the corner of their ranges that drives the state hardest.
+
+    The largest weights, potentials, dt_ms and threshold step, and the shortest
+    membrane and refractory time constants; the conductances and traces decay
+    with ``tau_g_ms``: the shortest (no pile-up) or the longest (the most).
+    """
+    lif = dict(tau_ms=1e-3, e_rest_mv=0.0, e_exc_mv=1e3, v_thresh_mv=1e3, v_reset_mv=-1e3,
+               refractory_ms=1e-3, tau_ge_ms=tau_g_ms)
+    return SimulationParams(
+        lif_excitatory=LifParams(**lif, e_inh_mv=-1e3, tau_gi_ms=tau_g_ms),
+        lif_inhibitory=UninhibitedLifParams(**lif),
+        homeostasis=HomeostasisParams(theta_plus_mv=1e3, theta_decay_ms=math.inf),
+        stdp=StdpParams(learning_rate=1e3, trace_target=0.0, w_max=1e3, weight_exponent=10.0,
+                        trace_tau_ms=tau_g_ms),
+        wiring=FixedWiring(w_exc_to_inh=1e3, w_inh_to_exc=1e3),
+        dt_ms=10.0, weight_norm_target=1e6, weight_init_max=1e3,
+    )
+
+
+@pytest.mark.parametrize("learn", [False, True], ids=["frozen", "learning"])
+@pytest.mark.parametrize("tau_g_ms", [1e-3, 1e6])
+def test_the_corner_of_the_ranges_runs_a_full_presentation(tau_g_ms, learn):
+    """Every input draws its peak of MAX_PEAK_SPIKES; RuntimeWarnings are errors."""
+    sim = corner_sim(tau_g_ms)
+    encoding = EncodingConfig(max_rate_hz=MAX_PEAK_SPIKES * 1000 / 350.0, presentation_ms=350.0,
+                              rest_ms=150.0, retry_boost_hz=0.0, min_output_spikes=0)
+    RunConfig(simulation=sim, encoding=encoding)  # within every rule
+    train = poisson_encode(np.ones((1, 2)), encoding, seed=0)
+    if learn:
+        net = ExpertNetwork.learning_group(2, 4, [1], sim, encoding)
+        counts = net.present([train], learn=True)
+    else:
+        net = ExpertNetwork(SynapseMatrix(np.full((2, 4), 1e3)), sim, encoding)
+        counts = net.present(train, learn=False)
+    assert counts.sum() > 0
+    for state in (net.exc, net.inh):
+        for array in (state.v, state.g_e, state.g_i, state.theta, state.refractory):
+            assert array is None or np.isfinite(array).all()
+    assert np.isfinite(net.syn.w).all() and np.isfinite(net.syn.pre_trace).all()
