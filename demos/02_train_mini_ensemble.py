@@ -39,9 +39,9 @@ model = train_ensemble(
     global_seed=1, workers=2,
 )
 print(f"trained {partition.n_regions} experts in {time.perf_counter() - tick:.1f}s")
-for i, expert in enumerate(model.experts):
-    assigned = int((expert.assignments >= 0).sum())
-    print(f"expert {i}: {assigned}/{expert.n_excitatory} neurons assigned")
+n_excitatory = model.assignments.shape[1]
+for i, assigned in enumerate((model.assignments >= 0).sum(axis=1).tolist()):
+    print(f"expert {i}: {assigned}/{n_excitatory} neurons assigned")
 
 # One inference pass over the whole reference set fills the totals that
 # hyperactivity detection thresholds; no query data is needed for it.

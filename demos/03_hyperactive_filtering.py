@@ -45,11 +45,10 @@ print(f"injected {len(pairs)} under-regularized foreign responders")
 detect_hyperactive(injected, reference, None, workers=2)
 
 clean_max = max(
-    int(np.delete(ex.reference_totals,
-                  [e for i, e in pairs if i == j]).max())
-    for j, ex in enumerate(injected.experts)
+    int(np.delete(totals, [e for i, e in pairs if i == j]).max())
+    for j, totals in enumerate(injected.reference_totals)
 )
-hot = sorted(injected.experts[i].reference_totals[e] for i, e in pairs)
+hot = sorted(injected.reference_totals[i, e] for i, e in pairs)
 print(f"reference totals: injected {hot[0]}..{hot[-1]}, honest max {clean_max}")
 
 responses = collect_query_responses(injected, queries, workers=2)

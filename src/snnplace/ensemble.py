@@ -15,8 +15,9 @@ hyperactive; flagged neurons are ignored when queries are matched.
 The ensemble owns every per-expert array as one table (``EnsembleModel``),
 which inference, detection and matching read as it is; an expert is a
 frozen view of its column and rows, so an edit of its arrays is what
-inference sees.  Training stacks the trained experts into the tables, and
-loading reads each payload into its column.
+inference sees.  Training writes each group's experts into the tables,
+loading reads each payload into its column, and the constructor alone
+checks that the tables make one ensemble.
 
 Replaying the reference set and answering queries are one computation:
 each image is encoded once and binned to simulation steps, and blocks of
@@ -99,8 +100,8 @@ class EnsembleModel:
     """One table per per-expert field, plus the global place index and config snapshot.
 
     Expert i owns column i of the (inputs, N, K) float32 ``weights`` and
-    row i of every other table; ``experts`` views them, and a model whose
-    tables disagree in shape is refused.
+    row i of every other table; ``experts`` views them.  Construction alone
+    states what valid tables are, and refuses any others.
     """
 
     weights: np.ndarray = field(repr=False, compare=False)
@@ -132,6 +133,28 @@ class EnsembleModel:
                 and all(np.shape(t) == neurons for t in tables)
                 and np.shape(self.global_starts) == np.shape(self.region_places) == neurons[:1]):
             raise ValueError("tables disagree in shape with the (inputs, N, K) float32 weights")
+        expected = 0
+        for start, places in zip(self.global_starts.tolist(), self.region_places.tolist()):
+            if start != expected:
+                raise ConfigError("expert place ranges do not tile the reference set")
+            expected += places
+        if expected != self.place_count:
+            raise ConfigError(f"experts cover {expected} places, expected {self.place_count}")
+        flags = flags_for_theta(self.reference_totals, self.theta)
+        for i, places in enumerate(self.region_places.tolist()):
+            # One expert's column at a time: no temporary the size of the stack.
+            finite = np.isfinite(self.thresholds[i]).all() and np.isfinite(self.weights[:, i]).all()
+            if not finite:
+                raise ConfigError(f"expert {i} holds non-finite thresholds or weights")
+            if ((self.assignments[i] < UNASSIGNED) | (self.assignments[i] >= places)).any():
+                raise ConfigError(
+                    f"expert {i} assigns a neuron outside its places [{UNASSIGNED}, {places})"
+                )
+            if not np.array_equal(self.hyperactive[i], flags[i]):
+                raise ConfigError(
+                    f"expert {i}'s hyperactive flags are not those "
+                    f"theta={self.theta} gives its reference totals"
+                )
 
     @property
     def experts(self) -> tuple[ExpertModel, ...]:
@@ -142,17 +165,6 @@ class EnsembleModel:
                         places, self.reference_totals[i], self.hyperactive[i])
             for i, (start, places) in enumerate(regions)
         )
-
-    def validate_tiling(self) -> None:
-        expected = 0
-        for start, places in zip(self.global_starts.tolist(), self.region_places.tolist()):
-            if start != expected:
-                raise ConfigError("expert place ranges do not tile the reference set")
-            expected += places
-        if expected != self.place_count:
-            raise ConfigError(
-                f"experts cover {expected} places, expected {self.place_count}"
-            )
 
 
 @dataclass(frozen=True)
@@ -182,8 +194,8 @@ class MatchResult:
         return float(self.scores[0])
 
 
-def _train_chunk(job) -> list[ExpertModel]:
-    return [model for model, _ in train_experts(*job)]
+def _train_chunk(job) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return train_experts(*job)[:3]
 
 
 def plan_regions(reference_shape: tuple[int, ...], expert_cfg: ExpertConfig) -> Partition:
@@ -221,9 +233,9 @@ def train_ensemble(
     ``expert_cfg.places_per_expert``.  Each region's seed derives from
     (global_seed, region index), and workers train contiguous chunks of
     experts in groups, so serial, parallel and grouped runs are
-    bit-identical.  The experts' arrays are then stacked into the
-    ensemble's tables.  A stack above ``MAX_STACK_BYTES`` is refused
-    before any expert trains (``plan_regions``).
+    bit-identical; a lone chunk's tables are the ensemble's.  A stack above
+    ``MAX_STACK_BYTES`` is refused before any expert trains
+    (``plan_regions``).
     """
     n_trav, place_count, height, width = reference.shape
     partition = plan_regions(reference.shape, expert_cfg)
@@ -237,11 +249,11 @@ def train_ensemble(
         for index, (start, stop) in enumerate(partition.ranges)
     ]
     jobs = [(regions[part], expert_cfg, sim, encoding) for part in _chunks(len(regions), workers)]
-    experts = [expert for part in _ordered_map(_train_chunk, jobs, workers) for expert in part]
-    model = EnsembleModel(
-        weights=np.stack([ex.weights for ex in experts], axis=1),
-        thresholds=np.stack([ex.theta for ex in experts]),
-        assignments=np.stack([ex.assignments for ex in experts]),
+    weights, thresholds, assignments = zip(*_ordered_map(_train_chunk, jobs, workers))
+    return EnsembleModel(
+        weights=weights[0] if len(weights) == 1 else np.concatenate(weights, axis=1),
+        thresholds=np.concatenate(thresholds),
+        assignments=np.concatenate(assignments),
         global_starts=np.array([start for start, _ in partition.ranges], dtype=np.int64),
         region_places=np.array([stop - start for start, stop in partition.ranges], dtype=np.int64),
         place_count=place_count,
@@ -253,8 +265,6 @@ def train_ensemble(
         expert_config=expert_cfg,
         dataset_fingerprints=dataset_fingerprints or {},
     )
-    model.validate_tiling()
-    return model
 
 
 def flags_for_theta(totals, theta) -> np.ndarray:

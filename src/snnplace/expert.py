@@ -8,8 +8,8 @@ is afterwards assigned to the place it responded to most; neurons that
 never fired stay unassigned and are excluded from matching.
 
 Experts share one architecture and schedule; regions of the same shape learn
-in groups that share one step loop (``train_experts``), and each expert ends
-bit for bit as it would alone.
+in groups that share one step loop (``train_experts``), which returns the
+ensemble's tables; each expert ends bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -102,14 +102,6 @@ class ExpertModel:
     reference_totals: np.ndarray | None = None  # in an ensemble: filled by regularization
     hyperactive: np.ndarray | None = None       # in an ensemble: flags at its threshold
 
-    @property
-    def n_excitatory(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.weights.shape[0]
-
     def build_network(self, sim: SimulationParams, encoding: EncodingConfig) -> ExpertNetwork:
         """Instantiate this expert alone as a canonical inference network.
 
@@ -133,7 +125,9 @@ def train_expert(
     table S[e, l] sums neuron e's spike counts on place l over the trailing
     ``record_last_epochs`` epochs (recording piggybacks on training).
     """
-    return train_experts([region], cfg, sim, encoding)[0]
+    weights, thresholds, assignments, (table,) = train_experts([region], cfg, sim, encoding)
+    row = weights[:, 0], thresholds[0], assignments[0], region.global_start, region.n_places
+    return ExpertModel(*row), table
 
 
 def train_experts(
@@ -141,20 +135,30 @@ def train_experts(
     cfg: ExpertConfig,
     sim: SimulationParams,
     encoding: EncodingConfig,
-) -> list[tuple[ExpertModel, np.ndarray]]:
-    """Train every region's expert; each result equals ``train_expert``'s alone.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The (inputs, N, K) float32 weights, (N, K) thresholds and assignments, and spike tables.
 
+    Expert i's rows equal what ``train_expert`` gives region i alone.
     Consecutive regions of the same shape learn in groups of up to
     ``GROUP_SIZE`` that step through each presentation together, whatever
     the expert size: ``ExpertNetwork.present`` reads a group of one-neuron
     experts column by column, so each sums its lone column as it does alone.
     """
-    results = []
+    weights = thresholds = None
+    tables = []
     for _, run in itertools.groupby(regions, key=lambda region: region.images.shape):
         run = list(run)
         for start in range(0, len(run), GROUP_SIZE):
-            results += _train_group(run[start:start + GROUP_SIZE], cfg, sim, encoding)
-    return results
+            w, theta, counts = _train_group(run[start:start + GROUP_SIZE], cfg, sim, encoding)
+            if weights is None:  # after the first group has trained: a lower peak
+                weights = np.empty((w.shape[1], len(regions), w.shape[2]), dtype=np.float32)
+                thresholds = np.empty(weights.shape[1:])
+            rows = slice(len(tables), len(tables) + len(w))
+            weights[:, rows] = w.transpose(1, 0, 2)
+            thresholds[rows] = theta
+            tables += list(counts)
+            del w  # the group's float64 weights go before the next group's are drawn
+    return weights, thresholds, np.stack([assign_neurons(t) for t in tables]), tables
 
 
 def normalize_group(w: np.ndarray, n_inputs: int, sim: SimulationParams) -> None:
@@ -170,8 +174,11 @@ def normalize_group(w: np.ndarray, n_inputs: int, sim: SimulationParams) -> None
 
 def _train_group(
     regions: list[RegionData], cfg: ExpertConfig, sim: SimulationParams, encoding: EncodingConfig
-) -> list[tuple[ExpertModel, np.ndarray]]:
-    """Train the experts of regions of one shape through one step loop."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train regions of one shape through one step loop.
+
+    Returns their (G, inputs, K) float64 weights, (G, K) thresholds and (G, K, places) tables.
+    """
     traverses, places, height, width = regions[0].images.shape  # every region's
     if traverses == 0 or places == 0:
         raise ConfigError("expert region has no reference images")
@@ -194,16 +201,7 @@ def _train_group(
                 if epoch >= record_from:
                     tables[:, :, place] += counts
 
-    return [
-        (ExpertModel(
-            weights=net.syn.w[g, :n_inputs].astype(np.float32),
-            theta=net.exc.theta[g].copy(),
-            assignments=assign_neurons(tables[g]),
-            global_start=region.global_start,
-            n_places=region.n_places,
-        ), tables[g])
-        for g, region in enumerate(regions)
-    ]
+    return net.syn.w[:, :n_inputs], net.exc.theta, tables
 
 
 def assign_neurons(spike_counts: np.ndarray) -> np.ndarray:

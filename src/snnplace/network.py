@@ -210,6 +210,13 @@ class SimulationParams:
         check_ranges(self)
         if isinstance(self.lif_inhibitory, LifParams):
             raise ConfigError("lif_inhibitory takes no tau_gi_ms or e_inh_mv: nothing inhibits it")
+        # STDP takes (w_max - w) ** weight_exponent of the drawn weights before any
+        # normalization clips them: a weight above w_max gives a NaN.
+        if not self.weight_init_max <= self.stdp.w_max:
+            raise ConfigError(
+                f"weight_init_max ({self.weight_init_max}) must be <= stdp.w_max "
+                f"({self.stdp.w_max})"
+            )
 
 
 class _Memo:

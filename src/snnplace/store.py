@@ -24,12 +24,13 @@ config value that breaks its invariant, a per-neuron list of the wrong
 length or element type, a region bound other than an integer, and a place
 count, seed, regularized flag or fingerprint map of the wrong type
 included), a payload name other than expert i's own
-``expert_NNNN.bin``, a presentation shorter than one step or a window
-longer than ``config.MAX_WINDOW_STEPS``, and archives whose experts do not tile
-the place set, hold no experts, disagree on their shapes or with
-``image_size``, hold non-finite thresholds or weights, assign a neuron
-outside their own places, or store hyperactive flags other than those the
-stored theta gives (``ensemble.flags_for_theta``).
+``expert_NNNN.bin``, archives that hold no experts or whose experts
+disagree on their shapes or with ``image_size``, and a presentation
+shorter than one step or a window longer than ``config.MAX_WINDOW_STEPS``.
+The tables' own rules are ``EnsembleModel``'s, and a load refuses what its
+construction refuses: experts that do not tile the place set, non-finite
+thresholds or weights, a neuron assigned outside its expert's places, or
+hyperactive flags other than those the stored theta gives.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ import tempfile
 import numpy as np
 
 from .config import check_presentation_steps, from_json, to_json
-from .ensemble import EnsembleModel, flags_for_theta
+from .ensemble import EnsembleModel
 from .errors import ArchiveError, ConfigError, IngestError
-from .expert import UNASSIGNED, ExpertConfig
+from .expert import ExpertConfig
 from .imaging import EncodingConfig, PatchNormConfig
 from .network import SimulationParams
 
@@ -289,7 +290,7 @@ def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
         )
     try:
         model = _model_from_manifest(manifest, path)
-        _check_consistent(model, path)
+        check_presentation_steps(model.encoding, model.sim)
     except ConfigError as exc:
         raise ArchiveError(f"archive {path!r}: {exc}") from exc
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
@@ -413,34 +414,3 @@ def _per_neuron(meta: dict, table: str, n_excitatory: int, where: str) -> list:
             and all(map(valid, values))):
         raise ArchiveError(f"{where} {key} must be a list of {n_excitatory} {wanted}")
     return values
-
-
-def _check_consistent(model: EnsembleModel, path: str) -> None:
-    """Reject archives whose experts cannot serve one query together.
-
-    The stored configs were checked as they were decoded; a presentation
-    must last at least one step and no window more than
-    ``MAX_WINDOW_STEPS``, and the stored theta must pass the same
-    check as a fresh one.  Each expert's thresholds and weights must be
-    finite, each assignment must be a local place of that expert or
-    unassigned, and its hyperactive flags must be those the stored theta
-    gives its reference totals (``flags_for_theta``).
-    """
-    model.validate_tiling()
-    check_presentation_steps(model.encoding, model.sim)
-    flags_for_theta((), model.theta)
-    for i, ex in enumerate(model.experts):
-        if not (np.isfinite(ex.theta).all() and np.isfinite(ex.weights).all()):
-            raise ArchiveError(
-                f"archive {path!r}: expert {i} holds non-finite thresholds or weights"
-            )
-        if ((ex.assignments < UNASSIGNED) | (ex.assignments >= ex.n_places)).any():
-            raise ArchiveError(
-                f"archive {path!r}: expert {i} assigns a neuron outside its places "
-                f"[{UNASSIGNED}, {ex.n_places})"
-            )
-        if not np.array_equal(ex.hyperactive, flags_for_theta(ex.reference_totals, model.theta)):
-            raise ArchiveError(
-                f"archive {path!r}: expert {i}'s hyperactive flags are not those "
-                f"theta={model.theta} gives its reference totals"
-            )

@@ -62,7 +62,6 @@ def handmade_ensemble(
     assignments_per_expert,
     totals_per_expert=None,
     places_per_expert: int = 25,
-    place_count: int | None = None,
     theta: float | None = None,
 ) -> EnsembleModel:
     """A fully synthetic ensemble whose experts never simulate anything.
@@ -77,7 +76,7 @@ def handmade_ensemble(
         assignments=np.array(assignments_per_expert, dtype=np.int64),
         global_starts=np.arange(n_experts, dtype=np.int64) * places_per_expert,
         region_places=np.full(n_experts, places_per_expert, dtype=np.int64),
-        place_count=place_count or places_per_expert * n_experts,
+        place_count=places_per_expert * n_experts,
         sim=SimulationParams.defaults(),
         encoding=tiny_encoding(),
         patch=PatchNormConfig(),

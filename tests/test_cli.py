@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -177,6 +178,80 @@ class TestTrain:
         assert rc == 2
         assert_one_error_line(capsys, "--places")
         assert not (root / "model_bad_places").exists()
+
+
+class TestPinnedBytes:
+    """What train, regularize, evaluate and match write for one fixed tiny world.
+
+    Six places make two experts, the second short.  The digests were taken
+    when this test was written; a refactor that moves any of them changed
+    an output.
+    """
+
+    DIGESTS = {
+        "trained/expert_0000.bin":
+            "d2ec9765c6caae0e98465d8f36376c243b5356a52c70f93821b6557c28a9e85b",
+        "trained/expert_0001.bin":
+            "7264225143199648590cf592fd2a7b963b593cee2628ce176633f1ef81d7ea42",
+        "trained/manifest.json":
+            "64798c917fdcfd738259bc852d4066b17cb7f54861fce4986e587d4117ef0164",
+        "regularized/expert_0000.bin":
+            "d2ec9765c6caae0e98465d8f36376c243b5356a52c70f93821b6557c28a9e85b",
+        "regularized/expert_0001.bin":
+            "7264225143199648590cf592fd2a7b963b593cee2628ce176633f1ef81d7ea42",
+        "regularized/manifest.json":
+            "32a598640bcaabd0c80502b751b185da2c6959d223d3b2a472ca2e2f43dce47b",
+        "reports/neuron_precision.csv":
+            "e929f74b958c292d3e85bfcb95d2375ff11a391bbfb043d3defbd9554ecda847",
+        "reports/pr_curve.csv":
+            "2fba481aafbae0c34005133d4d7ab8c36a28c77148a7368d3a4a780c174cf54a",
+        "reports/recall_at_n.csv":
+            "df139534812a32b00d15587d40827023e3bbf450f6fc2065b2ae01ea3fecc0f9",
+        "reports/summary.json":
+            "9c5d664f73bb5a69e49cb5e9d68a9ea7db336debdd913f2fa84cc3b95c647dc3",
+        "match":
+            "6ed5af547118edcf2ab225646504ffab2ce3cda6988d08583fad8a917ff24dfe",
+    }
+
+    def test_archives_reports_and_match_lines_keep_their_bytes(self, tmp_path, capsys):
+        rng = np.random.default_rng(28)
+        ref, query = tmp_path / "ref", tmp_path / "query"
+        ref.mkdir()
+        query.mkdir()
+        for k, img in enumerate(rng.uniform(size=(6, 8, 8))):
+            write_pgm(ref / f"place_{k:03d}.pgm", img)
+            write_pgm(query / f"place_{k:03d}.pgm",
+                      np.clip(img + rng.normal(0, 0.05, (8, 8)), 0, 1))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 4, "workers": 1, "image": {"width": 8, "height": 8},
+            "patch": {"patch_width": 4, "patch_height": 4},
+            "encoding": {"min_output_spikes": 0},
+            "simulation": {"weight_norm_target": 20.0},
+            "expert": {"n_excitatory": 8, "places_per_expert": 4, "epochs": 6,
+                       "record_last_epochs": 3},
+        }))
+        cfg, ref, query = str(cfg), str(ref), str(query)
+        trained, regularized = str(tmp_path / "trained"), str(tmp_path / "regularized")
+        reports = str(tmp_path / "reports")
+        assert main(["train", "--config", cfg, "--ref-dirs", ref, "--out", trained]) == 0
+        # theta 18 flags 5 of the 16 neurons.
+        assert main(["regularize", "--config", cfg, "--model", trained, "--ref-dirs", ref,
+                     "--theta", "18", "--out", regularized]) == 0
+        assert main(["evaluate", "--config", cfg, "--model", regularized, "--query-dir", query,
+                     "--report-dir", reports]) == 0
+        capsys.readouterr()
+        assert main(["match", "--model", regularized, "--top", "3",
+                     "--image", os.path.join(query, "place_002.pgm")]) == 0
+        written = {"match": capsys.readouterr().out.encode()}
+        for directory in (trained, regularized, reports):
+            for name, data in read_archive_bytes(directory).items():
+                written[f"{os.path.basename(directory)}/{name}"] = data
+        summary = json.loads(written["reports/summary.json"])
+        del summary["mean_query_seconds"]   # a timing
+        written["reports/summary.json"] = json.dumps(summary, sort_keys=True).encode()
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in written.items()}
+        assert digests == self.DIGESTS
 
 
 class TestRegularize:
@@ -745,6 +820,20 @@ class TestConfig:
                    "--out", str(tmp_path / "never")])
         assert rc == 2
         assert_one_error_line(capsys, repr("config." + ".".join(section)), key, "must lie in")
+        assert not (tmp_path / "never").exists()
+
+    def test_initial_weights_above_w_max_exit_2_before_ingest(self, world, tmp_path, capsys,
+                                                                monkeypatch):
+        _, cfg, ref, _ = world
+        never_called(monkeypatch, cli, "_load_traverses")
+        data = json.loads(open(cfg).read())
+        data["simulation"].update(weight_init_max=2.0, stdp={"w_max": 1.0})
+        path = tmp_path / "init_above_w_max.json"
+        path.write_text(json.dumps(data))
+        rc = main(["train", "--config", str(path), "--ref-dirs", ref,
+                   "--out", str(tmp_path / "never")])
+        assert rc == 2
+        assert_one_error_line(capsys, "weight_init_max", "stdp.w_max")
         assert not (tmp_path / "never").exists()
 
     def test_dt_too_small_for_a_window_exits_2(self, world, tmp_path, capsys):

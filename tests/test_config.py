@@ -164,6 +164,16 @@ def test_inhibitory_layer_takes_no_g_i_constants():
     assert sim.lif_inhibitory == UninhibitedLifParams.inhibitory_defaults()
 
 
+def test_initial_weights_may_not_exceed_w_max():
+    # Above w_max, the first STDP update takes a fractional power of a negative base.
+    defaults = SimulationParams.defaults()
+    with pytest.raises(ConfigError, match=r"weight_init_max \(2.0\) .*stdp.w_max \(1.0\)"):
+        dataclasses.replace(defaults, weight_init_max=2.0)
+    with pytest.raises(ConfigError, match="weight_init_max"):
+        dataclasses.replace(defaults, stdp=StdpParams(w_max=0.29))
+    assert dataclasses.replace(defaults, weight_init_max=1.0).weight_init_max == defaults.stdp.w_max
+
+
 # Every key of the config file, as a dotted path.  Adding or removing one is a
 # change to the file format: update the README's config paragraph with it.
 CONFIG_KEYS = [

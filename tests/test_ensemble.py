@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import json
+import math
 import pickle
 import tracemalloc
 
@@ -23,17 +25,18 @@ from snnplace.ensemble import (
     partition_reference,
     train_ensemble,
 )
-from snnplace.errors import ConfigError, StateError
-from snnplace.expert import UNASSIGNED, ExpertModel
+from snnplace.errors import ArchiveError, ConfigError, StateError
+from snnplace.expert import UNASSIGNED, ExpertConfig, ExpertModel
 from snnplace.imaging import (
     STREAM_QUERY,
     STREAM_REFERENCE,
+    EncodingConfig,
     PatchNormConfig,
     derive_seed,
     poisson_encode,
 )
 from snnplace.metrics import neuron_precision_analysis
-from snnplace.network import ExpertNetwork, SynapseMatrix
+from snnplace.network import ExpertNetwork, SimulationParams, SynapseMatrix
 from snnplace.store import load_ensemble, save_ensemble
 from snnplace.synthetic import inject_cross_region_responders, make_textures, synthetic_ensemble
 from tests.conftest import (
@@ -50,7 +53,7 @@ def brute_force_ranking(model: EnsembleModel, counts_per_expert, flags_per_exper
     """Exhaustive enumeration over every (expert, neuron) contribution."""
     scores = {place: 0 for place in range(model.place_count)}
     for i, expert in enumerate(model.experts):
-        for e in range(expert.n_excitatory):
+        for e in range(model.assignments.shape[1]):
             if expert.assignments[e] == UNASSIGNED or flags_per_expert[i][e]:
                 continue
             place = expert.global_start + int(expert.assignments[e])
@@ -64,7 +67,6 @@ def random_instance(rng):
     n_experts = int(rng.integers(1, 5))
     places_per = int(rng.integers(1, 4))
     k_e = int(rng.integers(1, 9))
-    place_count = min(n_experts * places_per, 12)
     assignments = [
         rng.integers(-1, places_per, size=k_e) for _ in range(n_experts)
     ]
@@ -223,20 +225,24 @@ class TestFuse:
 
     def test_fusion_is_order_independent(self):
         rng = np.random.default_rng(13)
+        per_neuron = ("thresholds", "assignments", "reference_totals", "hyperactive")
         for _ in range(50):
             model, counts, _ = random_instance(rng)
-            if len(model.experts) < 2:
-                continue
-            perm = rng.permutation(len(model.experts))
-            shuffled = dataclasses.replace(model, weights=model.weights[:, perm], **{
-                table: getattr(model, table)[perm]
-                for table in ("thresholds", "assignments", "global_starts", "region_places",
-                              "reference_totals", "hyperactive")
+            perm = rng.permutation(model.assignments.shape[1])
+            shuffled = dataclasses.replace(model, weights=model.weights[:, :, perm], **{
+                table: getattr(model, table)[:, perm] for table in per_neuron
             })
             (base,) = fuse_scores(model, [counts])
-            (other,) = fuse_scores(shuffled, [[counts[i] for i in perm]])
+            (other,) = fuse_scores(shuffled, [np.asarray(counts)[:, perm]])
             np.testing.assert_array_equal(base.place_ids, other.place_ids)
             np.testing.assert_array_equal(base.scores, other.scores)
+            if len(model.global_starts) > 1:   # experts out of place order tile nothing
+                order = np.roll(np.arange(len(model.global_starts)), 1)
+                with pytest.raises(ConfigError, match="do not tile the reference set"):
+                    dataclasses.replace(model, weights=model.weights[:, order], **{
+                        table: getattr(model, table)[order]
+                        for table in (*per_neuron, "global_starts", "region_places")
+                    })
 
     def test_score_decomposition(self):
         rng = np.random.default_rng(14)
@@ -623,6 +629,58 @@ class TestWeightStack:
         monkeypatch.setattr(ensemble, "MAX_STACK_BYTES", 8 * 8 * 2 * 6 * 4 - 1)
         with pytest.raises(ConfigError, match="weight stack"):
             train_ensemble(*args)
+
+    # Each table rule: one cell of the tables, the same cell of a saved manifest,
+    # and the message that both the constructor and the loader refuse it with.
+    @pytest.mark.parametrize("table, index, value, key, message", [
+        ("place_count", (), 7, ("place_count",), "experts cover 6 places, expected 7"),
+        ("thresholds", (1, 2), math.nan, ("experts", 1, "theta_adapt_mv", 2),
+         "expert 1 holds non-finite thresholds or weights"),
+        ("assignments", (2, 0), 2, ("experts", 2, "assignments", 0),
+         r"expert 2 assigns a neuron outside its places \[-1, 2\)"),
+        ("hyperactive", (0, 1), True, ("experts", 0, "hyperactive", 1),
+         "expert 0's hyperactive flags are not those theta=None gives its reference totals"),
+    ], ids=["tiling", "finite", "assignment", "flags"])
+    def test_tables_the_loader_refuses_are_refused_with_its_message(
+        self, tmp_path, table, index, value, key, message,
+    ):
+        model = synthetic_ensemble(3, n_excitatory=4, places_per_expert=2, seed=1)
+        changed = value
+        if index:
+            changed = getattr(model, table).copy()
+            changed[index] = value
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(model, **{table: changed})
+        save_ensemble(model, tmp_path / "arch")
+        manifest_path = tmp_path / "arch" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        owner = manifest
+        for name in key[:-1]:
+            owner = owner[name]
+        owner[key[-1]] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ArchiveError, match=message):
+            load_ensemble(tmp_path / "arch")
+
+    # 16 one-place regions of 28 x 28 at K = 100 make a 4.79 MiB stack.  The bounds
+    # are the peaks of per-expert training records, rounded up: 3.06 stacks at
+    # GROUP_SIZE 32 (a group's float64 weights and their float32 copies) and 2.02
+    # at 4 (the per-expert copies and their stack).
+    @pytest.mark.parametrize("group_size, stacks", [(32, 3.07), (4, 2.02)])
+    def test_training_peaks_at_no_more_stacks_than_before(self, monkeypatch, group_size, stacks):
+        monkeypatch.setattr(expert, "GROUP_SIZE", group_size)
+        reference = make_textures(16, (28, 28), seed=2)[None]
+        cfg = ExpertConfig(n_excitatory=100, places_per_expert=1, epochs=1, record_last_epochs=1)
+        encoding = EncodingConfig(presentation_ms=5.0, min_output_spikes=0)
+        tracemalloc.start()
+        try:
+            model = train_ensemble(reference, cfg, SimulationParams.defaults(), encoding,
+                                   PatchNormConfig(), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.weights.nbytes == 784 * 16 * 100 * 4
+        assert peak <= stacks * model.weights.nbytes
 
 
 class TestBlocks:

@@ -176,12 +176,14 @@ class TestGroups:
                 global_start=2 * g,
                 seed=seed + g,
             ))
-        together = train_experts(regions, cfg, sim, encoding)
-        assert len(together) == n_experts
-        for (model, table), region in zip(together, regions):
+        weights, thresholds, assignments, tables = train_experts(regions, cfg, sim, encoding)
+        assert weights.shape == (64, n_experts, n_excitatory) and weights.dtype == np.float32
+        assert thresholds.shape == assignments.shape == (n_experts, n_excitatory)
+        assert len(tables) == n_experts
+        for i, region in enumerate(regions):
             alone, alone_table = train_expert(region, cfg, sim, encoding)
-            for a, b in ((model.weights, alone.weights), (model.theta, alone.theta),
-                         (table, alone_table)):
+            for a, b in ((weights[:, i], alone.weights), (thresholds[i], alone.theta),
+                         (assignments[i], alone.assignments), (tables[i], alone_table)):
                 assert a.shape == b.shape and a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
 
@@ -214,7 +216,8 @@ class TestGroups:
         regions = [RegionData(images=tiny_textures(1, seed=g)[None], image_ids=np.array([[g]]),
                               global_start=g, seed=g) for g in range(3)]
         cfg = tiny_expert_cfg(n_excitatory=1, places_per_expert=1, epochs=1, record_last_epochs=1)
-        assert len(train_experts(regions, cfg, tiny_sim(), tiny_encoding())) == 3
+        weights, _, _, tables = train_experts(regions, cfg, tiny_sim(), tiny_encoding())
+        assert weights.shape == (64, 3, 1) and len(tables) == 3
         assert groups == [(1, 3)]
 
 

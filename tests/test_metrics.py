@@ -176,7 +176,7 @@ def neuron_precision_oracle(model, responses, truths):
     n_unassigned = 0
     for i, expert in enumerate(model.experts):
         fired = responses[:, i, :] > 0
-        for e in range(expert.n_excitatory):
+        for e in range(model.assignments.shape[1]):
             if expert.assignments[e] == UNASSIGNED:
                 n_unassigned += 1
                 continue
