@@ -15,9 +15,9 @@ hyperactive; flagged neurons are ignored when queries are matched.
 The ensemble owns every per-expert array as one table (``EnsembleModel``),
 which inference, detection and matching read as it is; an expert is a
 frozen view of its column and rows, so an edit of its arrays is what
-inference sees.  Training writes each group's experts into the tables,
-loading reads each payload into its column, and the constructor alone
-checks that the tables make one ensemble.
+inference sees.  Training and loading fill the tables, the constructor
+alone checks them, and what they determine (the place count, region
+starts and hyperactive flags) is computed on each read, never stored.
 
 Replaying the reference set and answering queries are one computation:
 each image is encoded once and binned to simulation steps, and blocks of
@@ -63,7 +63,7 @@ from .imaging import (
     derive_seed,
     poisson_encode,
 )
-from .network import SimulationParams, bin_train
+from .network import SimulationParams, bin_train, check_presentation_steps
 
 # State elements (images x experts x neurons) one inference block may hold.
 BLOCK_STATE = 20_000
@@ -97,7 +97,7 @@ def partition_reference(place_count: int, places_per_expert: int) -> Partition:
 
 @dataclass
 class EnsembleModel:
-    """One table per per-expert field, plus the global place index and config snapshot.
+    """One table per per-expert field, plus the config snapshot.
 
     Expert i owns column i of the (inputs, N, K) float32 ``weights`` and
     row i of every other table; ``experts`` views them.  Construction alone
@@ -107,9 +107,7 @@ class EnsembleModel:
     weights: np.ndarray = field(repr=False, compare=False)
     thresholds: np.ndarray               # adaptive-threshold snapshots, mV
     assignments: np.ndarray              # local place per neuron, UNASSIGNED if silent
-    global_starts: np.ndarray            # first global place of each region
-    region_places: np.ndarray            # places in each region
-    place_count: int
+    region_places: np.ndarray            # places in each region, in place order
     sim: SimulationParams
     encoding: EncodingConfig
     patch: PatchNormConfig
@@ -120,27 +118,22 @@ class EnsembleModel:
     expert_config: ExpertConfig | None = None
     dataset_fingerprints: dict = field(default_factory=dict)
     reference_totals: np.ndarray | None = None  # zeros until regularization
-    hyperactive: np.ndarray | None = None       # flags at theta; all off until set
 
     def __post_init__(self) -> None:
         neurons = self.weights.shape[1:]
         if self.reference_totals is None:
             self.reference_totals = np.zeros(neurons, dtype=np.int64)
-        if self.hyperactive is None:
-            self.hyperactive = np.zeros(neurons, dtype=bool)
-        tables = (self.thresholds, self.assignments, self.reference_totals, self.hyperactive)
+        tables = (self.thresholds, self.assignments, self.reference_totals)
         if not (self.weights.dtype == np.float32 and len(neurons) == 2
                 and all(np.shape(t) == neurons for t in tables)
-                and np.shape(self.global_starts) == np.shape(self.region_places) == neurons[:1]):
+                and np.shape(self.region_places) == neurons[:1]):
             raise ValueError("tables disagree in shape with the (inputs, N, K) float32 weights")
-        expected = 0
-        for start, places in zip(self.global_starts.tolist(), self.region_places.tolist()):
-            if start != expected:
-                raise ConfigError("expert place ranges do not tile the reference set")
-            expected += places
-        if expected != self.place_count:
-            raise ConfigError(f"experts cover {expected} places, expected {self.place_count}")
-        flags = flags_for_theta(self.reference_totals, self.theta)
+        width, height = self.image_size
+        if width * height != self.weights.shape[0]:
+            raise ConfigError(f"image size {width}x{height} needs {width * height} inputs, "
+                              f"the weights have {self.weights.shape[0]}")
+        check_presentation_steps(self.encoding, self.sim)
+        flags_for_theta((), self.theta)  # ConfigError for a bad theta
         for i, places in enumerate(self.region_places.tolist()):
             # One expert's column at a time: no temporary the size of the stack.
             finite = np.isfinite(self.thresholds[i]).all() and np.isfinite(self.weights[:, i]).all()
@@ -150,20 +143,30 @@ class EnsembleModel:
                 raise ConfigError(
                     f"expert {i} assigns a neuron outside its places [{UNASSIGNED}, {places})"
                 )
-            if not np.array_equal(self.hyperactive[i], flags[i]):
-                raise ConfigError(
-                    f"expert {i}'s hyperactive flags are not those "
-                    f"theta={self.theta} gives its reference totals"
-                )
+
+    @property
+    def place_count(self) -> int:
+        """Places the regions cover: the size of the reference set."""
+        return int(self.region_places.sum())
+
+    @property
+    def global_starts(self) -> np.ndarray:
+        """First global place of each region: the sum of the region sizes before it."""
+        return np.cumsum(self.region_places) - self.region_places
+
+    @property
+    def hyperactive(self) -> np.ndarray:
+        """The (N, K) flags ``theta`` gives the reference totals (``flags_for_theta``)."""
+        return flags_for_theta(self.reference_totals, self.theta)
 
     @property
     def experts(self) -> tuple[ExpertModel, ...]:
         """One frozen view per expert: column i of ``weights`` and row i of every table."""
-        regions = zip(self.global_starts.tolist(), self.region_places.tolist())
+        regions = zip(self.global_starts.tolist(), self.region_places.tolist(), self.hyperactive)
         return tuple(
             ExpertModel(self.weights[:, i], self.thresholds[i], self.assignments[i], start,
-                        places, self.reference_totals[i], self.hyperactive[i])
-            for i, (start, places) in enumerate(regions)
+                        places, self.reference_totals[i], flags)
+            for i, (start, places, flags) in enumerate(regions)
         )
 
 
@@ -254,9 +257,7 @@ def train_ensemble(
         weights=weights[0] if len(weights) == 1 else np.concatenate(weights, axis=1),
         thresholds=np.concatenate(thresholds),
         assignments=np.concatenate(assignments),
-        global_starts=np.array([start for start, _ in partition.ranges], dtype=np.int64),
         region_places=np.array([stop - start for start, stop in partition.ranges], dtype=np.int64),
-        place_count=place_count,
         sim=sim,
         encoding=encoding,
         patch=patch,
@@ -293,8 +294,8 @@ def detect_hyperactive(
     encoded once, with the seed of its id (traverse * place_count + place),
     and every expert answers it from rest; all traverses weigh equally.
     Workers sum the responses of contiguous image chunks.  Fills each
-    expert's cumulative reference totals and sets the hyperactive flags for
-    ``theta``.  Mutates and returns ``model``.
+    expert's cumulative reference totals and sets ``theta``, whose flags
+    the model then reports.  Mutates and returns ``model``.
     """
     flags_for_theta((), theta)  # reject a bad theta before the replay
     images = reference.reshape((-1,) + reference.shape[2:])
@@ -307,10 +308,10 @@ def detect_hyperactive(
 
 
 def apply_threshold(model: EnsembleModel, theta: float | None) -> EnsembleModel:
-    """Re-flag hyperactive neurons from cached totals; the only writer of ``model.theta``."""
+    """Set the theta that flags neurons from cached totals; the only writer of ``model.theta``."""
     if not model.regularized:
         raise StateError("reference totals missing: run detect_hyperactive first")
-    model.hyperactive = flags_for_theta(model.reference_totals, theta)
+    flags_for_theta((), theta)  # reject a bad theta before it is stored
     model.theta = theta or None  # theta passed flags_for_theta: None when the filter is off
     return model
 
@@ -320,7 +321,7 @@ def neuron_places(model: EnsembleModel) -> np.ndarray:
 
     Neuron e of expert i votes for place ``global_start + assignments[e]``,
     the place it answered most in training.  Built on each call from the
-    ``assignments`` and ``global_starts`` tables as they are now.
+    ``assignments`` and ``region_places`` tables as they are now.
     """
     local = model.assignments
     return np.where(local == UNASSIGNED, UNASSIGNED, local + model.global_starts[:, None])
@@ -338,7 +339,7 @@ def fuse_scores(
     non-hyperactive neuron adds its spike count to its place in the vote
     table (``neuron_places``), which is read once per batch, with the
     flags.  ``flags``, a per-expert list or an (N, K) array, overrides the
-    model's ``hyperactive`` table (used by threshold sweeps over cached
+    flags of the model's theta (used by threshold sweeps over cached
     responses).
     """
     flags = model.hyperactive if flags is None else flags

@@ -90,8 +90,8 @@ class ExpertModel:
     """One trained, frozen region expert.
 
     In an ensemble it is a view of its column of ``EnsembleModel.weights``
-    and its row of every other table: an in-place edit of its arrays edits
-    the ensemble, and its fields cannot be rebound.
+    and its row of every other table: an in-place edit of its arrays (not of
+    its computed flags) edits the ensemble, and its fields cannot be rebound.
     """
 
     weights: np.ndarray            # (n_inputs, n_excitatory) float32, frozen

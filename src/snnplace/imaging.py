@@ -30,7 +30,7 @@ STREAM_QUERY = 3
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 # Spikes one input may draw in a presentation at its peak rate, the last retry's
-# boost included: one per step of the longest window (config.MAX_WINDOW_STEPS),
+# boost included: one per step of the longest window (network.MAX_WINDOW_STEPS),
 # which admits that window at the default rates (351,875).  numpy's Poisson draw
 # fails above a mean of about 9.2e18, and every spike holds 16 bytes.
 MAX_PEAK_SPIKES = 1_000_000
@@ -76,7 +76,7 @@ class EncodingConfig:
     """
 
     # The peak draw bounds the rates and the presentation above, and
-    # config.check_presentation_steps bounds each window to MAX_WINDOW_STEPS steps.
+    # network.check_presentation_steps bounds each window to MAX_WINDOW_STEPS steps.
     max_rate_hz: float = ranged(1e-3, math.inf, default=63.75)  # > 0: a spike per 1000 s
     presentation_ms: float = ranged(1e-4, math.inf, default=350.0)  # > 0: the shortest step
     rest_ms: float = ranged(0.0, math.inf, default=150.0)

@@ -219,6 +219,31 @@ class SimulationParams:
             )
 
 
+# Steps one presentation or rest window may last: its step offsets take 8 MB.
+MAX_WINDOW_STEPS = 1_000_000
+
+
+def check_presentation_steps(encoding: EncodingConfig, simulation: SimulationParams) -> None:
+    """A presentation lasts at least one step, and no window more than MAX_WINDOW_STEPS.
+
+    That is, round(presentation_ms / dt_ms) >= 1, and presentation_ms /
+    dt_ms and rest_ms / dt_ms are each <= MAX_WINDOW_STEPS.
+    """
+    # Compared, not rounded: the ratio of two finite numbers can overflow to inf.
+    dt_ms = simulation.dt_ms
+    if not encoding.presentation_ms / dt_ms > 0.5:
+        raise ConfigError(
+            f"encoding.presentation_ms ({encoding.presentation_ms}) must last at least one "
+            f"step of simulation.dt_ms ({dt_ms})"
+        )
+    for name in ("presentation_ms", "rest_ms"):
+        if not getattr(encoding, name) / dt_ms <= MAX_WINDOW_STEPS:
+            raise ConfigError(
+                f"encoding.{name} ({getattr(encoding, name)}) must last at most "
+                f"{MAX_WINDOW_STEPS} steps of simulation.dt_ms ({dt_ms})"
+            )
+
+
 class _Memo:
     """A per-instance memo of derived constants (``_constants``).
 

@@ -24,13 +24,13 @@ config value that breaks its invariant, a per-neuron list of the wrong
 length or element type, a region bound other than an integer, and a place
 count, seed, regularized flag or fingerprint map of the wrong type
 included), a payload name other than expert i's own
-``expert_NNNN.bin``, archives that hold no experts or whose experts
-disagree on their shapes or with ``image_size``, and a presentation
-shorter than one step or a window longer than ``config.MAX_WINDOW_STEPS``.
-The tables' own rules are ``EnsembleModel``'s, and a load refuses what its
-construction refuses: experts that do not tile the place set, non-finite
-thresholds or weights, a neuron assigned outside its expert's places, or
-hyperactive flags other than those the stored theta gives.
+``expert_NNNN.bin``, and archives that hold no experts or whose experts
+disagree on their shapes or with ``image_size``.  A load refuses what
+``EnsembleModel``'s construction refuses (a window of no step or of more
+than ``network.MAX_WINDOW_STEPS``, non-finite values, a neuron assigned
+outside its places), and a place count, region starts or flags other than
+those the model computes from its region sizes, totals and theta: the
+manifest lists these copies, and a save writes the computed values.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import tempfile
 
 import numpy as np
 
-from .config import check_presentation_steps, from_json, to_json
+from .config import from_json, to_json
 from .ensemble import EnsembleModel
 from .errors import ArchiveError, ConfigError, IngestError
 from .expert import ExpertConfig
@@ -200,13 +200,14 @@ def _payload_name(index: int) -> str:
 
 def _manifest(model: EnsembleModel) -> dict:
     n_inputs, n_experts, n_excitatory = model.weights.shape
+    tables = {table: getattr(model, table) for table in (*_PER_REGION, *_PER_NEURON)}
     experts_meta = [
         {
             "file": _payload_name(i),
             "n_inputs": n_inputs,
             "n_excitatory": n_excitatory,
-            **{key: int(getattr(model, table)[i]) for table, key in _PER_REGION.items()},
-            **{key: np.asarray(getattr(model, table)[i], dtype).tolist()
+            **{key: int(tables[table][i]) for table, key in _PER_REGION.items()},
+            **{key: np.asarray(tables[table][i], dtype).tolist()
                for table, (key, dtype, *_) in _PER_NEURON.items()},
         }
         for i in range(n_experts)
@@ -290,7 +291,6 @@ def load_ensemble(path: str | os.PathLike) -> EnsembleModel:
         )
     try:
         model = _model_from_manifest(manifest, path)
-        check_presentation_steps(model.encoding, model.sim)
     except ConfigError as exc:
         raise ArchiveError(f"archive {path!r}: {exc}") from exc
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
@@ -330,10 +330,10 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
         if not all(_is_int(meta[key]) for meta in metas):
             raise ArchiveError(f"archive {path!r}: every expert's {key} must be an integer")
         tables[table] = np.array([meta[key] for meta in metas], dtype=np.int64)
-    return EnsembleModel(
+    starts, flags = tables.pop("global_starts"), tables.pop("hyperactive")
+    model = EnsembleModel(
         weights=weights,
         **tables,
-        place_count=manifest["place_count"],
         sim=from_json(SimulationParams, sim, "config"),
         encoding=from_json(EncodingConfig, cfg["encoding"], "config.encoding"),
         patch=from_json(PatchNormConfig, cfg["patch"], "config.patch"),
@@ -346,6 +346,16 @@ def _model_from_manifest(manifest: dict, path: str) -> EnsembleModel:
         ),
         dataset_fingerprints=dict(manifest["dataset_fingerprints"]),
     )
+    if not np.array_equal(starts, model.global_starts):
+        raise ConfigError("expert place ranges do not tile the reference set")
+    if manifest["place_count"] != model.place_count:
+        raise ConfigError(f"experts cover {model.place_count} places, "
+                          f"expected {manifest['place_count']}")
+    wrong = np.flatnonzero((flags != model.hyperactive).any(axis=1))
+    if wrong.size:
+        raise ConfigError(f"expert {wrong[0]}'s hyperactive flags are not those "
+                          f"theta={model.theta} gives its reference totals")
+    return model
 
 
 def _weight_shape(manifest: dict, path: str) -> tuple[int, int]:

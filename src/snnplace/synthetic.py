@@ -93,9 +93,7 @@ def synthetic_ensemble(
         thresholds=np.zeros((n_experts, n_excitatory)),
         assignments=np.tile(np.arange(n_excitatory, dtype=np.int64) % places_per_expert,
                             (n_experts, 1)),
-        global_starts=np.arange(n_experts, dtype=np.int64) * places_per_expert,
         region_places=np.full(n_experts, places_per_expert, dtype=np.int64),
-        place_count=n_experts * places_per_expert,
         sim=sim,
         encoding=encoding,
         patch=PatchNormConfig(),
@@ -156,7 +154,7 @@ def inject_cross_region_responders(
     """
     if not model.regularized:
         raise StateError("injection picks winners by reference totals: regularize first")
-    n_experts = len(model.global_starts)
+    n_experts = len(model.region_places)
     if n_experts < 2:
         raise StateError("need at least two experts to inject cross-region responders")
     injected_model = copy.deepcopy(model)

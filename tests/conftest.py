@@ -74,9 +74,7 @@ def handmade_ensemble(
         weights=np.zeros((4, n_experts, n), dtype=np.float32),
         thresholds=np.zeros((n_experts, n)),
         assignments=np.array(assignments_per_expert, dtype=np.int64),
-        global_starts=np.arange(n_experts, dtype=np.int64) * places_per_expert,
         region_places=np.full(n_experts, places_per_expert, dtype=np.int64),
-        place_count=places_per_expert * n_experts,
         sim=SimulationParams.defaults(),
         encoding=tiny_encoding(),
         patch=PatchNormConfig(),
@@ -93,6 +91,20 @@ def handmade_ensemble(
 
         apply_threshold(model, theta)
     return model
+
+
+def assert_same_ensemble(a: EnsembleModel, b: EnsembleModel) -> None:
+    """Every field of two ensembles and every value they compute agree, arrays bit for bit.
+
+    The names come from ``dataclasses.fields``, so a field the store forgets fails.
+    """
+    computed = ("place_count", "global_starts", "hyperactive")
+    for name in [f.name for f in dataclasses.fields(EnsembleModel)] + list(computed):
+        u, v = getattr(a, name), getattr(b, name)
+        if isinstance(u, np.ndarray):
+            assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), name
+        else:
+            assert u == v, name
 
 
 @pytest.fixture(scope="session")

@@ -100,7 +100,7 @@ def test_a_window_lasts_at_most_max_window_steps():
 
 
 def test_the_step_cap_is_inclusive():
-    from snnplace.config import MAX_WINDOW_STEPS
+    from snnplace.network import MAX_WINDOW_STEPS
 
     window = MAX_WINDOW_STEPS * 0.5  # dt_ms 0.5 divides it exactly
     RunConfig(encoding=EncodingConfig(presentation_ms=window, rest_ms=window))

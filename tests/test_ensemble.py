@@ -40,6 +40,7 @@ from snnplace.network import ExpertNetwork, SimulationParams, SynapseMatrix
 from snnplace.store import load_ensemble, save_ensemble
 from snnplace.synthetic import inject_cross_region_responders, make_textures, synthetic_ensemble
 from tests.conftest import (
+    assert_same_ensemble,
     handmade_ensemble,
     respond_stacked,
     tiny_encoding,
@@ -60,6 +61,13 @@ def brute_force_ranking(model: EnsembleModel, counts_per_expert, flags_per_exper
             scores[place] += int(counts_per_expert[i][e])
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [place for place, _ in ranked], [score for _, score in ranked]
+
+
+def place_scores(result) -> np.ndarray:
+    """A ranking's scores indexed by place id."""
+    scores = np.empty_like(result.scores)
+    scores[result.place_ids] = result.scores
+    return scores
 
 
 def random_instance(rng):
@@ -174,13 +182,15 @@ class TestFlags:
 
 class TestFuse:
     def test_two_expert_hand_table(self):
-        # expert 0: every neuron hyperactive; expert 1: one neuron assigned to
-        # global place 30 firing 7 spikes.
+        # expert 0: every neuron hyperactive at theta 5; expert 1: one neuron
+        # assigned to global place 30 firing 7 spikes.
         model = handmade_ensemble(
             assignments_per_expert=[[0, 1], [5, UNASSIGNED]],
+            totals_per_expert=[[9, 5], [4, 0]],
             places_per_expert=25,
+            theta=5,
         )
-        model.experts[0].hyperactive[:] = True
+        assert model.hyperactive.tolist() == [[True, True], [False, False]]
         (result,) = fuse_scores(model, [[np.array([9, 9]), np.array([7, 0])]])
         assert result.top == 30
         assert result.scores[0] == 7
@@ -225,7 +235,7 @@ class TestFuse:
 
     def test_fusion_is_order_independent(self):
         rng = np.random.default_rng(13)
-        per_neuron = ("thresholds", "assignments", "reference_totals", "hyperactive")
+        per_neuron = ("thresholds", "assignments", "reference_totals")
         for _ in range(50):
             model, counts, _ = random_instance(rng)
             perm = rng.permutation(model.assignments.shape[1])
@@ -236,13 +246,16 @@ class TestFuse:
             (other,) = fuse_scores(shuffled, [np.asarray(counts)[:, perm]])
             np.testing.assert_array_equal(base.place_ids, other.place_ids)
             np.testing.assert_array_equal(base.scores, other.scores)
-            if len(model.global_starts) > 1:   # experts out of place order tile nothing
-                order = np.roll(np.arange(len(model.global_starts)), 1)
-                with pytest.raises(ConfigError, match="do not tile the reference set"):
-                    dataclasses.replace(model, weights=model.weights[:, order], **{
-                        table: getattr(model, table)[order]
-                        for table in (*per_neuron, "global_starts", "region_places")
-                    })
+            # Experts in another order take the places of their new positions:
+            # each place's score moves with its expert's region.
+            order = rng.permutation(len(model.region_places))
+            moved = dataclasses.replace(model, weights=model.weights[:, order], **{
+                table: getattr(model, table)[order] for table in (*per_neuron, "region_places")
+            })
+            (other,) = fuse_scores(moved, [np.asarray(counts)[order]])
+            regions = np.split(place_scores(base), np.cumsum(model.region_places)[:-1])
+            np.testing.assert_array_equal(place_scores(other),
+                                          np.concatenate([regions[i] for i in order]))
 
     def test_score_decomposition(self):
         rng = np.random.default_rng(14)
@@ -516,10 +529,10 @@ class TestWeightStack:
             assert np.shares_memory(ex.weights, model.weights)
             assert ex.weights.__array_interface__ == model.weights[:, i].__array_interface__
             for field, table in (("theta", "thresholds"), ("assignments", "assignments"),
-                                 ("reference_totals", "reference_totals"),
-                                 ("hyperactive", "hyperactive")):
+                                 ("reference_totals", "reference_totals")):
                 view = getattr(ex, field).__array_interface__
                 assert view == getattr(model, table)[i].__array_interface__
+            assert ex.hyperactive.tolist() == model.hyperactive[i].tolist()
             assert (ex.global_start, ex.n_places) == (model.global_starts[i],
                                                       model.region_places[i])
 
@@ -528,10 +541,12 @@ class TestWeightStack:
         expert = model.experts[1]
         expert.weights[7, 1] = 0.25
         expert.theta[2] = 4.5
-        expert.hyperactive[0] = True
+        expert.reference_totals[0] = 9
+        apply_threshold(model, 5)
         assert model.weights[7, 1, 1] == 0.25
         assert model.thresholds[1, 2] == 4.5
         assert model.hyperactive.tolist() == [[False] * 3, [True, False, False]]
+        assert model.experts[1].hyperactive.tolist() == [True, False, False]
         with pytest.raises(dataclasses.FrozenInstanceError):
             expert.hyperactive = np.ones(3, dtype=bool)
 
@@ -558,14 +573,46 @@ class TestWeightStack:
                         dict(thresholds=model.thresholds[:, :4]),
                         dict(assignments=model.assignments[:2]),
                         dict(reference_totals=model.reference_totals.ravel()),
-                        dict(hyperactive=model.hyperactive[:, :1]),
-                        dict(global_starts=model.global_starts[:2]),
+                        dict(region_places=model.region_places[:2]),
                         dict(region_places=model.region_places[:, None])):
             with pytest.raises(ValueError, match="tables disagree in shape"):
                 dataclasses.replace(model, **changes)
         same = dataclasses.replace(model, theta=None)
         assert same.weights is model.weights
         self.assert_views_of_one_stack(same)
+
+    def test_an_image_size_other_than_the_weight_rows_is_refused(self):
+        model = synthetic_ensemble(2, n_excitatory=3, places_per_expert=2)
+        with pytest.raises(ConfigError, match="image size 14x14 needs 196 inputs, "
+                                              "the weights have 784"):
+            dataclasses.replace(model, image_size=(14, 14))
+
+    @pytest.mark.parametrize("window, message", [
+        (dict(presentation_ms=0.1), r"presentation_ms \(0.1\) must last at least one step"),
+        (dict(rest_ms=1e300), r"rest_ms \(1e\+300\) must last at most 1000000 steps"),
+    ])
+    def test_a_window_the_step_cannot_run_is_refused(self, window, message):
+        # At dt_ms 0.5, a 0.1 ms presentation rounds to no step at all: every query
+        # would be silent.
+        model = synthetic_ensemble(2, n_excitatory=3, places_per_expert=2)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(model, encoding=dataclasses.replace(model.encoding, **window))
+
+    def test_no_in_place_edit_makes_an_archive_its_loader_refuses(self, tmp_path):
+        model = synthetic_ensemble(3, n_excitatory=4, places_per_expert=2, seed=1)
+        model.reference_totals[1] = [0, 3, 7, 1]
+        apply_threshold(model, 3)
+        # The flags and the region starts are computed: an edit of either edits a copy.
+        model.experts[0].hyperactive[:] = True
+        model.global_starts[1] = 5
+        model.reference_totals[2, 0] = 50   # the flags follow the totals
+        assert model.hyperactive.tolist() == [[False] * 4, [False, True, True, False],
+                                              [True, False, False, False]]
+        assert model.global_starts.tolist() == [0, 2, 4]
+        result = match_query(model, make_textures(1, (28, 28), 9)[0])
+        assert sorted(result.place_ids.tolist()) == list(range(6))
+        save_ensemble(model, tmp_path / "arch")
+        assert_same_ensemble(load_ensemble(tmp_path / "arch"), model)
 
     def test_pickle_ships_the_stack_once(self):
         model = synthetic_ensemble(4, n_excitatory=400, seed=0)
@@ -632,25 +679,26 @@ class TestWeightStack:
 
     # Each table rule: one cell of the tables, the same cell of a saved manifest,
     # and the message that both the constructor and the loader refuse it with.
+    # The place count and the flags are computed, so only a manifest can hold a
+    # copy that disagrees: the constructor has no field to refuse (table None).
     @pytest.mark.parametrize("table, index, value, key, message", [
-        ("place_count", (), 7, ("place_count",), "experts cover 6 places, expected 7"),
+        (None, (), 7, ("place_count",), "experts cover 6 places, expected 7"),
         ("thresholds", (1, 2), math.nan, ("experts", 1, "theta_adapt_mv", 2),
          "expert 1 holds non-finite thresholds or weights"),
         ("assignments", (2, 0), 2, ("experts", 2, "assignments", 0),
          r"expert 2 assigns a neuron outside its places \[-1, 2\)"),
-        ("hyperactive", (0, 1), True, ("experts", 0, "hyperactive", 1),
+        (None, (), True, ("experts", 0, "hyperactive", 1),
          "expert 0's hyperactive flags are not those theta=None gives its reference totals"),
     ], ids=["tiling", "finite", "assignment", "flags"])
     def test_tables_the_loader_refuses_are_refused_with_its_message(
         self, tmp_path, table, index, value, key, message,
     ):
         model = synthetic_ensemble(3, n_excitatory=4, places_per_expert=2, seed=1)
-        changed = value
-        if index:
+        if table is not None:
             changed = getattr(model, table).copy()
             changed[index] = value
-        with pytest.raises(ConfigError, match=message):
-            dataclasses.replace(model, **{table: changed})
+            with pytest.raises(ConfigError, match=message):
+                dataclasses.replace(model, **{table: changed})
         save_ensemble(model, tmp_path / "arch")
         manifest_path = tmp_path / "arch" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())

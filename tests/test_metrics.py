@@ -161,7 +161,9 @@ class TestNeuronPrecision:
 
     def test_group_split_follows_flags(self):
         model = self._model()
-        model.experts[0].hyperactive[:] = [True, False, False]
+        model.reference_totals[:] = [[9, 2, 9]]
+        apply_threshold(model, 5)
+        assert model.hyperactive.tolist() == [[True, False, True]]
         fires = np.ones((4, 1, 3), dtype=int)
         records, summary = neuron_precision_analysis(model, fires, [0, 1, 0, 1])
         assert summary["hyperactive"]["n"] == 1

@@ -22,7 +22,13 @@ from snnplace.errors import ArchiveError, IngestError, SnnPlaceError
 from snnplace.imaging import PatchNormConfig, write_pgm
 from snnplace.store import FORMAT_VERSION, load_ensemble, save_ensemble, scan_traverse
 from snnplace.synthetic import synthetic_ensemble
-from tests.conftest import tiny_encoding, tiny_expert_cfg, tiny_sim, tiny_textures
+from tests.conftest import (
+    assert_same_ensemble,
+    tiny_encoding,
+    tiny_expert_cfg,
+    tiny_sim,
+    tiny_textures,
+)
 from tests.test_config import ADVERSARIAL, CONFIG_KEYS, key_paths
 
 
@@ -644,13 +650,7 @@ class TestFormat1Archive:
             name = meta["file"]
             assert (tmp_path / "v2" / name).read_bytes() == (V1 / "model" / name).read_bytes()
 
-        again = load_ensemble(tmp_path / "v2")
-        for field in ("place_count", "sim", "encoding", "patch", "image_size", "global_seed",
-                      "theta", "regularized", "expert_config", "dataset_fingerprints"):
-            assert getattr(again, field) == getattr(model, field), field
-        for a, b in zip(model.experts, again.experts):
-            for field in ("weights", "theta", "assignments", "reference_totals", "hyperactive"):
-                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert_same_ensemble(load_ensemble(tmp_path / "v2"), model)
 
 
 V1_MANIFEST = json.loads((V1 / "model" / "manifest.json").read_text())
