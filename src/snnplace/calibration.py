@@ -76,20 +76,15 @@ class CalibrationReport:
 
 def _select(scores: np.ndarray, taus, thetas) -> tuple[float, float]:
     """Argmax cell; ties prefer the smaller theta, then the smaller tau_gi."""
-    best = None
-    for i, tau in enumerate(taus):
-        for j, theta in enumerate(thetas):
-            key = (-scores[i, j], theta, tau)
-            if best is None or key < best[0]:
-                best = (key, tau, theta)
-    return best[1], best[2]
+    _, theta, tau = min((-scores[i, j], theta, tau)
+                        for i, tau in enumerate(taus) for j, theta in enumerate(thetas))
+    return tau, theta
 
 
 def run_grid_search(
     grids: CalibrationGrids,
     cal_reference: np.ndarray,
     cal_queries: np.ndarray,
-    cal_truths,
     expert_cfg: ExpertConfig,
     sim: SimulationParams,
     encoding: EncodingConfig,
@@ -100,9 +95,11 @@ def run_grid_search(
     """Evaluate every (tau_gi, theta) pair on the calibration split.
 
     ``cal_reference`` is (n_traverses, n_cal_places, H, W) holding only the
-    calibration range; ``cal_truths`` are place ids local to that range.
-    One ensemble is trained per tau_gi and shared by all theta cells.
+    calibration range, and ``cal_queries`` (n_cal_places, H, W) the same
+    range: query k is of place k, local to the range.  One ensemble is
+    trained per tau_gi and shared by all theta cells.
     """
+    truths = np.arange(len(cal_queries))
     n_tau, n_theta = len(grids.tau_gi_grid), len(grids.theta_grid)
     scores = np.zeros((n_tau, n_theta))
     cell_seconds = np.zeros((n_tau, n_theta))
@@ -115,7 +112,7 @@ def run_grid_search(
         responses = collect_query_responses(model, cal_queries, workers)
         for j, theta in enumerate(grids.theta_grid):
             tick = time.perf_counter()
-            scores[i, j] = _score_theta(model, responses, cal_truths, theta)
+            scores[i, j] = _score_theta(model, responses, truths, theta)
             cell_seconds[i, j] = time.perf_counter() - tick
 
     chosen_tau, chosen_theta = _select(scores, grids.tau_gi_grid, grids.theta_grid)
@@ -168,11 +165,10 @@ def select_theta(curve) -> float:
     Maximizes precision over the candidate thresholds (the theta = 0
     baseline is not a candidate); ties prefer the smaller threshold.
     """
-    candidates = [(theta, p) for theta, p in curve if theta > 0]
+    candidates = [(-p, theta) for theta, p in curve if theta > 0]
     if not candidates:
         raise ConfigError("sweep curve holds no positive thresholds")
-    best = max(p for _, p in candidates)
-    return min(theta for theta, p in candidates if p == best)
+    return min(candidates)[1]
 
 
 def write_theta_sweep_csv(path: str | os.PathLike, curve) -> None:

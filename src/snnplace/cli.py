@@ -1,15 +1,17 @@
 """Operator entry points: train, regularize, calibrate, evaluate, match.
 
 All tunables live in one JSON config file, the JSON form of
-``config.RunConfig``; a file names only the values it changes, and
-command-line flags override individual values.  Commands that read an
-archive preprocess images with the archive's image size and patch grid.
-The hyperactivity threshold theta is given per command (``--theta``, or
-``--params chosen.json``) and follows the one rule of
-``ensemble.flags_for_theta``.  Exit codes: 0 success, 1
-runtime failure, 2 configuration, ingest or archive error.  Every command
-is deterministic given the same inputs, seed, and config, independent of
-the worker count.
+``config.RunConfig``; a file names only the values it changes.  Each
+config flag sets the key it names (``--kappa`` sets
+``expert.places_per_expert``), and the defaults, the file and the flags
+are decoded once, together, so a flag's bad value gets the file's error.
+Commands that read an archive preprocess images with the archive's image
+size and patch grid.  The hyperactivity threshold theta is given per
+command (``--theta``, or ``--params chosen.json``) and follows the one
+rule of ``ensemble.flags_for_theta``.  Exit codes: 0 success, 1 runtime
+failure, 2 configuration, ingest or archive error.  Every command is
+deterministic given the same inputs, seed, and config, independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -51,10 +53,7 @@ def _read_json_object(path: str, what: str) -> dict:
 
 def load_config(path: str | None) -> RunConfig:
     """Read the JSON config file: the values it names, laid over the defaults."""
-    if path is None:
-        return RunConfig()
-    data = _overlay(to_json(RunConfig()), _read_json_object(path, "config"))
-    return from_json(RunConfig, data, "config")
+    return _run_config(argparse.Namespace(config=path))
 
 
 def _overlay(base: dict, data: dict) -> dict:
@@ -67,34 +66,26 @@ def _overlay(base: dict, data: dict) -> dict:
     return merged
 
 
-# The flags that set an ExpertConfig value: (flag, field, help).
-_EXPERT_FLAGS = (
-    ("--kappa", "places_per_expert", "places per expert"),
-    ("--neurons", "n_excitatory", "excitatory neurons per expert"),
-    ("--epochs", "epochs", "training epochs"),
-)
-
-
-def _override(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict = {}
-    for field in ("seed", "workers"):
-        value = getattr(args, field, None)
-        if value is not None:
-            updates[field] = value
-    expert_updates = {field: value for flag, field, _ in _EXPERT_FLAGS
-                      if (value := getattr(args, flag[2:], None)) is not None}
-    if expert_updates:
-        updates["expert"] = dataclasses.replace(cfg.expert, **expert_updates)
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """The command's config: the file, then its flags.
+    """The command's config: the defaults, then the ``--config`` file, then its flags.
 
-    Each config is checked as it is built, so the file is checked as it is
-    decoded and the flags as they are laid over it.
+    A config flag's dest is ``config.<key path>``, the key it sets, and all
+    three layers are decoded once, so a flag's value is checked, and named
+    in an error, as the same value in the file is.
     """
-    return _override(load_config(args.config), args)
+    data = to_json(RunConfig())
+    if args.config is not None:
+        data = _overlay(data, _read_json_object(args.config, "config"))
+    for dest, value in vars(args).items():
+        if value is None or not dest.startswith("config."):
+            continue
+        *sections, key = dest.split(".")[1:]
+        owner = data
+        for name in sections:
+            owner = owner.get(name) if isinstance(owner, dict) else None
+        if isinstance(owner, dict):  # else the file's section is no object, as decoding says
+            owner[key] = value
+    return from_json(RunConfig, data, "config")
 
 
 def _encoder_input(path, size: tuple[int, int], patch: PatchNormConfig) -> np.ndarray:
@@ -198,16 +189,11 @@ def cmd_regularize(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _run_config(args)
     start, stop = _parse_range(args.cal_range)
-    grids = dataclasses.replace(
-        cfg.calibration,
-        tau_gi_grid=tuple(args.tau_gi_grid or cfg.calibration.tau_gi_grid),
-        theta_grid=tuple(args.theta_grid or cfg.calibration.theta_grid),
-    )
     _check_output_dir(args.out_dir)
     cal_ref, _ = _load_traverses(args.ref_dirs, cfg, (start, stop))
     cal_query, _ = _load_traverses([args.query_dir], cfg, (start, stop))
     report = cal.run_grid_search(
-        grids, cal_ref, cal_query[0], np.arange(stop - start),
+        cfg.calibration, cal_ref, cal_query[0],
         cfg.expert, cfg.simulation, cfg.encoding, cfg.patch,
         cfg.seed, cfg.effective_workers(),
     )
@@ -301,16 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def config_flag(p, flag, key, **kwargs):
+        """``flag`` sets the config key ``key`` (``_run_config``)."""
+        metavar = flag[2:].upper().replace("-", "_")
+        p.add_argument(flag, dest=f"config.{key}", metavar=metavar, **kwargs)
+
     def common(p, seed=True):
         p.add_argument("--config", help="JSON config file")
         if seed:
-            p.add_argument("--seed", type=int, help="global random seed")
-        p.add_argument("--workers", type=int,
-                       help="worker processes (0 = every usable core; capped at them)")
+            config_flag(p, "--seed", "seed", type=int, help="global random seed")
+        config_flag(p, "--workers", "workers", type=int,
+                    help="worker processes (0 = every usable core; capped at them)")
 
     def expert_flags(p):
-        for flag, _, text in _EXPERT_FLAGS:
-            p.add_argument(flag, type=int, help=text)
+        config_flag(p, "--kappa", "expert.places_per_expert", type=int, help="places per expert")
+        config_flag(p, "--neurons", "expert.n_excitatory", type=int,
+                    help="excitatory neurons per expert")
+        config_flag(p, "--epochs", "expert.epochs", type=int, help="training epochs")
 
     p = sub.add_parser("train", help="train an ensemble from reference traverses")
     common(p)
@@ -334,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-dirs", nargs="+", required=True)
     p.add_argument("--query-dir", required=True)
     p.add_argument("--cal-range", required=True, help="calibration places as START:STOP")
-    p.add_argument("--tau-gi-grid", type=float, nargs="+")
-    p.add_argument("--theta-grid", type=float, nargs="+")
+    config_flag(p, "--tau-gi-grid", "calibration.tau_gi_grid", type=float, nargs="+")
+    config_flag(p, "--theta-grid", "calibration.theta_grid", type=float, nargs="+")
     expert_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_calibrate)

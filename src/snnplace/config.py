@@ -8,9 +8,9 @@ accepted for a float; a bool or NaN never passes as a number) and unknown
 keys are rejected, each with a ``ConfigError`` naming the key.  Every
 number's closed range is declared once, on its field (``errors.ranged``),
 and every config dataclass checks them (``errors.check_ranges``) and then
-its cross-field invariants when it is built, so a decoded file, a CLI
-flag, an archive's config block and each ``dataclasses.replace`` of a
-config are checked on construction, and no invalid config exists.  An
+its cross-field invariants when it is built, so a decoded file with its
+CLI flags, an archive's config block and each ``dataclasses.replace`` of
+a config are checked on construction, and no invalid config exists.  An
 error raised while building a decoded object names where it sits.
 """
 

@@ -95,16 +95,17 @@ def partition_reference(place_count: int, places_per_expert: int) -> Partition:
     return Partition(ranges=ranges)
 
 
-@dataclass
+@dataclass(eq=False)
 class EnsembleModel:
     """One table per per-expert field, plus the config snapshot.
 
     Expert i owns column i of the (inputs, N, K) float32 ``weights`` and
     row i of every other table; ``experts`` views them.  Construction alone
-    states what valid tables are, and refuses any others.
+    states what valid tables are, and refuses any others.  ``==`` is
+    identity: two models of equal arrays are still two models.
     """
 
-    weights: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False)
     thresholds: np.ndarray               # adaptive-threshold snapshots, mV
     assignments: np.ndarray              # local place per neuron, UNASSIGNED if silent
     region_places: np.ndarray            # places in each region, in place order
@@ -134,7 +135,11 @@ class EnsembleModel:
                               f"the weights have {self.weights.shape[0]}")
         check_presentation_steps(self.encoding, self.sim)
         flags_for_theta((), self.theta)  # ConfigError for a bad theta
+        if not neurons[0]:
+            raise ConfigError("an ensemble holds at least one expert")
         for i, places in enumerate(self.region_places.tolist()):
+            if places < 1:
+                raise ConfigError(f"expert {i} holds {places} places; a region holds at least one")
             # One expert's column at a time: no temporary the size of the stack.
             finite = np.isfinite(self.thresholds[i]).all() and np.isfinite(self.weights[:, i]).all()
             if not finite:

@@ -120,7 +120,7 @@ class TestGridSearchEndToEnd:
         reference, queries = tiny_world
         grids = CalibrationGrids(tau_gi_grid=(0.5,), theta_grid=(100.0,))
         report = run_grid_search(
-            grids, reference, queries, np.arange(4),
+            grids, reference, queries,
             tiny_expert_cfg(epochs=2, record_last_epochs=1),
             tiny_sim(), tiny_encoding(), PatchNormConfig(),
             global_seed=3,
@@ -132,7 +132,7 @@ class TestGridSearchEndToEnd:
         reference, queries = tiny_world
         grids = CalibrationGrids(tau_gi_grid=(0.5, 2.0), theta_grid=(50.0, 100.0))
         report = run_grid_search(
-            grids, reference, queries, np.arange(4),
+            grids, reference, queries,
             tiny_expert_cfg(epochs=2, record_last_epochs=1),
             tiny_sim(), tiny_encoding(), PatchNormConfig(),
             global_seed=3,
@@ -169,7 +169,7 @@ class TestGridSearchEndToEnd:
         reference, queries = tiny_world
         grids = CalibrationGrids(tau_gi_grid=(0.5,), theta_grid=(10.0, 20.0))
         report = run_grid_search(
-            grids, reference, queries, np.arange(4),
+            grids, reference, queries,
             tiny_expert_cfg(epochs=2, record_last_epochs=1),
             tiny_sim(), tiny_encoding(), PatchNormConfig(),
             global_seed=3,

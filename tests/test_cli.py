@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from snnplace import cli, ensemble
 from snnplace.cli import load_config, main
 from snnplace.config import RunConfig, from_json, to_json
-from snnplace.errors import ConfigError, IngestError
+from snnplace.errors import ArchiveError, ConfigError, IngestError
 from snnplace.imaging import write_pgm
 from snnplace.network import LifParams
 from snnplace.store import load_ensemble
@@ -354,39 +354,70 @@ COMMAND_ARGS = {
         "--cal-range", "0:2", "--out-dir", str(out / "cal")],
 }
 
+# Every flag that sets a run-config value: the key it sets, a value in range
+# and a value past it, each as JSON.  Only calibrate has the grid flags.
+CONFIG_FLAGS = [
+    ("--seed", ("seed",), 7, -1),
+    ("--workers", ("workers",), 3, -1),
+    ("--kappa", ("expert", "places_per_expert"), 3, 0),
+    ("--neurons", ("expert", "n_excitatory"), 12, 0),
+    ("--epochs", ("expert", "epochs"), 11, 0),
+    ("--tau-gi-grid", ("calibration", "tau_gi_grid"), [0.5, 2.0], [0.5, 0.0]),
+    ("--theta-grid", ("calibration", "theta_grid"), [0.0, 30.0], [30.0, -5.0]),
+]
+FLAGS_BY_COMMAND = [(command, *flag) for command in ("train", "calibrate")
+                    for flag in CONFIG_FLAGS if command == "calibrate" or "grid" not in flag[0]]
+
+
+def flag_argv(flag, value):
+    return [flag] + [str(v) for v in (value if isinstance(value, list) else [value])]
+
 
 class TestRunConfigFlags:
-    """Every flag that sets a run-config value reaches the config on both training commands."""
+    """Each flag that sets a run-config value sets the key it names, as the file would."""
 
-    @pytest.mark.parametrize("command", ["train", "calibrate"])
-    @pytest.mark.parametrize("flag, value, field", [
-        ("--kappa", 3, ("expert", "places_per_expert")),
-        ("--neurons", 12, ("expert", "n_excitatory")),
-        ("--epochs", 11, ("expert", "epochs")),
-        ("--seed", 7, ("seed",)),
-        ("--workers", 3, ("workers",)),
-    ])
+    @pytest.mark.parametrize("command, flag, key, value, _", FLAGS_BY_COMMAND,
+                             ids=[f"{command} {flag}" for command, flag, *_ in FLAGS_BY_COMMAND])
     def test_flag_reaches_the_run_config(self, world, tmp_path, monkeypatch, command,
-                                         flag, value, field):
+                                         flag, key, value, _):
         _, cfg, ref, query = world
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(with_leaf(to_json(load_config(cfg)), key, value)))
+        want = load_config(str(edited))
+        assert want != load_config(cfg)
         built = []
-        run_config = cli._run_config
-        monkeypatch.setattr(cli, "_run_config", lambda args: built.append(run_config(args))
-                            or built[-1])
 
-        def stop(*args, **kwargs):
+        def stop(dirs, source, place_range=None):
+            built.append(source)
             raise IngestError("stopped before loading")
 
         monkeypatch.setattr(cli, "_load_traverses", stop)
-        argv = COMMAND_ARGS[command](cfg, ref, query, tmp_path) + [flag, str(value)]
+        argv = COMMAND_ARGS[command](cfg, ref, query, tmp_path) + flag_argv(flag, value)
         assert main(argv) == 2
-        want = load_config(cfg)
-        if field[0] == "expert":
-            want = dataclasses.replace(
-                want, expert=dataclasses.replace(want.expert, **{field[1]: value}))
-        else:
-            want = dataclasses.replace(want, **{field[0]: value})
         assert built == [want]
+
+    @pytest.mark.parametrize("flag, key, _, value", CONFIG_FLAGS,
+                             ids=[flag for flag, *_ in CONFIG_FLAGS])
+    def test_a_bad_value_exits_2_with_the_files_error(self, tmp_path, capsys, flag, key, _,
+                                                      value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(with_leaf(to_json(RunConfig()), key, value)))
+        argv = config_commands(tmp_path)["calibrate"]
+        errors = []
+        for given in (flag_argv(flag, value), ["--config", str(path)]):
+            assert main(argv + given) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: in 'config") and errors[0].count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_a_flag_leaves_a_file_section_that_is_no_object_to_the_decoder(self, tmp_path,
+                                                                          capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"expert": 5}))
+        argv = config_commands(tmp_path)["train"] + ["--config", str(path), "--kappa", "3"]
+        assert main(argv) == 2
+        assert_one_error_line(capsys, "'config.expert' must be an object, got 5")
 
 
 class TestOutputsCheckedFirst:
@@ -680,6 +711,24 @@ class TestMatch:
                    "--image", os.path.join(ref, "place_002.pgm")])
         assert rc == 2
         assert_one_error_line(capsys, "assigns a neuron outside")
+
+    def test_an_empty_region_exits_2(self, world, trained_archive, tmp_path, capsys):
+        # The regions still tile the place count: [0, 2) and an empty [2, 2).
+        root, cfg, ref, _ = world
+        broken = tmp_path / "empty_region"
+        shutil.copytree(trained_archive, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        last = manifest["experts"][-1]
+        last["n_places"] = 0
+        last["assignments"] = [-1] * len(last["assignments"])
+        manifest["place_count"] = 2
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ArchiveError, match="expert 1 holds 0 places"):
+            load_ensemble(broken)
+        rc = main(["match", "--model", str(broken),
+                   "--image", os.path.join(ref, "place_002.pgm")])
+        assert rc == 2
+        assert_one_error_line(capsys, "archive", "expert 1 holds 0 places")
 
 
     def test_unregularized_archive_exits_2_as_evaluate_does(self, world, tmp_path, capsys):

@@ -581,6 +581,19 @@ class TestWeightStack:
         assert same.weights is model.weights
         self.assert_views_of_one_stack(same)
 
+    def test_equality_is_identity(self):
+        model = synthetic_ensemble(2, n_excitatory=3, places_per_expert=2)
+        twin = synthetic_ensemble(2, n_excitatory=3, places_per_expert=2)
+        assert model == model
+        assert model != twin
+
+    def test_an_ensemble_of_no_expert_is_refused(self):
+        model = synthetic_ensemble(2, n_excitatory=3, places_per_expert=2)
+        no_rows = {table: getattr(model, table)[:0] for table in
+                   ("thresholds", "assignments", "region_places", "reference_totals")}
+        with pytest.raises(ConfigError, match="at least one expert"):
+            dataclasses.replace(model, weights=model.weights[:, :0], **no_rows)
+
     def test_an_image_size_other_than_the_weight_rows_is_refused(self):
         model = synthetic_ensemble(2, n_excitatory=3, places_per_expert=2)
         with pytest.raises(ConfigError, match="image size 14x14 needs 196 inputs, "
@@ -683,13 +696,15 @@ class TestWeightStack:
     # copy that disagrees: the constructor has no field to refuse (table None).
     @pytest.mark.parametrize("table, index, value, key, message", [
         (None, (), 7, ("place_count",), "experts cover 6 places, expected 7"),
+        ("region_places", (2,), 0, ("experts", 2, "n_places"),
+         "expert 2 holds 0 places; a region holds at least one"),
         ("thresholds", (1, 2), math.nan, ("experts", 1, "theta_adapt_mv", 2),
          "expert 1 holds non-finite thresholds or weights"),
         ("assignments", (2, 0), 2, ("experts", 2, "assignments", 0),
          r"expert 2 assigns a neuron outside its places \[-1, 2\)"),
         (None, (), True, ("experts", 0, "hyperactive", 1),
          "expert 0's hyperactive flags are not those theta=None gives its reference totals"),
-    ], ids=["tiling", "finite", "assignment", "flags"])
+    ], ids=["tiling", "region", "finite", "assignment", "flags"])
     def test_tables_the_loader_refuses_are_refused_with_its_message(
         self, tmp_path, table, index, value, key, message,
     ):
