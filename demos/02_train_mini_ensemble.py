@@ -26,8 +26,8 @@ raw = make_textures(N_PLACES, (28, 28), seed=3)
 reference = preprocess_stack(raw)[None]          # one reference traverse
 queries = preprocess_stack(corrupt_queries(raw, seed=4))
 
-partition = partition_reference(N_PLACES, PLACES_PER_EXPERT)
-print(f"partition: {partition.n_regions} regions -> {partition.ranges}")
+ranges = partition_reference(N_PLACES, PLACES_PER_EXPERT)
+print(f"partition: {len(ranges)} regions -> {ranges}")
 
 cfg = ExpertConfig(
     n_excitatory=40, places_per_expert=PLACES_PER_EXPERT, epochs=15, record_last_epochs=5,
@@ -38,7 +38,7 @@ model = train_ensemble(
     SimulationParams.defaults(), EncodingConfig(), PatchNormConfig(),
     global_seed=1, workers=2,
 )
-print(f"trained {partition.n_regions} experts in {time.perf_counter() - tick:.1f}s")
+print(f"trained {len(ranges)} experts in {time.perf_counter() - tick:.1f}s")
 n_excitatory = model.assignments.shape[1]
 for i, assigned in enumerate((model.assignments >= 0).sum(axis=1).tolist()):
     print(f"expert {i}: {assigned}/{n_excitatory} neurons assigned")

@@ -17,7 +17,6 @@ from .calibration import (
 from .ensemble import (
     EnsembleModel,
     MatchResult,
-    Partition,
     apply_threshold,
     collect_query_responses,
     detect_hyperactive,

@@ -156,8 +156,8 @@ def cmd_train(args) -> int:
     store.check_archive_target(args.out, overwrite=args.force)
     place_range = None if args.places is None else (0, args.places)
     reference, manifests = _load_traverses(args.ref_dirs, cfg, place_range)
-    partition = ens.plan_regions(reference.shape, cfg.expert)
-    print(f"training {partition.n_regions} experts on {reference.shape[1]} places "
+    n_regions = len(ens.plan_regions(reference.shape, cfg.expert))
+    print(f"training {n_regions} experts on {reference.shape[1]} places "
           f"({reference.shape[0]} traverse(s), workers={cfg.effective_workers()})")
     tick = time.perf_counter()
     model = ens.train_ensemble(
@@ -167,7 +167,7 @@ def cmd_train(args) -> int:
     )
     elapsed = time.perf_counter() - tick
     store.save_ensemble(model, args.out, overwrite=args.force)
-    print(f"trained {partition.n_regions} experts in {elapsed:.1f}s; archive: {args.out}")
+    print(f"trained {n_regions} experts in {elapsed:.1f}s; archive: {args.out}")
     return 0
 
 

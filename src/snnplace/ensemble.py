@@ -25,16 +25,14 @@ images are fanned out to every expert; all (image, expert) pairs start from
 rest and step in lockstep through one network (``expert_respond``), and a
 single query is a batch of one image.  A block holds ``max(1, BLOCK_STATE
 // (N * K))`` images, so its state stays small; at paper scale it is one
-image.  With K > 1, a block of one image (a query, or a paper-scale
-block) reads each step's input spikes in one gather from the stack, and a
-block of small experts (N * K up to ``network.PAD_BLOCK_CELLS``) in one
-padded gather over its images; any other block reads image by image, with
-the same bits.  Batches run in parallel over contiguous image chunks, so results
-never depend on the worker count or the block size.  Each place's score is
-the summed response of the non-hyperactive neurons that vote for it in
-``neuron_places``, and the ranking is the descending score order (ties
-toward the lowest place id); ``fuse_scores`` ranks a batch of queries on
-one read of the vote table, and a single query is a batch of one.
+image.  How a block reads its input spikes is ``ExpertNetwork.present``'s
+rule, and every read gives the same bits.  Batches run in parallel over
+contiguous image chunks, so results never depend on the worker count or
+the block size.  Each place's score is the summed response of the
+non-hyperactive neurons that vote for it in ``neuron_places``, and the
+ranking is the descending score order (ties toward the lowest place id);
+``fuse_scores`` ranks a batch of queries on one read of the vote table,
+and a single query is a batch of one.
 """
 
 from __future__ import annotations
@@ -73,26 +71,14 @@ BLOCK_STATE = 20_000
 MAX_STACK_BYTES = 4 * 2**30
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Contiguous, disjoint place ranges covering the full reference set."""
-
-    ranges: tuple[tuple[int, int], ...]  # [start, stop) per region
-
-    @property
-    def n_regions(self) -> int:
-        return len(self.ranges)
-
-
-def partition_reference(place_count: int, places_per_expert: int) -> Partition:
-    """Cut ``place_count`` places into regions of ``places_per_expert``."""
+def partition_reference(place_count: int, places_per_expert: int) -> tuple[tuple[int, int], ...]:
+    """Cut ``place_count`` places into [start, stop) regions of ``places_per_expert``."""
     if place_count < 1:
         raise ConfigError("place_count must be >= 1")
     if places_per_expert < 1:
         raise ConfigError("places_per_expert must be >= 1")
     starts = range(0, place_count, places_per_expert)
-    ranges = tuple((s, min(s + places_per_expert, place_count)) for s in starts)
-    return Partition(ranges=ranges)
+    return tuple((s, min(s + places_per_expert, place_count)) for s in starts)
 
 
 @dataclass(eq=False)
@@ -206,22 +192,24 @@ def _train_chunk(job) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return train_experts(*job)[:3]
 
 
-def plan_regions(reference_shape: tuple[int, ...], expert_cfg: ExpertConfig) -> Partition:
+def plan_regions(
+    reference_shape: tuple[int, ...], expert_cfg: ExpertConfig
+) -> tuple[tuple[int, int], ...]:
     """The regions ``train_ensemble`` cuts a (traverses, places, H, W) reference into.
 
     Their float32 weight stack takes width x height x regions x
     n_excitatory x 4 bytes; above ``MAX_STACK_BYTES`` it raises ``ConfigError``.
     """
     _, place_count, height, width = reference_shape
-    partition = partition_reference(place_count, expert_cfg.places_per_expert)
-    stack_bytes = width * height * partition.n_regions * expert_cfg.n_excitatory * 4
+    ranges = partition_reference(place_count, expert_cfg.places_per_expert)
+    stack_bytes = width * height * len(ranges) * expert_cfg.n_excitatory * 4
     if stack_bytes > MAX_STACK_BYTES:
         raise ConfigError(
-            f"{partition.n_regions} experts of {expert_cfg.n_excitatory} neurons on "
+            f"{len(ranges)} experts of {expert_cfg.n_excitatory} neurons on "
             f"{width}x{height} images need a {stack_bytes}-byte weight stack, "
             f"more than {MAX_STACK_BYTES}"
         )
-    return partition
+    return ranges
 
 
 def train_ensemble(
@@ -246,7 +234,7 @@ def train_ensemble(
     (``plan_regions``).
     """
     n_trav, place_count, height, width = reference.shape
-    partition = plan_regions(reference.shape, expert_cfg)
+    ranges = plan_regions(reference.shape, expert_cfg)
     regions = [
         RegionData(
             images=reference[:, start:stop],
@@ -254,7 +242,7 @@ def train_ensemble(
             global_start=start,
             seed=derive_seed(global_seed, index),
         )
-        for index, (start, stop) in enumerate(partition.ranges)
+        for index, (start, stop) in enumerate(ranges)
     ]
     jobs = [(regions[part], expert_cfg, sim, encoding) for part in _chunks(len(regions), workers)]
     weights, thresholds, assignments = zip(*_ordered_map(_train_chunk, jobs, workers))
@@ -262,7 +250,7 @@ def train_ensemble(
         weights=weights[0] if len(weights) == 1 else np.concatenate(weights, axis=1),
         thresholds=np.concatenate(thresholds),
         assignments=np.concatenate(assignments),
-        region_places=np.array([stop - start for start, stop in partition.ranges], dtype=np.int64),
+        region_places=np.array([stop - start for start, stop in ranges], dtype=np.int64),
         sim=sim,
         encoding=encoding,
         patch=patch,

@@ -111,25 +111,26 @@ def query_time_benchmark(
     n_queries: int = 20,
     seed: int = 0,
 ) -> list[tuple[int, float]]:
-    """Mean wall time per query against synthetic ensembles of each size.
+    """Median wall time per query against synthetic ensembles of each size.
 
     Experts are frozen random networks; queries are random textures.  Runs
-    in single-worker mode so the totals scale with the serial work.  Each
+    in single-worker mode so the times scale with the serial work.  Each
     query visits every size in turn, so a drift in machine speed during the
-    run lands on all sizes alike instead of on whichever size it overlaps.
+    run lands on all sizes alike instead of on whichever size it overlaps,
+    and the median leaves out the queries a burst of load slows.
     """
     models = [
         synthetic_ensemble(n, n_excitatory=n_excitatory, image_size=image_size, seed=seed)
         for n in sizes
     ]
     queries = make_textures(n_queries, image_size, derive_seed(seed, 1))
-    elapsed = [0.0] * len(sizes)
+    elapsed = np.zeros((n_queries, len(sizes)))
     for k in range(n_queries):
         for i, model in enumerate(models):
             start = time.perf_counter()
             match_query(model, queries[k], query_id=k)
-            elapsed[i] += time.perf_counter() - start
-    return [(n, seconds / n_queries) for n, seconds in zip(sizes, elapsed)]
+            elapsed[k, i] = time.perf_counter() - start
+    return [(n, float(np.median(seconds))) for n, seconds in zip(sizes, elapsed.T)]
 
 
 def inject_cross_region_responders(

@@ -15,6 +15,10 @@ from snnplace.network import ExpertNetwork, SimulationParams, SynapseMatrix
 # a config-block value that overflowed the step showed itself at 3,000 examples,
 # not at the 200 the test runs by default.
 settings.register_profile("manifest-fuzz", max_examples=3000)
+# CI runs TestWorkerCountProperty alone under this profile with a fixed
+# --hypothesis-seed: 200 tiny worlds through train, regularize and evaluate
+# at one and two workers, about 25 s on 2 cores.
+settings.register_profile("cli-determinism", max_examples=200)
 
 
 def tiny_sim(**overrides) -> SimulationParams:

@@ -60,7 +60,7 @@ def test_traced_training_counts_group_presentations_steps_and_spikes():
     textures = tiny_textures(4, seed=30)[None]
     cfg = tiny_expert_cfg(n_excitatory=6, places_per_expert=2, epochs=2, record_last_epochs=2)
     sim, encoding = tiny_sim(), tiny_encoding()
-    partition = ensemble.partition_reference(4, 2)
+    ranges = ensemble.partition_reference(4, 2)
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
@@ -83,6 +83,6 @@ def test_traced_training_counts_group_presentations_steps_and_spikes():
                        seed=derive_seed(9, index)),
             cfg, sim, encoding,
         )[1]
-        for index, (start, stop) in enumerate(partition.ranges)
+        for index, (start, stop) in enumerate(ranges)
     ]
     assert layer["network.output_spikes"] == sum(int(table.sum()) for table in tables) > 0

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+import tempfile
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from snnplace.errors import ArchiveError, ConfigError, IngestError
 from snnplace.imaging import write_pgm
 from snnplace.network import LifParams
 from snnplace.store import load_ensemble
+from snnplace.synthetic import corrupt_queries, make_textures
 from tests.test_store import JUNK, manifest_keys
 
 
@@ -252,6 +254,74 @@ class TestPinnedBytes:
         written["reports/summary.json"] = json.dumps(summary, sort_keys=True).encode()
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in written.items()}
         assert digests == self.DIGESTS
+
+
+def run_pipeline(root, cfg, ref, query, theta, workers) -> dict:
+    """Every file train, regularize and evaluate write at ``--workers workers``.
+
+    ``summary.json`` is compared without its timing, ``mean_query_seconds``.
+    """
+    out = {name: os.path.join(root, f"{name}_w{workers}")
+           for name in ("trained", "regularized", "reports")}
+    flags = ["--config", cfg, "--workers", str(workers)]
+    assert main(["train", *flags, "--ref-dirs", ref, "--out", out["trained"]]) == 0
+    assert main(["regularize", *flags, "--model", out["trained"], "--ref-dirs", ref,
+                 "--theta", repr(theta), "--out", out["regularized"]]) == 0
+    assert main(["evaluate", *flags, "--model", out["regularized"], "--query-dir", query,
+                 "--report-dir", out["reports"]]) == 0
+    written = {name: read_archive_bytes(path) for name, path in out.items()}
+    summary = json.loads(written["reports"]["summary.json"])
+    del summary["mean_query_seconds"]   # a timing
+    written["reports"]["summary.json"] = summary
+    return written
+
+
+class TestWorkerCountProperty:
+    # 10 examples in tier-1 (about 3 s), or as many as the "cli-determinism"
+    # profile asks for (conftest.py), which CI loads to run this test alone.
+    @settings(max_examples=(settings.default.max_examples
+                            if settings.get_current_profile_name() == "cli-determinism"
+                            else 10),
+              deadline=None)
+    @given(data=st.data())
+    def test_one_and_two_workers_write_the_same_bytes(self, data):
+        """Any tiny PGM world: archives and reports do not depend on the worker count."""
+        n_places = data.draw(st.integers(2, 6), label="places")
+        kappa = data.draw(st.integers(1, n_places), label="places_per_expert")
+        epochs = data.draw(st.integers(1, 2), label="epochs")
+        config = {
+            "seed": data.draw(st.integers(min_value=0), label="seed"),
+            "image": {"width": 8, "height": 8},
+            "patch": {"patch_width": 4, "patch_height": 4},
+            "encoding": {
+                "presentation_ms": data.draw(st.integers(10, 40), label="presentation_ms"),
+                "rest_ms": data.draw(st.integers(0, 20), label="rest_ms"),
+                "min_output_spikes": 0,
+            },
+            "simulation": {"weight_norm_target": 20.0},
+            "expert": {
+                "n_excitatory": data.draw(st.integers(kappa, 8), label="n_excitatory"),
+                "places_per_expert": kappa,
+                "epochs": epochs,
+                "record_last_epochs": data.draw(st.integers(1, epochs), label="recorded"),
+            },
+        }
+        theta = data.draw(st.floats(min_value=0, allow_infinity=False), label="theta")
+        world_seed = data.draw(st.integers(0, 2**32 - 1), label="world_seed")
+        with tempfile.TemporaryDirectory() as root:
+            ref, query = os.path.join(root, "ref"), os.path.join(root, "query")
+            os.mkdir(ref)
+            os.mkdir(query)
+            textures = make_textures(n_places, (8, 8), seed=world_seed)
+            for k, (img, noisy) in enumerate(zip(textures,
+                                                 corrupt_queries(textures, world_seed + 1))):
+                write_pgm(os.path.join(ref, f"place_{k:03d}.pgm"), img)
+                write_pgm(os.path.join(query, f"place_{k:03d}.pgm"), noisy)
+            cfg = os.path.join(root, "config.json")
+            with open(cfg, "w") as fh:
+                json.dump(config, fh)
+            one, two = (run_pipeline(root, cfg, ref, query, theta, workers) for workers in (1, 2))
+            assert one == two
 
 
 class TestRegularize:

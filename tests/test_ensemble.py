@@ -89,17 +89,15 @@ def random_instance(rng):
 
 class TestPartition:
     def test_reference_scale_partition(self):
-        part = partition_reference(3300, 25)
-        assert part.n_regions == 132
-        assert all(stop - start == 25 for start, stop in part.ranges)
+        ranges = partition_reference(3300, 25)
+        assert len(ranges) == 132
+        assert all(stop - start == 25 for start, stop in ranges)
 
     def test_single_region_when_counts_match(self):
-        part = partition_reference(25, 25)
-        assert part.ranges == ((0, 25),)
+        assert partition_reference(25, 25) == ((0, 25),)
 
     def test_remainder_region(self):
-        part = partition_reference(26, 25)
-        assert part.ranges == ((0, 25), (25, 26))
+        assert partition_reference(26, 25) == ((0, 25), (25, 26))
 
     def test_zero_place_count_rejected(self):
         with pytest.raises(ConfigError):
@@ -110,11 +108,11 @@ class TestPartition:
         for _ in range(500):
             place_count = int(rng.integers(1, 5000))
             kappa = int(rng.integers(1, 100))
-            part = partition_reference(place_count, kappa)
-            covered = np.concatenate([np.arange(s, t) for s, t in part.ranges])
+            ranges = partition_reference(place_count, kappa)
+            covered = np.concatenate([np.arange(s, t) for s, t in ranges])
             assert covered.size == place_count
             assert np.array_equal(covered, np.arange(place_count))
-            assert all(t - s == kappa for s, t in part.ranges[:-1])
+            assert all(t - s == kappa for s, t in ranges[:-1])
 
 
 class TestFlags:
